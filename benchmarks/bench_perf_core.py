@@ -82,30 +82,13 @@ def test_perf_llm_estimate(benchmark, nine_sources):
     assert est.population > 0
 
 
-def test_perf_select_model(benchmark, nine_sources):
+def test_perf_select_model_batched(benchmark, nine_sources):
     """Stepwise selection over t=9 sources, pairwise interactions.
 
     The heaviest fit-layer consumer: one selection fits dozens of
-    candidate models, so warm starts + memoisation dominate here.
-    Pinned to the sequential kernel so this median keeps guarding the
-    one-at-a-time path (the ``--no-batch-fits`` escape hatch).
+    candidate models, and each stepwise round's candidates become one
+    stacked lattice solve.
     """
-    from repro.core import fitkernel
-    from repro.core.selection import select_model
-
-    table = tabulate_histories(nine_sources)
-    fitkernel.set_batch_fits(False)
-    try:
-        selection = benchmark(lambda: select_model(table, max_order=2))
-    finally:
-        fitkernel.set_batch_fits(True)
-    assert np.isfinite(selection.selected_ic)
-    assert selection.fit.estimate().population > table.num_observed
-
-
-def test_perf_select_model_batched(benchmark, nine_sources):
-    """Same selection through the batched kernel: each stepwise round's
-    candidates become one stacked lattice solve."""
     from repro.core.selection import select_model
 
     table = tabulate_histories(nine_sources)

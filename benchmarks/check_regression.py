@@ -2,10 +2,10 @@
 """Performance regression gate for the committed benchmark baselines.
 
 Compares a candidate ``pytest-benchmark`` JSON export against the
-committed baselines (``BENCH_perf_core.json`` overridden by the newer
-``BENCH_perf_fit.json`` / ``BENCH_perf_stream.json`` where several
-cover a benchmark) and fails when any benchmark's median slows down by
-more than the threshold.
+committed baselines (``BENCH_perf_fit.json`` for
+``bench_perf_core.py``, ``BENCH_perf_stream.json`` for
+``bench_perf_stream.py``) and fails when any benchmark's median slows
+down by more than the threshold.
 
 CI usage (the ``perf-baseline`` job)::
 
@@ -36,10 +36,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 
-#: Committed baselines, oldest first: later files override earlier
-#: ones per benchmark name, so the newest committed numbers win.
+#: Committed baselines, one per benchmark file; were two ever to cover
+#: a benchmark, the later file would win.
 BASELINE_FILES = (
-    "BENCH_perf_core.json",
     "BENCH_perf_fit.json",
     "BENCH_perf_stream.json",
 )

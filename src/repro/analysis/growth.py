@@ -144,7 +144,6 @@ def stratified_yearly_growth(
     last_window: TimeWindow,
     level: str = "addresses",
     min_observed: float = 0.0,
-    workers: int = 1,
 ) -> list[StratumGrowth]:
     """Average yearly growth per stratum between two windows.
 
@@ -152,15 +151,14 @@ def stratified_yearly_growth(
     period, which the endpoint difference divided by elapsed years
     gives directly.  Strata observed below ``min_observed`` (in the
     last window) are dropped, mirroring the paper's cut of small
-    countries.  ``workers`` fans the per-stratum fits out on the
-    engine's thread pool.
+    countries.
     """
     if level == "addresses":
-        first = pipeline.stratified_addresses(first_window, kind, workers=workers)
-        last = pipeline.stratified_addresses(last_window, kind, workers=workers)
+        first = pipeline.stratified_addresses(first_window, kind)
+        last = pipeline.stratified_addresses(last_window, kind)
     elif level == "subnets":
-        first = pipeline.stratified_subnets(first_window, kind, workers=workers)
-        last = pipeline.stratified_subnets(last_window, kind, workers=workers)
+        first = pipeline.stratified_subnets(first_window, kind)
+        last = pipeline.stratified_subnets(last_window, kind)
     else:
         raise ValueError(f"unknown level {level!r}")
     years = last_window.end - first_window.end

@@ -10,9 +10,9 @@ ground truth.
 Since the engine refactor the pipeline no longer orchestrates by hand:
 every step is a named stage resolved through
 :class:`repro.engine.Executor`, whose unified artifact cache replaces
-the old per-pipeline result dicts and whose process/thread pools fan
-independent windows and strata out (``run_all(workers=...)``).  The
-per-stage instrumentation of a run is available as :attr:`report`.
+the old per-pipeline result dicts and whose process pool fans
+independent windows out (``run_all(workers=...)``).  The per-stage
+instrumentation of a run is available as :attr:`report`.
 """
 
 from __future__ import annotations
@@ -155,25 +155,23 @@ class EstimationPipeline:
     # -- stratified views --------------------------------------------------------
 
     def stratified_addresses(
-        self, window: TimeWindow, kind: str, workers: int = 1
+        self, window: TimeWindow, kind: str
     ) -> StratifiedEstimate:
         """Per-stratum address estimates summed to a total (Table 5).
 
         ``kind`` is a registry stratification (``"rir"``,
         ``"country"``, ``"prefix"``, ``"age"``, ``"industry"``) or
-        ``"dynamic"`` for the static/dynamic split.  ``workers``
-        fans the independent strata out on a thread pool.
+        ``"dynamic"`` for the static/dynamic split.
         """
         return self.engine.stratified(
             window,
             self._labeler(kind),
             level="addresses",
             limit_per_stratum=self._stratum_limits(window, kind),
-            workers=workers,
         )
 
     def stratified_subnets(
-        self, window: TimeWindow, kind: str, workers: int = 1
+        self, window: TimeWindow, kind: str
     ) -> StratifiedEstimate:
         """Per-stratum /24 estimates summed to a total."""
         return self.engine.stratified(
@@ -181,7 +179,6 @@ class EstimationPipeline:
             self._labeler(kind),
             level="subnets",
             limit_per_stratum=self._stratum_limits(window, kind, subnets=True),
-            workers=workers,
         )
 
     def _labeler(self, kind: str):

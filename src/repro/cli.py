@@ -268,13 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "content-addressed and reused across runs and "
                         "worker processes; a repeat run against a warm "
                         "store skips recomputation wholesale")
-    parser.add_argument("--batch-fits", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="group same-shape model fits across "
-                        "levels/strata/scan points into batched IRLS "
-                        "solves (default: on; --no-batch-fits restores "
-                        "the sequential kernel — estimates agree at "
-                        "rtol 1e-8 and cache artifacts are shared)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Shared parent for every command that fans work out: one canonical
@@ -542,7 +535,6 @@ def _pipeline(args: argparse.Namespace) -> EstimationPipeline:
         )
     options = PipelineOptions(
         quarantine=QuarantinePolicy.named(args.quarantine_policy),
-        batch_fits=args.batch_fits,
     )
     observer = Observer() if (args.trace or args.metrics_out) else None
     cache = (
@@ -1174,7 +1166,6 @@ def _stream(args: argparse.Namespace) -> StreamEstimator:
     )
     options = PipelineOptions(
         quarantine=QuarantinePolicy.named(args.quarantine_policy),
-        batch_fits=args.batch_fits,
     )
     observer = Observer() if (args.trace or args.metrics_out) else None
     store = (

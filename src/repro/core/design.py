@@ -159,33 +159,6 @@ def design_matrix(
     return matrix, ordered
 
 
-def map_coefficients(
-    source_terms: Iterable[frozenset],
-    source_coef: np.ndarray,
-    target_terms: Iterable[frozenset],
-) -> np.ndarray:
-    """Map a fit's coefficients onto another model's column order.
-
-    The warm-start bridge between nested models: the intercept and every
-    shared term keep their fitted value, terms new to the target start
-    at 0 (their column adds nothing until the first IRLS step moves it).
-    """
-    source_ordered = term_order(source_terms)
-    source_coef = np.asarray(source_coef, dtype=np.float64)
-    if source_coef.shape != (1 + len(source_ordered),):
-        raise ValueError(
-            f"coefficient vector of length {source_coef.size} does not match "
-            f"{len(source_ordered)} terms plus intercept"
-        )
-    by_term = dict(zip(source_ordered, source_coef[1:]))
-    target_ordered = term_order(target_terms)
-    beta0 = np.zeros(1 + len(target_ordered))
-    beta0[0] = source_coef[0]
-    for column, term in enumerate(target_ordered, start=1):
-        beta0[column] = by_term.get(term, 0.0)
-    return beta0
-
-
 def describe_terms(
     terms: Iterable[frozenset], source_names: tuple[str, ...] = ()
 ) -> str:

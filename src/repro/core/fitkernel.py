@@ -25,9 +25,8 @@ layer observable:
 
 Counter semantics:
 
-* ``fits`` / ``irls_iterations`` — IRLS fits executed and their total
-  iteration count (truncated fits count their L-BFGS seed only when it
-  actually runs).
+* ``fits`` / ``irls_iterations`` — IRLS fits executed (plain and
+  truncated) and their total iteration count.
 * ``warm_start_hits`` — fits that started from caller-provided
   coefficients instead of the cold least-squares initialiser.
 * ``warm_store_hits`` — final refits seeded from a persistent
@@ -47,8 +46,6 @@ the parent inside stage records, exactly like wall-time instrumentation.
 
 from __future__ import annotations
 
-import threading
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -132,26 +129,6 @@ def snapshot() -> FitCounters:
 def reset_counters() -> None:
     """Zero the totals (tests and benchmarks)."""
     get_global_metrics().reset(FIT_METRIC_PREFIX)
-
-
-def __getattr__(name: str):  # PEP 562: deprecated module attributes
-    if name == "_TOTALS":
-        warnings.warn(
-            "fitkernel._TOTALS is deprecated; read counters via "
-            "repro.obs.get_global_metrics() or fitkernel.snapshot()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {name: getattr(snapshot(), name) for name in _COUNTER_NAMES}
-    if name == "_LOCK":
-        warnings.warn(
-            "fitkernel._LOCK is deprecated; the metrics registry "
-            "synchronises internally",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return threading.Lock()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: Cholesky pivot-ratio floor below which a solve is considered
@@ -504,26 +481,6 @@ def weighted_least_squares(
         np.asarray(weights, dtype=np.float64),
         np.asarray(target, dtype=np.float64),
     )
-
-
-#: Process-wide batched-fit routing default.  The Executor *always* sets
-#: this from ``PipelineOptions.batch_fits`` (including in pool workers,
-#: which rebuild an Executor from the shipped options), so stepwise
-#: selection and the profile scans pick the batched kernel without the
-#: call sites threading a flag through every layer.  Callers can still
-#: force either path per call via their ``batch=`` parameter.
-_BATCH_FITS = True
-
-
-def set_batch_fits(enabled: bool) -> None:
-    """Set the process-wide batched-fit routing default."""
-    global _BATCH_FITS
-    _BATCH_FITS = bool(enabled)
-
-
-def batch_fits_enabled() -> bool:
-    """The process-wide batched-fit routing default."""
-    return _BATCH_FITS
 
 
 #: Process-wide persistent warm-start store (a

@@ -2,9 +2,12 @@
 
 This is the numerical engine behind the log-linear capture-recapture
 models: cell counts ``z_s`` are modelled as Poisson with
-``log E[Z_s] = X u`` (the paper's equation 1), and the maximum
+``log E[Z_s] = X u`` (the paper's equation 1), or as Poisson
+right-truncated at a limit ``l`` (Section 3.3.1), and the maximum
 likelihood parameters are found by iteratively reweighted least
-squares.  Each IRLS step solves its weighted least-squares problem
+squares.  Both likelihoods are concave exponential families in the
+linear predictor, so one loop fits both and reaches the same optimum
+from any start.  Each IRLS step solves its weighted least-squares problem
 through :mod:`repro.core.fitkernel` — a Cholesky factorisation of the
 normal equations with an ``lstsq`` fallback — and handles the
 degeneracies real contingency tables produce: zero cells, collinear
@@ -17,11 +20,13 @@ skip the cold initialisation and most iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, xlogy
 
 from repro.core import fitkernel
+from repro.core.truncated import LogPartition, truncation_terms
 
 
 class GlmError(RuntimeError):
@@ -33,10 +38,12 @@ class GlmFit:
     """A fitted Poisson GLM.
 
     ``loglik`` is split into two stored parts: ``loglik_kernel`` is
-    ``y . log(mu) - sum(mu)`` (the part the IRLS loop tracks anyway for
-    its deviance bookkeeping) and ``loglik_norm`` is the data-constant
+    ``y . log(mu) - sum(mu)``, less ``sum(log F(l; mu))`` for a
+    truncated fit (the part the IRLS loop tracks anyway for its
+    deviance bookkeeping), and ``loglik_norm`` is the data-constant
     ``sum(gammaln(y + 1))`` normaliser — so constructing a fit never
-    pays for a gammaln pass the caller may not need.
+    pays for a gammaln pass the caller may not need.  ``fitted`` holds
+    the Poisson rates ``mu = exp(X coef)``, truncated or not.
     """
 
     coef: np.ndarray
@@ -118,23 +125,61 @@ def _y_constants(y: np.ndarray) -> tuple[float, float]:
     return hit
 
 
+class _State(NamedTuple):
+    """One IRLS iterate: the objective ``L`` and the working moments of
+    the next step (``mean`` and ``weight`` are both ``mu`` for the plain
+    Poisson; the truncated mean and floored variance otherwise, with the
+    truncated log-partition)."""
+
+    eta: np.ndarray
+    mu: np.ndarray
+    L: float
+    mean: np.ndarray
+    weight: np.ndarray
+    partition: LogPartition | None
+
+
+def _gain(y, old: _State, new: _State, limit) -> float:
+    """Log-likelihood gain ``L(new) - L(old)`` between two fit states,
+    free of cancellation.
+
+    Differencing the two objectives loses every digit below
+    ``eps * |L|``, which near a saturated optimum is the whole gain: the
+    line search would judge the last Newton steps by rounding noise and
+    stop short of the optimum.  Summing ``y d - mu expm1(d)`` over
+    ``d = eta' - eta`` — plus the truncated log-partition's own change —
+    keeps the gain accurate to its own last digits.
+    """
+    delta = new.eta - old.eta
+    with np.errstate(over="ignore"):
+        change = old.mu * np.expm1(delta)
+    if limit is not None:
+        change = old.partition.change(new.partition, delta, change, limit)
+    return float(y @ delta) - float(change.sum())
+
+
 def fit_poisson(
     design: np.ndarray,
     counts: np.ndarray,
     max_iter: int = 200,
     tol: float = 1e-9,
     beta0: np.ndarray | None = None,
+    limit: float | None = None,
 ) -> GlmFit:
     """Fit a log-link Poisson GLM by IRLS with step halving.
 
     ``design`` is (cells x params), ``counts`` the observed cell
-    counts.  ``beta0`` optionally warm-starts the iteration from known
-    coefficients (e.g. a neighbouring model's fit); the converged
-    optimum is the same as a cold start's within float tolerance, only
-    reached in fewer iterations.  Returns the ML fit; ``converged`` is
-    False when the deviance was still moving after ``max_iter``
-    iterations (the fit is still usable — selection treats it like any
-    other candidate).
+    counts.  ``limit`` fits the Poisson right-truncated at that
+    inclusive bound instead: each step then weights by the truncated
+    variance and targets the truncated mean (see
+    :func:`~repro.core.truncated.truncation_terms`), which is Fisher
+    scoring on a concave likelihood.  ``beta0`` optionally warm-starts
+    the iteration from known coefficients (e.g. a neighbouring model's
+    fit); both likelihoods are concave, so the converged optimum is a
+    cold start's within ``tol``, only reached in fewer iterations.
+    Returns the ML fit; ``converged`` is False when the deviance was
+    still moving after ``max_iter`` iterations (the fit is still usable
+    — selection treats it like any other candidate).
     """
     X = np.asarray(design, dtype=np.float64)
     y = np.asarray(counts, dtype=np.float64)
@@ -142,16 +187,30 @@ def fit_poisson(
         raise GlmError(f"design {X.shape} incompatible with counts {y.shape}")
     if X.shape[0] == 0:
         raise GlmError("empty data")
+    if limit is not None:
+        if np.any(y > limit):
+            raise ValueError("a cell count exceeds the truncation limit")
+        limit = float(np.floor(limit))
 
     solver = fitkernel.IrlsSolver(X)
     XT = solver.design_t  # contiguous transpose: beta @ XT == X @ beta
     # Per-fit constants: deviance = 2 * (sat_part - L) with
-    # L = y . log(mu) - sum(mu), so the line search only ever pays for
-    # one exp and three reductions per candidate.
+    # L = y . log(mu) - sum(mu) (less the truncated log F), so the
+    # deviance costs nothing beyond the objective itself.
     sat_part, loglik_norm = _y_constants(y)
 
-    def eval_state(eta: np.ndarray):
-        """(eta, mu, L) at a candidate predictor, with overflow guards.
+    def moments(eta: np.ndarray, mu: np.ndarray) -> _State:
+        if limit is None:
+            L = float(y @ eta) - float(mu.sum())
+            return _State(eta, mu, L, mu, mu, None)
+        partition, mean, variance = truncation_terms(eta, mu, limit)
+        L = float(y @ eta) - partition.total()
+        return _State(
+            eta, mu, L, mean, np.maximum(variance, _MU_MIN), partition
+        )
+
+    def eval_state(eta: np.ndarray) -> _State:
+        """The state at a candidate predictor, with overflow guards.
 
         Clipping eta into [_ETA_MIN, _ETA_MAX] floors mu at _MU_MIN and
         caps it below overflow in one pass, and keeps log(mu) == eta
@@ -160,61 +219,60 @@ def fit_poisson(
         """
         if eta.max() > _ETA_MAX or eta.min() < _ETA_MIN:
             eta = np.clip(eta, _ETA_MIN, _ETA_MAX)
-        mu = np.exp(eta)
-        L = float(y @ eta) - float(mu.sum())
-        return eta, mu, L
+        return moments(eta, np.exp(eta))
 
     warm = fitkernel.usable_warm_start(beta0, X.shape[1])
     if warm:
         beta = np.asarray(beta0, dtype=np.float64).copy()
-        eta, mu, L = eval_state(beta @ XT)
+        current = eval_state(beta @ XT)
         have_beta = True
     else:
         # Cold start from the saturated-ish state mu = y + 0.5: cheap,
         # always in the domain, and it feeds the first IRLS step
         # directly — no projection solve before the loop.
         mu = y + 0.5
-        eta = np.log(mu)
-        L = float(y @ eta) - float(mu.sum())
+        current = moments(np.log(mu), mu)
         beta = None
         have_beta = False
-    dev = 2.0 * (sat_part - L)
+    dev = 2.0 * (sat_part - current.L)
 
     z = np.empty_like(y)
     iterations = 0
     converged = False
     prev_improvement = 0.0
     for iterations in range(1, max(max_iter, 1) + 1):
-        # Working response z = eta + (y - mu) / mu, built in place.
-        np.subtract(y, mu, out=z)
-        np.divide(z, mu, out=z)
-        np.add(z, eta, out=z)
-        beta_new = solver.solve(mu, z)
+        # Working response z = eta + (y - mean) / weight, built in place.
+        np.subtract(y, current.mean, out=z)
+        np.divide(z, current.weight, out=z)
+        np.add(z, current.eta, out=z)
+        beta_new = solver.solve(current.weight, z)
         if not have_beta:
             # First cold step: the starting deviance is near-saturated
             # (not model-feasible), so monotone step halving would
             # reject everything — accept the projection outright.
             beta = beta_new
-            eta, mu, L = eval_state(beta @ XT)
-            dev = 2.0 * (sat_part - L)
+            current = eval_state(beta @ XT)
+            dev = 2.0 * (sat_part - current.L)
             have_beta = True
             continue
-        # Step-halving line search on the deviance.  A NaN deviance
-        # fails the acceptance comparison, so bad steps shrink away.
+        # Step-halving line search on the deviance (twice the gain).  A
+        # NaN gain fails the acceptance comparison, so bad steps shrink
+        # away.
+        floor = -1e-12 * (1.0 + abs(dev))
         step = 1.0
         for _ in range(30):
             candidate = (
                 beta_new if step == 1.0 else beta + step * (beta_new - beta)
             )
-            eta_c, mu_c, L_c = eval_state(candidate @ XT)
-            dev_c = 2.0 * (sat_part - L_c)
-            if dev_c <= dev + 1e-12 * (1.0 + abs(dev)):
+            state = eval_state(candidate @ XT)
+            improvement = 2.0 * _gain(y, current, state, limit)
+            if improvement >= floor:
                 break
             step /= 2.0
         else:
-            candidate, eta_c, mu_c, L_c, dev_c = beta, eta, mu, L, dev
-        improvement = dev - dev_c
-        beta, eta, mu, L, dev = candidate, eta_c, mu_c, L_c, dev_c
+            candidate, state, improvement = beta, current, 0.0
+        beta, current = candidate, state
+        dev = 2.0 * (sat_part - current.L)
         threshold = tol * (abs(dev) + tol)
         if improvement < threshold:
             converged = True
@@ -237,11 +295,11 @@ def fit_poisson(
     )
     return GlmFit(
         coef=beta,
-        fitted=mu,
+        fitted=current.mu,
         deviance=dev,
         iterations=iterations,
         converged=converged,
-        loglik_kernel=L,
+        loglik_kernel=current.L,
         loglik_norm=loglik_norm,
     )
 
@@ -396,16 +454,17 @@ def fit_poisson_batch(
             continue
         bn = beta_new[~fresh]
         b_old = beta[li]
-        dev_old = dev[li]
+        floor = -1e-12 * (1.0 + np.abs(dev[li]))
         step = np.ones(li.size)
         acc_beta = np.empty((li.size, p))
         acc_eta = np.empty((li.size, n))
         acc_mu = np.empty((li.size, n))
         acc_L = np.empty(li.size)
-        acc_dev = np.empty(li.size)
+        improvement = np.zeros(li.size)
         undecided = np.ones(li.size, dtype=bool)
         for _ in range(30):
             u = np.nonzero(undecided)[0]
+            m = li[u]
             # step == 1.0 members take beta_new verbatim (no arithmetic),
             # matching the sequential line search bit for bit.
             cand = np.where(
@@ -413,17 +472,23 @@ def fit_poisson_batch(
                 bn[u],
                 b_old[u] + step[u, None] * (bn[u] - b_old[u]),
             )
-            e_c, m_c, l_c = _eval_state_batch(cand, y[li[u]], solver, li[u])
-            dev_c = 2.0 * (sat[li[u]] - l_c)
-            with np.errstate(invalid="ignore"):
-                ok = dev_c <= dev_old[u] + 1e-12 * (1.0 + np.abs(dev_old[u]))
+            ym = y[m]
+            e_c, m_c, l_c = _eval_state_batch(cand, ym, solver, m)
+            # Twice the cancellation-free gain of fit_poisson's _gain.
+            d = e_c - eta[m]
+            with np.errstate(over="ignore", invalid="ignore"):
+                gain = 2.0 * (
+                    np.einsum("an,an->a", ym, d)
+                    - np.einsum("an,an->a", mu[m], np.expm1(d))
+                )
+                ok = gain >= floor[u]
             if ok.any():
                 a = u[ok]
                 acc_beta[a] = cand[ok]
                 acc_eta[a] = e_c[ok]
                 acc_mu[a] = m_c[ok]
                 acc_L[a] = l_c[ok]
-                acc_dev[a] = dev_c[ok]
+                improvement[a] = gain[ok]
                 undecided[a] = False
             step[u[~ok]] /= 2.0
             if not undecided.any():
@@ -435,15 +500,13 @@ def fit_poisson_batch(
             acc_eta[r] = eta[li[r]]
             acc_mu[r] = mu[li[r]]
             acc_L[r] = L[li[r]]
-            acc_dev[r] = dev_old[r]
             step[r] = 0.0
-        improvement = dev_old - acc_dev
         beta[li] = acc_beta
         eta[li] = acc_eta
         mu[li] = acc_mu
         L[li] = acc_L
-        dev[li] = acc_dev
-        threshold = tol * (np.abs(acc_dev) + tol)
+        dev[li] = 2.0 * (sat[li] - acc_L)
+        threshold = tol * (np.abs(dev[li]) + tol)
         quad = (
             (step == 1.0)
             & (prev_improvement[li] > 0.0)

@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.design import describe_terms, design_matrix, validate_terms
 from repro.core.glm import fit_poisson
 from repro.core.histories import ContingencyTable
-from repro.core.truncated import fit_truncated_poisson, truncated_mean
+from repro.core.truncated import truncated_mean
 
 #: Supported likelihoods.
 DISTRIBUTIONS = ("poisson", "truncated")
@@ -168,32 +168,24 @@ class LoglinearModel:
             )
         if distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution: {distribution!r}")
+        truncated = distribution == "truncated"
+        if truncated and limit is None:
+            raise ValueError("truncated fits require a limit")
         design, _ = design_matrix(self.num_sources, self.terms)
-        counts = table.counts[1:]
-        if distribution == "truncated":
-            if limit is None:
-                raise ValueError("truncated fits require a limit")
-            fit = fit_truncated_poisson(design, counts, limit, beta0=beta0)
-            return FittedLoglinear(
-                table=table,
-                terms=self.terms,
-                coef=fit.coef,
-                fitted=fit.fitted_rate,
-                loglik=fit.loglik,
-                distribution="truncated",
-                limit=float(limit),
-                converged=fit.converged,
-                iterations=fit.iterations,
-            )
-        fit = fit_poisson(design, counts, beta0=beta0)
+        fit = fit_poisson(
+            design,
+            table.counts[1:],
+            beta0=beta0,
+            limit=limit if truncated else None,
+        )
         return FittedLoglinear(
             table=table,
             terms=self.terms,
             coef=fit.coef,
             fitted=fit.fitted,
             loglik=fit.loglik,
-            distribution="poisson",
-            limit=limit,
+            distribution=distribution,
+            limit=float(limit) if truncated else limit,
             converged=fit.converged,
             iterations=fit.iterations,
         )

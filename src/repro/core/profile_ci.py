@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from repro.core import fitkernel
 from repro.core.design import design_matrix
 from repro.core.glm import fit_poisson, fit_poisson_batch
 from repro.core.histories import ContingencyTable
@@ -115,35 +114,22 @@ class _ProfileLoglik:
         return [self._cache[v] for v in values]
 
 
-def _profile_loglik(
-    design_full: np.ndarray, observed_counts: np.ndarray, unseen: float
-) -> float:
-    """One cold evaluation of the profile log-likelihood (see
-    :class:`_ProfileLoglik` for the scanning interface)."""
-    return _ProfileLoglik(design_full, observed_counts)(unseen)
-
-
 def profile_likelihood_interval(
     table: ContingencyTable,
     terms: frozenset,
     alpha: float = DEFAULT_ALPHA,
     max_expand: int = 60,
-    batch: bool | None = None,
 ) -> ProfileInterval:
     """Profile-likelihood interval for ``N`` under the given model terms.
 
-    ``batch`` routes the scan through the batched fit kernel: the
-    bracket-expansion pairs, the golden-section seed pair, and the two
-    root bisections (run in lockstep) each become one small
+    The scan runs on the batched fit kernel: the bracket-expansion
+    pairs, the golden-section seed pair, and the two root bisections
+    (run in lockstep) each become one small
     :func:`~repro.core.glm.fit_poisson_batch` call instead of separate
-    scalar fits.  ``None`` defers to the process-wide default
-    (:func:`repro.core.fitkernel.set_batch_fits`); both paths follow the
-    identical search trajectory and agree to float round-off.
+    scalar fits.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if batch is None:
-        batch = fitkernel.batch_fits_enabled()
     design_full, _ = design_matrix(
         table.num_sources, terms, include_unobserved=True
     )
@@ -153,7 +139,6 @@ def profile_likelihood_interval(
     # One memoised, warm-started profile curve shared by the bracket
     # expansion, the golden-section mode search, and both root finders.
     loglik = _ProfileLoglik(design_full, observed)
-    pair = loglik.many if batch else None
 
     # Locate the mode: start from the closed-table fit's point estimate
     # and golden-section around it.
@@ -163,28 +148,21 @@ def profile_likelihood_interval(
     lo, hi = 0.0, max(4.0 * point + 10.0, 10.0)
     # Expand upward until the mode is bracketed.
     for _ in range(max_expand):
-        if pair is not None:
-            f_hi, f_lo = pair([hi, 0.75 * hi])
-        else:
-            f_hi, f_lo = loglik(hi), loglik(0.75 * hi)
+        f_hi, f_lo = loglik.many([hi, 0.75 * hi])
         if f_hi < f_lo:
             break
         hi *= 2.0
-    mode = _golden_max(loglik, lo, hi, pair=pair)
+    mode = _golden_max(loglik, lo, hi)
     ll_max = loglik(mode)
     threshold = ll_max - 0.5 * stats.chi2.ppf(1.0 - alpha, df=1)
 
-    if batch:
-        low, high = _lockstep(
-            [
-                _bisect_below(threshold, mode),
-                _bisect_above(threshold, mode, max_expand),
-            ],
-            loglik.many,
-        )
-    else:
-        low = _find_root_below(loglik, threshold, mode)
-        high = _find_root_above(loglik, threshold, mode, max_expand)
+    low, high = _lockstep(
+        [
+            _bisect_below(threshold, mode),
+            _bisect_above(threshold, mode, max_expand),
+        ],
+        loglik.many,
+    )
     return ProfileInterval(
         population_low=M + low,
         population_high=M + high,
@@ -195,21 +173,18 @@ def profile_likelihood_interval(
     )
 
 
-def _golden_max(func, lo: float, hi: float, tol: float = 1e-3, pair=None) -> float:
-    """Golden-section maximisation on [lo, hi].
+def _golden_max(func, lo: float, hi: float, tol: float = 1e-3) -> float:
+    """Golden-section maximisation of a :class:`_ProfileLoglik` on
+    [lo, hi].
 
-    ``pair`` optionally evaluates the two seed points in one call (the
-    batched profile scan); iterations place one new point each, so they
-    stay scalar either way.
+    The two seed points are evaluated in one batched call; iterations
+    place one new point each, so they stay scalar.
     """
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    if pair is not None:
-        fc, fd = pair([c, d])
-    else:
-        fc, fd = func(c), func(d)
+    fc, fd = func.many([c, d])
     while b - a > tol * (1.0 + abs(a) + abs(b)):
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -222,47 +197,11 @@ def _golden_max(func, lo: float, hi: float, tol: float = 1e-3, pair=None) -> flo
     return 0.5 * (a + b)
 
 
-def _find_root_below(func, threshold: float, mode: float) -> float:
-    """Largest n <= mode with func(n) = threshold (0 if none)."""
-    if func(0.0) >= threshold:
-        return 0.0
-    lo, hi = 0.0, mode
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if func(mid) < threshold:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < max(1e-6, 1e-9 * mode):
-            break
-    return hi
-
-
-def _find_root_above(func, threshold: float, mode: float, max_expand: int) -> float:
-    """Smallest n >= mode with func(n) = threshold."""
-    lo = mode
-    hi = max(2.0 * mode + 10.0, 10.0)
-    for _ in range(max_expand):
-        if func(hi) < threshold:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if func(mid) >= threshold:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < max(1e-6, 1e-9 * hi):
-            break
-    return lo
-
-
 def _bisect_below(threshold: float, mode: float):
-    """Generator twin of :func:`_find_root_below`: yields the next point
-    to evaluate, receives its profile value, returns the root."""
+    """Largest n <= mode with f(n) = threshold (0 if none).
+
+    A generator: yields the next point to evaluate, receives its profile
+    value, returns the root (see :func:`_lockstep`)."""
     if (yield 0.0) >= threshold:
         return 0.0
     lo, hi = 0.0, mode
@@ -278,7 +217,8 @@ def _bisect_below(threshold: float, mode: float):
 
 
 def _bisect_above(threshold: float, mode: float, max_expand: int):
-    """Generator twin of :func:`_find_root_above`."""
+    """Smallest n >= mode with f(n) = threshold; a generator like
+    :func:`_bisect_below`."""
     lo = mode
     hi = max(2.0 * mode + 10.0, 10.0)
     for _ in range(max_expand):
@@ -305,8 +245,7 @@ def _lockstep(searches, evaluate_many) -> list[float]:
     Each round collects one pending point per live search and evaluates
     them with a single ``evaluate_many`` call (one batched fit), so the
     low and high root searches advance together instead of issuing
-    hundreds of scalar fits back to back.  Each generator follows its
-    sequential twin's trajectory exactly.
+    hundreds of scalar fits back to back.
     """
     results: list[float] = [0.0] * len(searches)
     pending: dict[int, float] = {}

@@ -18,16 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 import numpy as np
 
 from repro.core import fitkernel
-from repro.core.design import (
-    design_matrix,
-    main_effect_terms,
-    map_coefficients,
-    term_order,
-)
+from repro.core.design import design_matrix, main_effect_terms, term_order
 from repro.core.glm import fit_poisson_batch
 from repro.core.histories import ContingencyTable
 from repro.core.loglinear import FittedLoglinear, LoglinearModel
@@ -151,16 +146,10 @@ def _resolve_scaled(
     return scaled, resolved
 
 
-def _finalise(
-    table: ContingencyTable,
-    resolved: int,
-    criterion: str,
-    distribution: str,
-    limit: float | None,
-    path: list[CandidateScore],
-    fetch_scaled: Callable[[frozenset], FittedLoglinear],
-) -> ModelSelection:
-    """Parsimony rule + full-count refit, shared by both search kernels."""
+def _finalise(state: "_SearchState", criterion: str) -> ModelSelection:
+    """Parsimony rule + full-count refit of one table's search."""
+    table, resolved, path = state.table, state.resolved, state.path
+    distribution, limit = state.distribution, state.limit
     # Parsimony rule: simplest visited model m with no n: IC_n < IC_m - 7.
     best_ic = min(score.ic for score in path)
     eligible = [score for score in path if score.ic <= best_ic + IC_MARGIN]
@@ -169,7 +158,7 @@ def _finalise(
     # Warm-start the full-count refit from the chosen candidate: counts
     # were integer-divided by d, so rates (and hence the intercept, on
     # the log scale) sit about log(d) higher on the unscaled table.
-    beta0 = fetch_scaled(chosen.terms).coef.copy()
+    beta0 = state.fetch(chosen.terms).coef.copy()
     beta0[0] += float(np.log(resolved))
     # A persistent warm-start store (installed by an Executor running
     # against an artifact store) may hold this exact fit's converged
@@ -215,7 +204,6 @@ def select_model(
     max_order: int = 2,
     distribution: str = "poisson",
     limit: float | None = None,
-    batch: bool | None = None,
 ) -> ModelSelection:
     """Stepwise model selection with the paper's heuristics.
 
@@ -230,83 +218,19 @@ def select_model(
     fits are memoised per term set so revisited models and the
     parsimony-rule refit never recompute, and the final full-count fit
     starts from the chosen candidate's coefficients with the intercept
-    shifted by ``log(divisor)`` (undoing the count division).  Scores
-    and estimates match the cold-start search within float tolerance.
-
-    ``batch`` routes the candidate fits through the batched IRLS kernel
-    (:func:`select_models_batched` with a single table); ``None`` defers
-    to the process-wide default the Executor installs
-    (:func:`repro.core.fitkernel.set_batch_fits`).  Both paths visit the
-    same models and produce the same refit within float round-off.
+    shifted by ``log(divisor)`` (undoing the count division).  The fits
+    are concave, so scores and estimates match a cold-start search
+    within the fit tolerance.  This is :func:`select_models_batched`
+    over the one table.
     """
-    if table.num_sources < 2:
-        raise ValueError("capture-recapture needs at least two sources")
-    if batch is None:
-        batch = fitkernel.batch_fits_enabled()
-    if batch:
-        return select_models_batched(
-            [table],
-            criterion=criterion,
-            divisor=divisor,
-            max_order=max_order,
-            distributions=distribution,
-            limits=(limit,),
-        )[0]
-    scaled, resolved = _resolve_scaled(table, divisor)
-
-    # Candidates are always scored with the plain Poisson likelihood:
-    # it is the cheap fit, and the paper notes truncation "otherwise
-    # makes little difference" outside small strata — the final model
-    # is refit with the requested distribution.
-    memo: dict[frozenset, FittedLoglinear] = {}
-
-    def fit_scaled(
-        terms: frozenset, parent: FittedLoglinear | None
-    ) -> FittedLoglinear:
-        cached = memo.get(terms)
-        if cached is not None:
-            fitkernel.record(memo_hits=1, iterations_saved=cached.iterations)
-            return cached
-        beta0 = (
-            map_coefficients(parent.terms, parent.coef, terms)
-            if parent is not None
-            else None
-        )
-        fitted = LoglinearModel(scaled.num_sources, terms, validate=False).fit(
-            scaled, distribution="poisson", beta0=beta0
-        )
-        memo[terms] = fitted
-        return fitted
-
-    current = main_effect_terms(table.num_sources)
-    current_fit = fit_scaled(current, None)
-    best = _score(current_fit, criterion)
-    path = [best]
-    while True:
-        candidates = _candidate_terms(table.num_sources, current, max_order)
-        if not candidates:
-            break
-        scores = [
-            _score(fit_scaled(current | {term}, current_fit), criterion)
-            for term in candidates
-        ]
-        challenger = min(scores, key=lambda s: s.ic)
-        if challenger.ic >= best.ic:
-            break
-        best = challenger
-        current = challenger.terms
-        current_fit = fit_scaled(current, None)
-        path.append(challenger)
-
-    return _finalise(
-        table,
-        resolved,
-        criterion,
-        distribution,
-        limit,
-        path,
-        lambda terms: fit_scaled(terms, None),
-    )
+    return select_models_batched(
+        [table],
+        criterion=criterion,
+        divisor=divisor,
+        max_order=max_order,
+        distributions=distribution,
+        limits=(limit,),
+    )[0]
 
 
 def _term_mask(term: frozenset) -> int:
@@ -378,7 +302,7 @@ class _SearchState:
         return col
 
     def fetch(self, terms: frozenset) -> FittedLoglinear:
-        """Memoised fit lookup, with the sequential path's counters."""
+        """Memoised fit lookup, counted as a memo hit."""
         cached = self.memo[terms]
         fitkernel.record(memo_hits=1, iterations_saved=cached.iterations)
         return cached
@@ -405,7 +329,13 @@ def _canonical_coef(
 
 
 def _run_batch_jobs(jobs: list[_BatchJob]) -> None:
-    """Fit pending candidates, grouped by design shape, and memoise."""
+    """Fit pending candidates, grouped by design shape, and memoise.
+
+    Candidates are always scored with the plain Poisson likelihood: it
+    is the cheap fit, and the paper notes truncation "otherwise makes
+    little difference" outside small strata — the final model is refit
+    with the requested distribution.
+    """
     groups: dict[tuple[int, int], list[_BatchJob]] = {}
     for job in jobs:
         groups.setdefault(job.design.shape, []).append(job)
@@ -439,8 +369,8 @@ def select_models_batched(
 ) -> list[ModelSelection]:
     """Stepwise selection over several tables with batched candidate fits.
 
-    Runs the same forward search as :func:`select_model` on every table
-    at once, round-synchronised: each round collects every (table,
+    Runs the forward search of :func:`select_model` on every table at
+    once, round-synchronised: each round collects every (table,
     candidate) fit still pending across the whole collection, groups
     them by design shape, and sends each group through
     :func:`~repro.core.glm.fit_poisson_batch` — one batched
@@ -455,11 +385,9 @@ def select_models_batched(
     Tables may have different source counts; mixed shapes simply land
     in different batch groups.  ``distributions``/``limits`` give the
     final-refit settings per table (a single string broadcasts).  The
-    final full-count refits run sequentially per table — identical code
-    to the sequential path, each warm-started individually from the
-    persistent fit-memo store when one is installed — so per-table
-    results match :func:`select_model` within float round-off (well
-    inside rtol 1e-8).
+    final full-count refits run one table at a time, each warm-started
+    individually from the persistent fit-memo store when one is
+    installed.
     """
     tables = list(tables)
     if not tables:
@@ -550,15 +478,4 @@ def select_models_batched(
             state.path.append(challenger)
         live = [state for state in live if state.active]
 
-    return [
-        _finalise(
-            state.table,
-            state.resolved,
-            criterion,
-            state.distribution,
-            state.limit,
-            state.path,
-            state.fetch,
-        )
-        for state in states
-    ]
+    return [_finalise(state, criterion) for state in states]

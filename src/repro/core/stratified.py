@@ -17,10 +17,9 @@ from typing import Callable, Hashable, Mapping
 
 import numpy as np
 
-from repro.core import fitkernel
 from repro.core.histories import tabulate_histories
 from repro.core.loglinear import PopulationEstimate
-from repro.core.selection import select_model, select_models_batched
+from repro.core.selection import select_models_batched
 from repro.ipspace.ipset import IPSet
 
 #: A labeler maps a uint32 address array to an equally long label array.
@@ -98,39 +97,6 @@ class StratifiedEstimate:
         return self.strata[label].population
 
 
-def _estimate_one_stratum(
-    label: Hashable,
-    split: Mapping[str, IPSet],
-    min_observed: int,
-    criterion: str,
-    divisor: int | str,
-    distribution: str,
-    limit: float | None,
-    max_order: int,
-) -> StratumResult:
-    """Model-select and fit one stratum (or record its exclusion)."""
-    observed = len(IPSet.empty().union(*split.values()))
-    if observed < min_observed:
-        return StratumResult(
-            label=label, observed=observed, estimate=None, excluded=True
-        )
-    table = tabulate_histories(split)
-    selection = select_model(
-        table,
-        criterion=criterion,
-        divisor=divisor,
-        distribution=distribution,
-        limit=limit,
-        max_order=max_order,
-    )
-    return StratumResult(
-        label=label,
-        observed=observed,
-        estimate=selection.fit.estimate(),
-        excluded=False,
-    )
-
-
 def stratified_estimate(
     sources: Mapping[str, IPSet],
     labeler: Labeler,
@@ -140,87 +106,52 @@ def stratified_estimate(
     distribution: str = "poisson",
     limit_per_stratum: Callable[[Hashable], float] | None = None,
     max_order: int = 2,
-    max_workers: int = 1,
-    batch: bool | None = None,
 ) -> StratifiedEstimate:
     """Estimate the population stratum by stratum and sum.
 
     ``limit_per_stratum`` supplies the truncation bound per stratum
     (e.g. its routed-space size) when ``distribution="truncated"``.
-    With ``max_workers > 1`` the independent per-stratum fits run on a
-    thread pool (the tabulation and IRLS inner loops are numpy-bound
-    and release the GIL); strata are always collected in label order,
-    so the summed estimate is bit-identical to a serial run.
-
-    ``batch`` (default: the process-wide batched-fit setting) instead
-    routes every eligible stratum through one
-    :func:`~repro.core.selection.select_models_batched` call — the
+    Every eligible stratum goes through one
+    :func:`~repro.core.selection.select_models_batched` call: the
     stepwise searches advance in lockstep and same-shape candidate fits
-    share batched solves across strata, which beats thread-level
-    parallelism at these matrix sizes; ``max_workers`` is ignored on
-    this path.  Results match the sequential path per stratum within
-    float round-off.
+    share batched solves across strata.  Strata are collected in label
+    order.
     """
-    items = list(split_sources_by_label(sources, labeler).items())
-    if batch is None:
-        batch = fitkernel.batch_fits_enabled()
-
-    if batch:
-        results: list[StratumResult | None] = []
-        eligible: list[tuple[int, Hashable, int, object, float | None]] = []
-        for label, split in items:
-            observed = len(IPSet.empty().union(*split.values()))
-            if observed < min_observed:
-                results.append(
-                    StratumResult(
-                        label=label, observed=observed,
-                        estimate=None, excluded=True,
-                    )
+    results: list[StratumResult | None] = []
+    eligible: list[tuple[int, Hashable, int, object, float | None]] = []
+    for label, split in split_sources_by_label(sources, labeler).items():
+        observed = len(IPSet.empty().union(*split.values()))
+        if observed < min_observed:
+            results.append(
+                StratumResult(
+                    label=label, observed=observed,
+                    estimate=None, excluded=True,
                 )
-                continue
-            table = tabulate_histories(split)
-            limit = limit_per_stratum(label) if limit_per_stratum else None
-            results.append(None)
-            eligible.append((len(results) - 1, label, observed, table, limit))
-        if eligible:
-            selections = select_models_batched(
-                [entry[3] for entry in eligible],
-                criterion=criterion,
-                divisor=divisor,
-                max_order=max_order,
-                distributions=distribution,
-                limits=[entry[4] for entry in eligible],
             )
-            for (index, label, observed, _, _), selection in zip(
-                eligible, selections
-            ):
-                results[index] = StratumResult(
-                    label=label,
-                    observed=observed,
-                    estimate=selection.fit.estimate(),
-                    excluded=False,
-                )
-        result = StratifiedEstimate()
-        for stratum in results:
-            result.strata[stratum.label] = stratum
-        return result
-
-    def run_one(pair: tuple[Hashable, Mapping[str, IPSet]]) -> StratumResult:
-        label, split = pair
+            continue
+        table = tabulate_histories(split)
         limit = limit_per_stratum(label) if limit_per_stratum else None
-        return _estimate_one_stratum(
-            label, split, min_observed, criterion, divisor,
-            distribution, limit, max_order,
+        results.append(None)
+        eligible.append((len(results) - 1, label, observed, table, limit))
+    if eligible:
+        selections = select_models_batched(
+            [entry[3] for entry in eligible],
+            criterion=criterion,
+            divisor=divisor,
+            max_order=max_order,
+            distributions=distribution,
+            limits=[entry[4] for entry in eligible],
         )
-
-    if max_workers > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            strata = list(pool.map(run_one, items))
-    else:
-        strata = [run_one(pair) for pair in items]
+        for (index, label, observed, _, _), selection in zip(
+            eligible, selections
+        ):
+            results[index] = StratumResult(
+                label=label,
+                observed=observed,
+                estimate=selection.fit.estimate(),
+                excluded=False,
+            )
     result = StratifiedEstimate()
-    for stratum in strata:
+    for stratum in results:
         result.strata[stratum.label] = stratum
     return result

@@ -1,4 +1,4 @@
-"""Right-truncated Poisson distribution and GLM fitting.
+"""Right-truncated Poisson distribution.
 
 The paper bounds each cell count by the size of the publicly routed
 space and therefore models ``Z_s`` as Poisson *right-truncated* on
@@ -7,21 +7,20 @@ space and therefore models ``Z_s`` as Poisson *right-truncated* on
 near the limit; for large ``l`` it reduces to the plain Poisson, which
 the tests assert.
 
-The GLM variant keeps the log link ``lambda_s = exp(x_s' u)`` and
-maximises the truncated likelihood directly with L-BFGS, seeded by the
-untruncated IRLS fit.
+The truncated law is an exponential family in ``eta = log(lambda)``
+with log-partition ``lambda + log F(l; lambda)``, so its log-likelihood
+under a log link is concave and Fisher scoring is exact IRLS:
+:func:`repro.core.glm.fit_poisson` fits it with ``limit=``, using the
+per-cell moments :func:`truncation_terms` computes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, stats
-from scipy.special import gammaln
-
-from repro.core import fitkernel
-from repro.core.glm import fit_poisson
+from scipy import stats
+from scipy.special import gammaln, pdtr
 
 
 def truncated_logpmf(k: np.ndarray, rate: np.ndarray, limit: float) -> np.ndarray:
@@ -63,77 +62,82 @@ def truncated_mean(rate: float | np.ndarray, limit: float) -> float | np.ndarray
     return float(result) if result.ndim == 0 else result
 
 
-@dataclass(frozen=True)
-class TruncatedGlmFit:
-    """A fitted right-truncated-Poisson GLM."""
+class LogPartition(NamedTuple):
+    """Per-cell log-partition ``head + rest`` of the truncated law.
 
-    coef: np.ndarray
-    fitted_rate: np.ndarray
-    loglik: float
-    limit: float
-    converged: bool
-    iterations: int = 0
-
-    @property
-    def num_params(self) -> int:
-        return int(self.coef.size)
-
-    @property
-    def intercept(self) -> float:
-        return float(self.coef[0])
-
-
-def fit_truncated_poisson(
-    design: np.ndarray,
-    counts: np.ndarray,
-    limit: float,
-    max_iter: int = 500,
-    beta0: np.ndarray | None = None,
-) -> TruncatedGlmFit:
-    """Maximum-likelihood truncated-Poisson GLM with log link.
-
-    ``limit`` is the common inclusive upper bound ``l`` on every cell
-    count (the routed-space size in the paper's usage).  The fit is
-    seeded from ``beta0`` when given (skipping the seed IRLS fit
-    entirely), otherwise from the plain Poisson IRLS solution; for
-    ``limit`` far above all counts the two coincide to numerical
-    precision.
+    ``head`` is ``lambda`` and ``rest`` is ``log F(l; lambda)``, except
+    on ``series`` cells (``lambda > l``), where ``lambda`` cancels out of
+    the log-partition: ``head`` is ``l eta - log l!`` and ``rest`` is
+    ``log sum_j r_j`` (see :func:`truncation_terms`).
     """
-    X = np.asarray(design, dtype=np.float64)
-    y = np.asarray(counts, dtype=np.float64)
-    if np.any(y > limit):
-        raise ValueError("a cell count exceeds the truncation limit")
-    if fitkernel.usable_warm_start(beta0, X.shape[1]):
-        start = np.asarray(beta0, dtype=np.float64)
-        fitkernel.record(warm_start_hits=1)
-    else:
-        start = fit_poisson(X, y).coef
 
-    def negative_loglik(beta: np.ndarray) -> tuple[float, np.ndarray]:
-        eta = np.clip(X @ beta, -700.0, 700.0)
-        lam = np.exp(eta)
-        log_norm = stats.poisson.logcdf(np.floor(limit), lam)
-        ll = float(np.sum(y * eta - lam - gammaln(y + 1.0) - log_norm))
-        # d/d lambda log F(l; lambda) = -pmf(l; lambda) / F(l; lambda)
-        log_pmf_at_limit = stats.poisson.logpmf(np.floor(limit), lam)
-        hazard = np.exp(log_pmf_at_limit - log_norm)
-        score_eta = y - lam + lam * hazard
-        return -ll, -(X.T @ score_eta)
+    series: np.ndarray
+    head: np.ndarray
+    rest: np.ndarray
 
-    result = optimize.minimize(
-        negative_loglik,
-        start,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-10},
-    )
-    beta = result.x
-    rate = np.exp(np.clip(X @ beta, -700.0, 700.0))
-    return TruncatedGlmFit(
-        coef=beta,
-        fitted_rate=rate,
-        loglik=truncated_loglik(y, rate, limit),
-        limit=float(limit),
-        converged=bool(result.success),
-        iterations=int(result.nit),
-    )
+    def total(self) -> float:
+        """Sum of the log-partition over cells."""
+        return float(self.head.sum()) + float(self.rest.sum())
+
+    def change(
+        self,
+        new: "LogPartition",
+        delta: np.ndarray,
+        rate_change: np.ndarray,
+        limit: float,
+    ) -> np.ndarray:
+        """Per-cell ``new - self`` without cancellation, given the
+        predictor change ``delta`` and the exact rate change
+        ``lambda' - lambda``: the heads are differenced analytically
+        where both states use the same form, the rests directly."""
+        head = rate_change
+        if self.series.any() or new.series.any():
+            head = np.where(self.series & new.series, limit * delta, head)
+            mixed = self.series != new.series
+            head[mixed] = new.head[mixed] - self.head[mixed]
+        return head + (new.rest - self.rest)
+
+
+def truncation_terms(
+    eta: np.ndarray, rate: np.ndarray, limit: float
+) -> tuple[LogPartition, np.ndarray, np.ndarray]:
+    """Per-cell ``(log-partition, mean, variance)`` of the Poisson
+    right-truncated at ``limit``, as functions of ``eta``.
+
+    ``rate = exp(eta)`` and ``limit`` is the (integer) bound ``l``.  The
+    log-partition is ``lambda + log F(l; lambda)``; the mean and
+    variance are its first two derivatives in ``eta``.  With the hazard
+    ``h = pmf(l; lambda) / F(l; lambda)`` the mean is
+    ``m = lambda (1 - h)`` and the variance ``m - lambda h (l - m)``.
+
+    Above the limit ``F`` loses digits and then underflows, and the law
+    sits just below ``l``.  There ``F`` is ``pmf(l; lambda)`` times the
+    series ``sum_j r_j`` with ``r_j = l! / ((l - j)! lambda^j)`` — about
+    ``1 / (1 - l / lambda)`` far above the limit — and the moments of
+    ``l - Z`` come from the same terms, so objective, mean and variance
+    are exact on both sides of ``lambda = l``.
+    """
+    series = rate > limit
+    with np.errstate(divide="ignore"):
+        log_norm = np.log(pdtr(limit, rate))
+    hazard = np.exp(limit * eta - rate - gammaln(limit + 1.0) - log_norm)
+    mean = rate * (1.0 - hazard)
+    variance = mean - rate * hazard * (limit - mean)
+    head = rate
+    if series.any():
+        e = eta[series]
+        # r_j <= q^j exp(-j (j - 1) / 2l) with q = l / lambda: past
+        # either bound below 1e-17 the terms no longer count.
+        q = float(np.exp(np.log(limit) - e.min())) if limit > 0 else 0.0
+        bound = min(39.0 / -np.log(q), np.sqrt(78.0 * limit) + 1.0) if q else 0
+        j = np.arange(1 + int(min(limit, np.ceil(bound))), dtype=np.float64)
+        steps = np.log(limit - j[:-1])[None, :] - e[:, None]
+        r = np.exp(np.cumsum(np.pad(steps, ((0, 0), (1, 0))), axis=1))
+        s0 = r.sum(axis=1)
+        gap = (r @ j) / s0
+        head = rate.copy()
+        head[series] = limit * e - gammaln(limit + 1.0)
+        log_norm[series] = np.log(s0)
+        mean[series] = limit - gap
+        variance[series] = (r @ (j * j)) / s0 - gap * gap
+    return LogPartition(series, head, log_norm), mean, variance

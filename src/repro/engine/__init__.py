@@ -24,7 +24,7 @@ dataflow a first-class object:
   drop, truncate, duplicate, clock-skew, spoof-inject) that drive the
   integrity layer's detect→quarantine→refit path end to end.
 * :mod:`repro.engine.executor` — the :class:`Executor` that resolves
-  stage graphs, fans independent work out across processes/threads and
+  stage graphs, fans independent work out across processes and
   records instrumentation.
 
 See ``docs/ENGINE.md`` for the artifact-key, cache-policy and

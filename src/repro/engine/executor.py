@@ -10,10 +10,7 @@ work fans out across workers:
   ``ProcessPoolExecutor`` whose workers rebuild an executor once from a
   pickled payload;
 * **cross-validation folds** and other dataset-level tasks use the
-  generic :func:`fan_out` process-pool helper;
-* **strata** run on a thread pool inside
-  :func:`repro.core.stratified.stratified_estimate` (numpy releases the
-  GIL on the hot parts).
+  generic :func:`fan_out` process-pool helper.
 
 Fault tolerance: every stage resolution and every pool task runs under
 an :class:`ExecutionPolicy` — bounded retries with exponential backoff
@@ -36,7 +33,6 @@ order, never completion order.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pickle
 import time
@@ -391,20 +387,6 @@ class Executor:
         # Always set — including to None: a store-less executor must not
         # inherit the persistent warm-start store of a previous one.
         fitkernel.set_warm_store(getattr(self.cache, "fitmemo", None))
-        # Same contract for the batched-fit routing default: every
-        # Executor (including the ones pool workers rebuild from the
-        # shipped options) installs its own setting, so no run inherits
-        # a stale flag from a previous Executor in the process.
-        fitkernel.set_batch_fits(self.options.batch_fits)
-        # Artifact keys use the options with ``batch_fits`` normalised
-        # away: batching is pure execution strategy (estimates agree
-        # within float round-off), so batched and sequential runs must
-        # address — and share — the same cache entries.
-        self._key_options = (
-            self.options
-            if self.options.batch_fits
-            else dataclasses.replace(self.options, batch_fits=True)
-        )
         self.context = RunContext(self)
         #: Per-stage resolution counter: the task index stage-level
         #: faults key on (counts cache misses, stable under retries).
@@ -430,7 +412,7 @@ class Executor:
         bounds = (window.start, window.end) if window is not None else ()
         return ArtifactKey(
             stage=stage,
-            params=(bounds, tuple(sorted(params.items())), self._key_options),
+            params=(bounds, tuple(sorted(params.items())), self.options),
         )
 
     def run(self, stage: str, window: TimeWindow | None = None, **params: Any) -> Any:
@@ -441,12 +423,11 @@ class Executor:
         exhausted failure is recorded as ``failed`` and re-raised for
         the surrounding sweep to degrade or propagate.
         """
-        # The kernel's warm-store/batching knobs are process-wide and a
-        # different Executor (e.g. a streaming one) may have installed
-        # its own since this one was constructed; re-assert ours so
-        # interleaved executors never seed each other's fits.
+        # The kernel's warm store is process-wide and a different
+        # Executor (e.g. a streaming one) may have installed its own
+        # since this one was constructed; re-assert ours so interleaved
+        # executors never seed each other's fits.
         fitkernel.set_warm_store(getattr(self.cache, "fitmemo", None))
-        fitkernel.set_batch_fits(self.options.batch_fits)
         spec = STAGES[stage]
         key = self.key_for(stage, window, **params)
         # Non-cacheable stages (e.g. the fit_batch plan, whose per-level
@@ -755,9 +736,8 @@ class Executor:
         level: str = "addresses",
         limit_per_stratum: Callable[[Hashable], float] | None = None,
         min_observed: int | None = None,
-        workers: int = 1,
     ) -> StratifiedEstimate:
-        """Per-stratum estimation, strata fanned out on a thread pool."""
+        """Per-stratum estimation, strata batched through one search."""
         datasets = self.datasets(window)
         if level == "subnets":
             datasets = {name: d.subnets24() for name, d in datasets.items()}
@@ -770,7 +750,7 @@ class Executor:
         start = perf_counter()
         fit_before = fitkernel.snapshot()
         with self.observer.span(
-            f"stage:stratified[{level}]", level=level, workers=workers
+            f"stage:stratified[{level}]", level=level
         ) as span:
             result = stratified_estimate(
                 datasets,
@@ -783,7 +763,6 @@ class Executor:
                 distribution=distribution,
                 limit_per_stratum=limit_per_stratum,
                 max_order=opts.max_order,
-                max_workers=workers,
             )
             span.set(strata=len(result.strata))
         fit_delta = fitkernel.snapshot() - fit_before

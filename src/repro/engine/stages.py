@@ -24,11 +24,7 @@ from typing import Any, Callable, Mapping, TYPE_CHECKING
 
 from repro.core.histories import ContingencyTable, tabulate_histories
 from repro.core.loglinear import PopulationEstimate
-from repro.core.selection import (
-    ModelSelection,
-    select_model,
-    select_models_batched,
-)
+from repro.core.selection import ModelSelection, select_models_batched
 from repro.filtering.preprocess import preprocess_dataset
 from repro.filtering.spoof_filter import SpoofFilter, detect_empty_blocks
 from repro.integrity.health import (
@@ -74,14 +70,6 @@ class PipelineOptions:
     #: Nested frozen dataclasses digest cleanly into artifact keys, so
     #: runs under different policies never share cache entries.
     quarantine: QuarantinePolicy = QuarantinePolicy()
-    #: Route model fits through the batched IRLS kernel (the ``fit``
-    #: stage plans one ``fit_batch`` per window covering both levels,
-    #: and selection/profile scans group candidate fits into stacked
-    #: solves).  Pure execution strategy: estimates match the
-    #: sequential path within float round-off, so the Executor
-    #: normalises this field out of artifact keys — batched and
-    #: sequential runs share cache entries.
-    batch_fits: bool = True
 
 
 @dataclass
@@ -295,24 +283,12 @@ def _fit(
 ) -> ModelSelection:
     """Model selection and fit on the window's table.
 
-    With ``batch_fits`` on, this delegates to the window's ``fit_batch``
-    artifact — both levels' stepwise searches run as one batched plan,
-    and the second level's fit is a cache hit on the same artifact.
+    Reads the window's ``fit_batch`` artifact: both levels' stepwise
+    searches run as one batched plan, and the second level's fit is a
+    cache hit on the same artifact.
     """
-    opts = ctx.options
-    if opts.batch_fits:
-        batch = ctx.run("fit_batch", window, **_exclude_kw(exclude))
-        return batch[level]
-    limit = _level_limit(ctx, window, level)
-    return select_model(
-        ctx.run("tabulate", window, level=level, **_exclude_kw(exclude)),
-        criterion=opts.criterion,
-        divisor=opts.divisor,
-        max_order=opts.max_order,
-        distribution=_fit_distribution(opts, limit),
-        limit=limit,
-        batch=False,
-    )
+    batch = ctx.run("fit_batch", window, **_exclude_kw(exclude))
+    return batch[level]
 
 
 def _fit_batch(
@@ -322,12 +298,11 @@ def _fit_batch(
 ) -> dict[str, ModelSelection]:
     """Batched model selection across the window's granularity levels.
 
-    Collects the contingency tables the ``fit`` stage would have fitted
-    one by one (both levels share a window, so their candidate designs
-    share shapes) and runs one round-synchronised batched stepwise
-    search over all of them.  The artifact is a ``level -> selection``
-    mapping, content-addressed like any other stage output; estimates
-    match the sequential per-level fits within float round-off.
+    Collects the window's contingency tables at every level (both levels
+    share a window, so their candidate designs share shapes) and runs
+    one round-synchronised batched stepwise search over all of them.
+    The artifact is a ``level -> selection`` mapping, content-addressed
+    like any other stage output.
     """
     opts = ctx.options
     tables = []

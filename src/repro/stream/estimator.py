@@ -11,8 +11,7 @@ and turns it into the same artifacts the batch pipeline produces:
   :class:`JournalSource` views of the journaled quarters — so spoof
   filtering, integrity scoring, quarantine→refit and the estimates
   themselves are *exactly* the batch computation (parity is by
-  construction, not approximation), with the final refits warm-started
-  from the previous window's coefficients;
+  construction, not approximation);
 * **snapshot** persists the whole stream state through the
   content-addressed :class:`~repro.engine.store.ArtifactStore`, and
   :meth:`StreamEstimator.resume` restores it and re-ingests only the
@@ -29,7 +28,8 @@ sources are immutable for a run.  Journaled data mutates, so the
 stream uses a fresh per-version :class:`~repro.engine.artifacts.ArtifactCache`
 — never the persistent artifact tier — for window closes; only
 snapshots and fit-memo coefficients (which seed solvers without
-changing their fixed point) touch the persistent store.
+changing their optimum: the fits are concave, so the result does not
+depend on the start) touch the persistent store.
 """
 
 from __future__ import annotations
@@ -102,89 +102,6 @@ class JournalSource(MeasurementSource):
         return IPSet.from_sorted_unique(np.unique(np.concatenate(chunks)))
 
 
-class _StreamWarmStore:
-    """Warm-start coefficients chained across stream windows.
-
-    Implements the :class:`~repro.engine.store.FitMemoStore` lookup/
-    store contract the selection layer consults for the final refit.
-    Lookups try the persistent exact-digest memo first (identical fit
-    seen before — start at the answer), then fall back to the last
-    converged fit for the *identical model*: same source count, same
-    term set, same distribution, and a truncation limit in the same
-    regime.  That exact-structure requirement is deliberate: the
-    truncated likelihood is multi-modal, and seeding a refit from a
-    merely *similar* model (e.g. coefficients bridged across a
-    different term set) can start the solver in a different basin and
-    converge to a materially different estimate — which would break the
-    stream's rtol-1e-8 parity with the batch pipeline.  Exact-structure
-    seeds start at (or next to) the shared optimum, so revisions and
-    repeat selections converge to the same fixed point, just faster.
-    """
-
-    def __init__(self, base: Any | None = None) -> None:
-        self.base = base
-        # chain key -> [(converged coefficients, truncation limit), ...]
-        # — one entry per limit regime (the address- and subnet-level
-        # fits can share a term set; see _comparable_limits).
-        self._previous: dict[
-            tuple, list[tuple[np.ndarray, float | None]]
-        ] = {}
-        self.exact_hits = 0
-        self.previous_hits = 0
-
-    @staticmethod
-    def _chain_key(spec: Mapping[str, Any]) -> tuple:
-        terms = spec.get("terms")
-        return (
-            spec.get("num_sources"),
-            frozenset(terms) if terms is not None else None,
-            spec.get("distribution"),
-        )
-
-    @staticmethod
-    def _comparable_limits(a: float | None, b: float | None) -> bool:
-        # The truncation limit is the routed-space bound: it drifts a
-        # few percent between adjacent windows but differs ~256x between
-        # the address- and subnet-level fits.  Seeding across that gap
-        # starts the solver far from the optimum, so only chain when
-        # the limits are close.
-        if a is None or b is None:
-            return a is None and b is None
-        if a <= 0 or b <= 0:
-            return False
-        ratio = a / b
-        return 0.5 <= ratio <= 2.0
-
-    def lookup(self, **spec: Any) -> np.ndarray | None:
-        if self.base is not None:
-            stored = self.base.lookup(**spec)
-            if stored is not None:
-                self.exact_hits += 1
-                return stored
-        entries = self._previous.get(self._chain_key(spec), [])
-        limit = spec.get("limit")
-        for previous_coef, previous_limit in entries:
-            if self._comparable_limits(limit, previous_limit):
-                self.previous_hits += 1
-                return previous_coef
-        return None
-
-    def store(self, coef: np.ndarray, **spec: Any) -> None:
-        coef = np.asarray(coef, dtype=np.float64)
-        if self.base is not None:
-            self.base.store(coef, **spec)
-        if spec.get("terms") is None:
-            return
-        limit = spec.get("limit")
-        entries = self._previous.setdefault(self._chain_key(spec), [])
-        entry = (coef, limit)
-        for i, (_, stored_limit) in enumerate(entries):
-            if self._comparable_limits(limit, stored_limit):
-                entries[i] = entry
-                return
-        entries.append(entry)
-
-
 class ClosedWindow:
     """One closed (or revised) window and the stream state it saw."""
 
@@ -225,7 +142,6 @@ class StreamEstimator:
         self.observer = observer if observer is not None else Observer.disabled()
         self.faults = faults
         self.report = RunReport()
-        self._warm = _StreamWarmStore(getattr(store, "fitmemo", None))
         self._sources: dict[str, tuple[float, float]] = {}
         self._quarters: dict[str, dict[int, np.ndarray]] = {}
         self._quarter_versions: dict[tuple[str, int], int] = {}
@@ -387,12 +303,13 @@ class StreamEstimator:
         The artifact cache is rebuilt whenever the data version moved —
         stage keys carry no data dependence, so serving a stale
         artifact after a late event would silently corrupt a revision.
-        The warm store survives rebuilds: coefficients only seed
-        solvers, never short-circuit them.
+        Like a batch executor, it seeds final refits from the store's
+        fit memos: coefficients only seed solvers, never short-circuit
+        them.
         """
         if self._executor is None or self._executor_version != self._version:
             cache = ArtifactCache(faults=self.faults)
-            cache.fitmemo = self._warm
+            cache.fitmemo = getattr(self.store, "fitmemo", None)
             self._executor = Executor(
                 self.internet,
                 sources=self.sources(),
@@ -422,7 +339,7 @@ class StreamEstimator:
         return [w for w in standard_windows() if w.end <= end + 1e-9]
 
     def close(self, window: "TimeWindow") -> WindowResult:
-        """Close one window: the full batch-stage computation, warm fits.
+        """Close one window: the full batch-stage computation.
 
         Re-closing a window after late events produces a *revision*:
         the previous result is replaced and the revision counter
@@ -525,9 +442,9 @@ class StreamEstimator:
         """Persist the stream state to the artifact store.
 
         The snapshot holds everything :meth:`resume` needs to skip the
-        already-applied journal prefix: per-quarter membership, closed
-        results with their version/seq/revision, and the warm
-        coefficient chain.  Returns the store key.
+        already-applied journal prefix: per-quarter membership and
+        closed results with their version/seq/revision.  Returns the
+        store key.
         """
         if self.store is None:
             raise ValueError(
@@ -552,7 +469,6 @@ class StreamEstimator:
                  closed.revision)
                 for bounds, closed in sorted(self._closed.items())
             ],
-            "warm_previous": dict(self._warm._previous),
         }
         self._snapshot_generation += 1
         self._snapshot_sig = sig
@@ -624,13 +540,6 @@ class StreamEstimator:
             stream._closed[tuple(bounds)] = ClosedWindow(
                 result, int(version), int(last_seq), int(revision)
             )
-        stream._warm._previous = {
-            key: [
-                (np.asarray(coef, dtype=np.float64), limit)
-                for coef, limit in entries
-            ]
-            for key, entries in payload["warm_previous"].items()
-        }
         stream._snapshot_sig = (
             stream._next_seq,
             stream._version,
@@ -677,8 +586,4 @@ class StreamEstimator:
             "stale_windows": [
                 (w.start, w.end) for w in self.stale_windows()
             ],
-            "warm_hits": {
-                "exact": self._warm.exact_hits,
-                "previous_window": self._warm.previous_hits,
-            },
         }

@@ -340,49 +340,6 @@ class TestBatchedPoissonFits:
         assert batch[1].iterations == solo_cold.iterations
 
 
-class TestBatchedSelectionParity:
-    """``select_model`` must choose the same path either way; IC and
-    coefficients agree at rtol 1e-8 (lattice arithmetic reorders the
-    sums, so bitwise equality is not the contract)."""
-
-    def _paths(self, table, **kwargs):
-        fitkernel.set_batch_fits(False)
-        try:
-            seq = select_model(table, **kwargs)
-        finally:
-            fitkernel.set_batch_fits(True)
-        bat = select_model(table, **kwargs)
-        return seq, bat
-
-    def test_select_model_paths_agree(self):
-        table = _table(num_sources=5, seed=17)
-        seq, bat = self._paths(table, max_order=2)
-        assert seq.terms == bat.terms
-        assert [s.terms for s in seq.path] == [s.terms for s in bat.path]
-        for a, b in zip(seq.path, bat.path):
-            assert a.ic == pytest.approx(b.ic, rel=1e-8)
-        np.testing.assert_allclose(seq.fit.coef, bat.fit.coef, rtol=1e-8)
-        pop_seq = seq.fit.estimate().population
-        pop_bat = bat.fit.estimate().population
-        assert pop_bat == pytest.approx(pop_seq, rel=1e-8)
-
-    def test_profile_interval_agrees(self):
-        from repro.core.profile_ci import profile_likelihood_interval
-
-        table = _table(num_sources=4, seed=19)
-        terms = main_effect_terms(4)
-        fitkernel.set_batch_fits(False)
-        try:
-            seq = profile_likelihood_interval(table, terms, alpha=0.05)
-        finally:
-            fitkernel.set_batch_fits(True)
-        bat = profile_likelihood_interval(table, terms, alpha=0.05)
-        for field in ("population_low", "population_high"):
-            assert getattr(bat, field) == pytest.approx(
-                getattr(seq, field), rel=1e-8
-            )
-
-
 class TestWarmStartValidation:
     def test_row_vector_beta0_raises_with_hint(self):
         with pytest.raises(ValueError, match="ravel"):

@@ -1,4 +1,4 @@
-"""Right-truncated Poisson distribution and GLM."""
+"""Right-truncated Poisson distribution and GLM (``fit_poisson(limit=)``)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from scipy import stats
 
 from repro.core.glm import fit_poisson
 from repro.core.truncated import (
-    fit_truncated_poisson,
     truncated_logpmf,
     truncated_loglik,
     truncated_mean,
@@ -59,12 +58,12 @@ class TestTruncatedGlm:
         X = np.column_stack([np.ones(50), rng.normal(size=50)])
         y = rng.poisson(np.exp(0.5 + 0.3 * X[:, 1])).astype(float)
         plain = fit_poisson(X, y)
-        trunc = fit_truncated_poisson(X, y, limit=1e12)
-        assert np.allclose(plain.coef, trunc.coef, atol=1e-4)
+        trunc = fit_poisson(X, y, limit=1e12)
+        np.testing.assert_allclose(trunc.coef, plain.coef, rtol=1e-8)
 
     def test_counts_above_limit_rejected(self):
         with pytest.raises(ValueError):
-            fit_truncated_poisson(np.ones((2, 1)), np.array([5.0, 20.0]), 10)
+            fit_poisson(np.ones((2, 1)), np.array([5.0, 20.0]), limit=10)
 
     def test_truncation_raises_rate_estimate(self, rng):
         """Counts piled near the limit imply a rate above the sample
@@ -74,7 +73,7 @@ class TestTruncatedGlm:
         draws = rng.poisson(true_rate, size=4000)
         y = draws[draws <= limit][:800].astype(float)
         X = np.ones((len(y), 1))
-        fit = fit_truncated_poisson(X, y, limit)
+        fit = fit_poisson(X, y, limit=limit)
         rate = float(np.exp(fit.intercept))
         assert rate > y.mean() + 0.5
         assert rate == pytest.approx(true_rate, rel=0.15)
@@ -82,7 +81,7 @@ class TestTruncatedGlm:
     def test_loglik_consistent(self):
         X = np.ones((3, 1))
         y = np.array([2.0, 3.0, 4.0])
-        fit = fit_truncated_poisson(X, y, limit=100)
+        fit = fit_poisson(X, y, limit=100)
         assert fit.loglik == pytest.approx(
-            truncated_loglik(y, fit.fitted_rate, 100)
+            truncated_loglik(y, fit.fitted, 100)
         )

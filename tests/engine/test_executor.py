@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.pipeline import EstimationPipeline
 from repro.analysis.windows import TimeWindow
-from repro.core.stratified import stratified_estimate
 from repro.engine import (
     ArtifactCache,
     Executor,
@@ -15,7 +14,6 @@ from repro.engine import (
 )
 from repro.engine.report import RunReport
 from repro.simnet.internet import SimulationConfig, SyntheticInternet
-from tests.conftest import make_heterogeneous_sources
 
 WINDOWS = [TimeWindow(2011.0, 2012.0), TimeWindow(2013.5, 2014.5)]
 
@@ -132,25 +130,3 @@ class TestFanOut:
         fan_out(1, _double, [1, 2, 3], workers=1, report=report, stage="demo")
         assert len(report.records) == 3
         assert all(r.stage == "demo" for r in report.records)
-
-
-class TestStratifiedThreads:
-    def test_thread_pool_matches_serial(self, rng):
-        _, sources = make_heterogeneous_sources(rng, 12_000, num_sources=4)
-
-        def labeler(addrs):
-            return (addrs >> 28).astype(np.int64)
-
-        serial = stratified_estimate(
-            sources, labeler, min_observed=50, max_workers=1
-        )
-        threaded = stratified_estimate(
-            sources, labeler, min_observed=50, max_workers=3
-        )
-        assert list(serial.strata) == list(threaded.strata)
-        for label in serial.strata:
-            assert (
-                serial.strata[label].population
-                == threaded.strata[label].population
-            ), label
-        assert serial.population == threaded.population

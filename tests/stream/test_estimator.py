@@ -1,4 +1,4 @@
-"""StreamEstimator: batch parity, snapshots, late events, warm refits."""
+"""StreamEstimator: batch parity, snapshots, late events, resumed advances."""
 
 import numpy as np
 import pytest
@@ -76,80 +76,6 @@ class TestBatchParity:
         )
 
 
-class TestWarmChain:
-    """The exact-structure seeding contract of _StreamWarmStore."""
-
-    TERMS = frozenset({frozenset({0}), frozenset({1})})
-
-    def _spec(self, **overrides):
-        spec = dict(
-            num_sources=2,
-            terms=self.TERMS,
-            counts=np.array([0, 5, 7, 3]),
-            distribution="truncated",
-            limit=1000.0,
-            divisor=1,
-        )
-        spec.update(overrides)
-        return spec
-
-    def test_identical_model_seeds(self):
-        from repro.stream.estimator import _StreamWarmStore
-
-        chain = _StreamWarmStore()
-        coef = np.array([1.0, 2.0, 3.0])
-        chain.store(coef, **self._spec())
-        # Same structure, different counts (the next window's table).
-        seed = chain.lookup(**self._spec(counts=np.array([0, 6, 6, 4])))
-        np.testing.assert_array_equal(seed, coef)
-        assert chain.previous_hits == 1
-
-    def test_different_terms_do_not_seed(self):
-        from repro.stream.estimator import _StreamWarmStore
-
-        chain = _StreamWarmStore()
-        chain.store(np.array([1.0, 2.0, 3.0]), **self._spec())
-        other = frozenset({frozenset({0}), frozenset({0, 1})})
-        assert chain.lookup(**self._spec(terms=other)) is None
-        assert chain.previous_hits == 0
-
-    def test_cross_level_limits_do_not_seed(self):
-        from repro.stream.estimator import _StreamWarmStore
-
-        chain = _StreamWarmStore()
-        address = np.array([10.0, 2.0, 3.0])
-        subnet = np.array([4.0, 2.0, 3.0])
-        chain.store(address, **self._spec(limit=388096.0))
-        chain.store(subnet, **self._spec(limit=1516.0))
-        # Both regimes coexist under one model key and each lookup
-        # resolves to its own level's coefficients.
-        np.testing.assert_array_equal(
-            chain.lookup(**self._spec(limit=390000.0)), address
-        )
-        np.testing.assert_array_equal(
-            chain.lookup(**self._spec(limit=1500.0)), subnet
-        )
-        assert chain.lookup(**self._spec(limit=20000.0)) is None
-
-    def test_exact_digest_base_wins(self):
-        from repro.stream.estimator import _StreamWarmStore
-
-        exact = np.array([9.0, 9.0, 9.0])
-
-        class Base:
-            def lookup(self, **spec):
-                return exact
-
-            def store(self, coef, **spec):
-                pass
-
-        chain = _StreamWarmStore(Base())
-        chain.store(np.array([1.0, 2.0, 3.0]), **self._spec())
-        np.testing.assert_array_equal(chain.lookup(**self._spec()), exact)
-        assert chain.exact_hits == 1
-        assert chain.previous_hits == 0
-
-
 class TestLateEvents:
     def test_late_delta_marks_stale_and_revises(
         self, tiny_internet, tiny_sources, tmp_path, last_window
@@ -224,7 +150,8 @@ class TestSnapshotResume:
             warm_stream.snapshot()
 
     def test_resume_restores_state_and_tail_ingest_matches(
-        self, tiny_internet, tiny_sources, tmp_path, first_window
+        self, tiny_internet, tiny_sources, tiny_pipeline, tmp_path,
+        first_window,
     ):
         journal = journal_from_sources(tiny_sources, tmp_path / "journal")
         store = open_store(tmp_path / "store")
@@ -253,6 +180,21 @@ class TestSnapshotResume:
             np.testing.assert_array_equal(
                 source.collect(2013.5, 2014.5).addresses,
                 stream.sources()[name].collect(2013.5, 2014.5).addresses,
+            )
+        # Advancing the resumed stream closes every window (its final
+        # refits may start from the store's fit memos); each must match
+        # a batch run over the same history.
+        results = resumed.advance()
+        assert [r.window for r in results] == standard_windows()
+        for result in results:
+            batch = tiny_pipeline.run_window(result.window)
+            assert result.excluded_sources == batch.excluded_sources
+            np.testing.assert_allclose(
+                result.estimated_addresses, batch.estimated_addresses,
+                rtol=1e-8,
+            )
+            np.testing.assert_allclose(
+                result.estimated_subnets, batch.estimated_subnets, rtol=1e-8
             )
 
     def test_snapshot_generations_supersede(

@@ -104,27 +104,3 @@ class TestEstimatorOptionsAliases:
         opts = EstimatorOptions("aic", 10)
         assert opts.criterion == "aic"
         assert opts.divisor == 10
-
-
-class TestFitkernelGlobalsDeprecated:
-    def test_totals_read_warns_but_works(self):
-        from repro.core import fitkernel
-
-        fitkernel.reset_counters()
-        fitkernel.record(fits=1)
-        with pytest.warns(DeprecationWarning, match="get_global_metrics"):
-            totals = fitkernel._TOTALS
-        assert totals["fits"] == 1
-        fitkernel.reset_counters()
-
-    def test_lock_read_warns(self):
-        from repro.core import fitkernel
-
-        with pytest.warns(DeprecationWarning):
-            assert fitkernel._LOCK is not None
-
-    def test_unknown_attribute_raises(self):
-        from repro.core import fitkernel
-
-        with pytest.raises(AttributeError):
-            fitkernel._NO_SUCH_NAME
