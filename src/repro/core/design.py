@@ -80,26 +80,14 @@ def validate_terms(num_sources: int, terms: Iterable[frozenset]) -> frozenset:
     return normalised
 
 
-#: Memoised term orderings.  Sorting with the (size, sorted members) key
-#: rebuilds per-term lists every call; stepwise selection re-orders the
-#: same few dozen term sets hundreds of times per scan.
-_TERM_ORDER_CACHE: dict[frozenset, tuple[frozenset, ...]] = {}
-_TERM_ORDER_CACHE_MAX = 1024
+def term_key(term: frozenset) -> tuple[int, list[int]]:
+    """Sort key of :func:`term_order`: size, then sorted members."""
+    return len(term), sorted(term)
 
 
 def term_order(terms: Iterable[frozenset]) -> list[frozenset]:
     """Deterministic ordering of terms: by size, then lexicographically."""
-    if isinstance(terms, frozenset):
-        cached = _TERM_ORDER_CACHE.get(terms)
-        if cached is None:
-            cached = tuple(
-                sorted(terms, key=lambda term: (len(term), sorted(term)))
-            )
-            if len(_TERM_ORDER_CACHE) >= _TERM_ORDER_CACHE_MAX:
-                _TERM_ORDER_CACHE.clear()
-            _TERM_ORDER_CACHE[terms] = cached
-        return list(cached)
-    return sorted(terms, key=lambda term: (len(term), sorted(term)))
+    return sorted(terms, key=term_key)
 
 
 #: Memoised design matrices keyed on (t, normalised terms, unobserved

@@ -16,13 +16,14 @@ has ``IC_n < IC_m - 7``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 import numpy as np
 
 from repro.core import fitkernel
-from repro.core.design import design_matrix, main_effect_terms, term_order
+from repro.core.design import main_effect_terms, term_key, term_order
 from repro.core.glm import fit_poisson_batch
 from repro.core.histories import ContingencyTable
 from repro.core.loglinear import FittedLoglinear, LoglinearModel
@@ -243,14 +244,19 @@ def _term_mask(term: frozenset) -> int:
 
 @dataclass
 class _BatchJob:
-    """One pending candidate fit inside the batched stepwise search."""
+    """One pending candidate fit inside the batched stepwise search.
+
+    ``masks`` holds each design column's history bitmask, intercept
+    first.  A candidate's columns are its parent's canonical layout
+    with the new term appended; ``position`` is where that last
+    coefficient belongs in canonical order (``None``: already there).
+    """
 
     state: "_SearchState"
     terms: frozenset
-    design: np.ndarray
-    layout: tuple  # term behind each design column past the intercept
-    beta0: np.ndarray | None
-    masks: tuple  # per-column history bitmasks (intercept first)
+    masks: tuple
+    beta0: np.ndarray | None = None
+    position: int | None = None
 
 
 class _SearchState:
@@ -263,8 +269,6 @@ class _SearchState:
         "distribution",
         "limit",
         "counts",
-        "histories",
-        "columns",
         "memo",
         "current",
         "current_fit",
@@ -281,25 +285,10 @@ class _SearchState:
         self.distribution = distribution
         self.limit = limit
         self.counts = np.ascontiguousarray(scaled.counts[1:], dtype=np.float64)
-        self.histories = np.arange(1, 2**table.num_sources, dtype=np.uint32)
-        self.columns: dict[frozenset, np.ndarray] = {}
         self.memo: dict[frozenset, FittedLoglinear] = {}
         self.path: list[CandidateScore] = []
         self.active = True
         self.candidates: list[frozenset] = []
-
-    def column(self, term: frozenset) -> np.ndarray:
-        """The design column of one term (memoised per table)."""
-        col = self.columns.get(term)
-        if col is None:
-            mask = np.ones(self.histories.size, dtype=bool)
-            for source in term:
-                mask &= (
-                    (self.histories >> np.uint32(source)) & np.uint32(1) == 1
-                )
-            col = mask.astype(np.float64)
-            self.columns[term] = col
-        return col
 
     def fetch(self, terms: frozenset) -> FittedLoglinear:
         """Memoised fit lookup, counted as a memo hit."""
@@ -308,28 +297,25 @@ class _SearchState:
         return cached
 
 
-def _canonical_coef(
-    coef: np.ndarray, layout: tuple, terms: frozenset
-) -> np.ndarray:
-    """Permute a fit's coefficients from batch layout to canonical order.
+def _canonical_coef(coef: np.ndarray, position: int | None) -> np.ndarray:
+    """Move an appended term's coefficient (the last) to ``position``.
 
     Batched candidate designs append the new term's column after the
-    parent's columns; the ML likelihood is invariant under column
-    permutation, so only the coefficient vector needs reordering.
+    parent's canonically ordered columns; the ML likelihood is
+    invariant under column permutation, so only that one coefficient
+    needs moving.
     """
-    ordered = term_order(terms)
-    if list(layout) == ordered:
+    if position is None or position == coef.size - 1:
         return coef
-    position = {term: i for i, term in enumerate(layout, start=1)}
     out = np.empty_like(coef)
-    out[0] = coef[0]
-    for i, term in enumerate(ordered, start=1):
-        out[i] = coef[position[term]]
+    out[:position] = coef[:position]
+    out[position] = coef[-1]
+    out[position + 1:] = coef[position:-1]
     return out
 
 
 def _run_batch_jobs(jobs: list[_BatchJob]) -> None:
-    """Fit pending candidates, grouped by design shape, and memoise.
+    """Fit pending candidates, grouped by stack shape, and memoise.
 
     Candidates are always scored with the plain Poisson likelihood: it
     is the cheap fit, and the paper notes truncation "otherwise makes
@@ -338,18 +324,18 @@ def _run_batch_jobs(jobs: list[_BatchJob]) -> None:
     """
     groups: dict[tuple[int, int], list[_BatchJob]] = {}
     for job in jobs:
-        groups.setdefault(job.design.shape, []).append(job)
+        shape = (job.state.counts.size, len(job.masks))
+        groups.setdefault(shape, []).append(job)
     for group in groups.values():
-        designs = np.stack([job.design for job in group])
         counts = np.stack([job.state.counts for job in group])
         seeds = [job.beta0 for job in group]
         masks = np.array([job.masks for job in group], dtype=np.int64)
-        fits = fit_poisson_batch(designs, counts, beta0=seeds, masks=masks)
+        fits = fit_poisson_batch(None, counts, beta0=seeds, masks=masks)
         for job, fit in zip(group, fits):
             job.state.memo[job.terms] = FittedLoglinear(
                 table=job.state.scaled,
                 terms=job.terms,
-                coef=_canonical_coef(fit.coef, job.layout, job.terms),
+                coef=_canonical_coef(fit.coef, job.position),
                 fitted=fit.fitted,
                 loglik=fit.loglik,
                 distribution="poisson",
@@ -375,12 +361,12 @@ def select_models_batched(
     them by design shape, and sends each group through
     :func:`~repro.core.glm.fit_poisson_batch` — one batched
     normal-equations build and Cholesky per group per IRLS iteration
-    instead of thousands of scalar ``dposv`` calls.  Candidate designs
-    are assembled by appending the new term's indicator column to the
-    parent's design (no per-candidate ``design_matrix`` build, whose
-    cache thrashes under stepwise churn), and coefficients are permuted
-    back to canonical term order afterwards — the likelihood is
-    invariant under column permutation, so scores are unchanged.
+    instead of thousands of scalar ``dposv`` calls.  A candidate is
+    passed as its columns' history bitmasks only — the parent's
+    canonical columns plus the new term's — so no dense design is ever
+    stacked, and the new term's coefficient is moved to its canonical
+    slot afterwards (the likelihood is invariant under column
+    permutation, so scores are unchanged).
 
     Tables may have different source counts; mixed shapes simply land
     in different batch groups.  ``distributions``/``limits`` give the
@@ -410,11 +396,8 @@ def select_models_batched(
     jobs = []
     for state in states:
         state.current = main_effect_terms(state.table.num_sources)
-        design, ordered = design_matrix(state.table.num_sources, state.current)
-        masks = (0,) + tuple(_term_mask(term) for term in ordered)
-        jobs.append(
-            _BatchJob(state, state.current, design, tuple(ordered), None, masks)
-        )
+        masks = (0,) + tuple(_term_mask(term) for term in term_order(state.current))
+        jobs.append(_BatchJob(state, state.current, masks))
     _run_batch_jobs(jobs)
     for state in states:
         state.current_fit = state.memo[state.current]
@@ -431,13 +414,12 @@ def select_models_batched(
             if not state.candidates:
                 state.active = False
                 continue
-            parent_design, parent_ordered = design_matrix(
-                state.table.num_sources, state.current
-            )
-            layout_head = tuple(parent_ordered)
+            parent_ordered = term_order(state.current)
+            parent_keys = [term_key(term) for term in parent_ordered]
             parent_masks = (0,) + tuple(
                 _term_mask(term) for term in parent_ordered
             )
+            beta0 = np.append(state.current_fit.coef, 0.0)
             for term in state.candidates:
                 cand_terms = state.current | {term}
                 cached = state.memo.get(cand_terms)
@@ -446,18 +428,13 @@ def select_models_batched(
                         memo_hits=1, iterations_saved=cached.iterations
                     )
                     continue
-                design = np.concatenate(
-                    [parent_design, state.column(term)[:, None]], axis=1
-                )
-                beta0 = np.concatenate([state.current_fit.coef, [0.0]])
                 jobs.append(
                     _BatchJob(
                         state,
                         cand_terms,
-                        design,
-                        layout_head + (term,),
-                        beta0,
                         parent_masks + (_term_mask(term),),
+                        beta0,
+                        1 + bisect_left(parent_keys, term_key(term)),
                     )
                 )
         _run_batch_jobs(jobs)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -392,6 +393,10 @@ class Executor:
         #: faults key on (counts cache misses, stable under retries).
         self._stage_sequence: dict[str, int] = {}
         self._fire_stage_faults = True
+        #: Per-thread accumulator of the stage resolution in progress:
+        #: the output bytes of the resolutions it makes (see
+        #: :meth:`_collect_inputs`).
+        self._inputs = threading.local()
 
     @contextmanager
     def _stage_faults_suppressed(self):
@@ -404,6 +409,29 @@ class Executor:
             self._fire_stage_faults = previous
 
     # -- stage resolution -------------------------------------------------
+
+    @contextmanager
+    def _collect_inputs(self):
+        """Sum the output bytes of the stage resolutions made inside.
+
+        Every :meth:`run` adds its artifact's size to the innermost open
+        accumulator of its thread, so a stage's ``input_bytes`` counts
+        exactly its direct dependency resolutions — with their real
+        params — without touching the store.
+        """
+        caller = getattr(self._inputs, "acc", None)
+        acc = self._inputs.acc = [0]
+        try:
+            yield acc
+        finally:
+            self._inputs.acc = caller
+
+    def _resolved(self, nbytes: int) -> int:
+        """Credit a resolution's output bytes to the resolving caller."""
+        acc = getattr(self._inputs, "acc", None)
+        if acc is not None:
+            acc[0] += nbytes
+        return nbytes
 
     def key_for(
         self, stage: str, window: TimeWindow | None, **params: Any
@@ -447,7 +475,7 @@ class Executor:
                     key=key.token(),
                     seconds=perf_counter() - start,
                     cache_hit=True,
-                    output_bytes=artifact_nbytes(value),
+                    output_bytes=self._resolved(artifact_nbytes(value)),
                     worker=_worker_tag(),
                     tier=getattr(cache, "last_hit_tier", None),
                 )
@@ -463,7 +491,8 @@ class Executor:
                 try:
                     if self.faults is not None and self._fire_stage_faults:
                         self.faults.fire(stage, index, attempt)
-                    value = spec.fn(self.context, window, **params)
+                    with self._collect_inputs() as inputs:
+                        value = spec.fn(self.context, window, **params)
                     break
                 except Exception as exc:
                     attempt += 1
@@ -497,11 +526,6 @@ class Executor:
                 if nested.fit is not None:
                     fit_delta = fit_delta - nested.fit
             cache.put(key, value)
-            input_bytes = sum(
-                artifact_nbytes(self.cache.get(self.key_for(dep, window)))
-                for dep in spec.deps
-                if self.key_for(dep, window) in self.cache
-            )
             span.set(attempts=attempt + 1)
             if fit_delta:
                 span.set(fits=fit_delta.fits, irls_iterations=fit_delta.irls_iterations)
@@ -511,8 +535,8 @@ class Executor:
                 key=key.token(),
                 seconds=perf_counter() - start,
                 cache_hit=False,
-                input_bytes=input_bytes,
-                output_bytes=artifact_nbytes(value),
+                input_bytes=inputs[0],
+                output_bytes=self._resolved(artifact_nbytes(value)),
                 worker=_worker_tag(),
                 fit=fit_delta or None,
                 status="retried" if attempt else "ok",

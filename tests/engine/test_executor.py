@@ -13,6 +13,7 @@ from repro.engine import (
     spoof_filter_seed,
 )
 from repro.engine.report import RunReport
+from repro.engine.store import open_store
 from repro.simnet.internet import SimulationConfig, SyntheticInternet
 
 WINDOWS = [TimeWindow(2011.0, 2012.0), TimeWindow(2013.5, 2014.5)]
@@ -62,6 +63,61 @@ class TestCacheKeys:
         assert engine.key_for("collect", WINDOWS[0]) != engine.key_for(
             "collect", WINDOWS[1]
         )
+
+
+class TestStageInputs:
+    """``input_bytes`` comes from the resolutions a stage made, never
+    from extra store lookups (which would bump hit counters and promote
+    entries out of the persistent tier)."""
+
+    def test_input_bytes_sum_direct_dependency_outputs(
+        self, tiny_internet, tiny_sources
+    ):
+        engine = Executor(tiny_internet, tiny_sources)
+        resolve = engine.run
+        open_calls = [[]]  # per open resolution: its direct children
+        finished = []
+
+        def traced(stage, window=None, **params):
+            open_calls.append([])
+            value = resolve(stage, window, **params)
+            direct = open_calls.pop()
+            record = engine.report.records[-1]
+            open_calls[-1].append(record)
+            finished.append((record, direct))
+            return value
+
+        engine.run = traced
+        engine.window_result(WINDOWS[1])
+        assert len(finished) == len(engine.report.records)
+        for record, direct in finished:
+            expected = 0 if record.cache_hit else sum(
+                child.output_bytes for child in direct
+            )
+            assert record.input_bytes == expected, record.stage
+        # The level-keyed tabulations feeding the fit plan are sized too.
+        (plan, direct), = [
+            f for f in finished if f[0].stage == "fit_batch" and not f[0].cache_hit
+        ]
+        assert {child.stage for child in direct} == {"tabulate"}
+        assert plan.input_bytes > 0
+
+    def test_cold_window_looks_up_only_its_own_keys(
+        self, tiny_internet, tiny_sources, tmp_path
+    ):
+        store = open_store(tmp_path / "store")
+        engine = Executor(tiny_internet, tiny_sources, cache=store)
+        looked_up = []
+        memory_get = store.memory.get
+
+        def counting_get(key):
+            looked_up.append(key.token())
+            return memory_get(key)
+
+        # Every lookup, tiered or memory-only, goes through this tier.
+        store.memory.get = counting_get
+        engine.window_result(WINDOWS[1])
+        assert sorted(looked_up) == sorted(r.key for r in engine.report.records)
 
 
 class TestSpoofFilterDeterminism:
