@@ -3,9 +3,9 @@
 Each stage is a pure function of a :class:`RunContext` (the simulated
 Internet, the measurement sources and the frozen
 :class:`PipelineOptions`) plus its parameters — a window, and for the
-estimation stages a granularity level.  Stages declare their upstream
-dependencies and fetch them through ``ctx.run``, so every intermediate
-value flows through the executor's artifact cache:
+estimation stages a granularity level.  Stages fetch their upstream
+dependencies through ``ctx.run``, so every intermediate value flows
+through the executor's artifact cache:
 
 ``collect → preprocess → spoof_filter → tabulate → fit → estimate``
 
@@ -516,11 +516,11 @@ def _window_result(ctx: RunContext, window: TimeWindow) -> WindowResult:
 
 @dataclass(frozen=True)
 class Stage:
-    """A named node of the dataflow graph."""
+    """A named node of the dataflow graph; its edges are the ``ctx.run``
+    calls the stage function makes."""
 
     name: str
     fn: Callable[..., Any]
-    deps: tuple[str, ...] = ()
     #: Whether the artifact is worth keeping beyond the run (heavy
     #: intermediates are; the cheap composites are too, they are small).
     #: A non-cacheable stage still memoises within the run's memory
@@ -538,16 +538,16 @@ STAGES: dict[str, Stage] = {
     s.name: s
     for s in (
         Stage("collect", _collect),
-        Stage("preprocess", _preprocess, deps=("collect",)),
-        Stage("spoof_filter", _spoof_filter, deps=("preprocess",)),
-        Stage("source_health", _source_health, deps=("collect", "spoof_filter")),
-        Stage("tabulate", _tabulate, deps=("spoof_filter",)),
+        Stage("preprocess", _preprocess),
+        Stage("spoof_filter", _spoof_filter),
+        Stage("source_health", _source_health),
+        Stage("tabulate", _tabulate),
         # The batch plan stays memory-only: its per-level selections are
         # the `fit` stage's artifacts, which do persist — double-storing
         # them would let a stale plan mask a deliberately evicted fit.
-        Stage("fit_batch", _fit_batch, deps=("tabulate",), cacheable=False),
-        Stage("fit", _fit, deps=("tabulate", "fit_batch")),
-        Stage("estimate", _estimate, deps=("fit",)),
-        Stage("window_result", _window_result, deps=("spoof_filter", "estimate")),
+        Stage("fit_batch", _fit_batch, cacheable=False),
+        Stage("fit", _fit),
+        Stage("estimate", _estimate),
+        Stage("window_result", _window_result),
     )
 }
