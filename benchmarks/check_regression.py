@@ -272,7 +272,6 @@ def compare_metrics(
     )
     for name in (
         "cache_evictions_total",
-        "cache_corrupt_evictions_total",
         "cache_persistent_corrupt_entries_total",
     ):
         base_v, cand_v = baseline.get(name, 0.0), candidate.get(name, 0.0)

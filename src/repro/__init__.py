@@ -26,9 +26,9 @@ Quick start — :class:`Session` is the unified entry point::
     stream = Session.from_journal("journal/").stream()
     stream.advance()                     # ingest + close coverable windows
 
-The pre-``Session`` constructors (``CaptureRecapture``,
-``EstimationPipeline``) keep working but emit a
-:class:`DeprecationWarning`; see ``docs/API.md`` and ``examples/``.
+``CaptureRecapture`` and ``EstimationPipeline``, which ``Session``
+builds internally, stay constructible directly; see ``docs/API.md``
+and ``examples/``.
 """
 
 from repro.core import (

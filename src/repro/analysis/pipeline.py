@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping
 
-from repro._aliases import warn_legacy_entry_point
 from repro.core.estimator import CaptureRecapture, EstimatorOptions
 from repro.core.stratified import StratifiedEstimate
 from repro.engine.executor import Executor
@@ -32,7 +31,7 @@ from repro.engine.stages import (
 )
 from repro.ipspace.ipset import IPSet
 from repro.obs.observer import Observer
-from repro.analysis.windows import TimeWindow, standard_windows
+from repro.analysis.windows import TimeWindow
 from repro.simnet.internet import SyntheticInternet
 from repro.sources.base import MeasurementSource
 
@@ -57,9 +56,6 @@ class EstimationPipeline:
         engine: Executor | None = None,
         observer: "Observer | None" = None,
     ) -> None:
-        warn_legacy_entry_point(
-            "EstimationPipeline", "repro.Session.from_simulation"
-        )
         self.engine = engine or Executor(
             internet, sources, options, observer=observer
         )
@@ -150,7 +146,7 @@ class EstimationPipeline:
         results are bit-identical to a serial run with the same seed
         (see ``docs/ENGINE.md``).
         """
-        return self.engine.run_windows(windows or standard_windows(), workers)
+        return self.engine.run_windows(windows, workers)
 
     # -- stratified views --------------------------------------------------------
 

@@ -52,7 +52,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import warnings
 from typing import Sequence
 
 from repro.analysis.crossval import cross_validate_window
@@ -139,27 +138,33 @@ def _parse_workers(text: str) -> int:
     return value
 
 
-class _DeprecatedSpelling(argparse.Action):
-    """A hidden legacy flag spelling: parses, warns, stores to the
-    canonical dest so downstream code never sees the old name."""
+def _parse_retries(text: str) -> int:
+    """Extra attempts per stage/task; negative counts are rejected."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"--retries must be an integer >= 0, got {text!r}"
+        ) from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"--retries must be >= 0, got {value}")
+    return value
 
-    def __init__(self, *args, preferred: str, append: bool = False, **kwargs):
-        self._preferred = preferred
-        self._append = append
-        super().__init__(*args, **kwargs)
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        warnings.warn(
-            f"{option_string} is deprecated; use {self._preferred}",
-            DeprecationWarning,
-            stacklevel=2,
+def _parse_task_timeout(text: str) -> float:
+    """Pool-task wall clock; zero or negative would time every task out."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"--task-timeout must be a number of seconds > 0, got {text!r}"
+        ) from exc
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"--task-timeout must be > 0, got {text} "
+            "(every task would exceed it and degrade)"
         )
-        if self._append:
-            items = list(getattr(namespace, self.dest, None) or [])
-            items.append(values)
-            setattr(namespace, self.dest, items)
-        else:
-            setattr(namespace, self.dest, values)
+    return value
 
 
 def _pipeline_parents() -> list[argparse.ArgumentParser]:
@@ -168,8 +173,7 @@ def _pipeline_parents() -> list[argparse.ArgumentParser]:
 
     Defaults are ``SUPPRESS`` so a flag given *before* the subcommand —
     where the main parser defines the same option with its real default
-    — is not clobbered by the subparser's parse.  Each knob also keeps
-    its pre-normalization spelling as a hidden deprecated alias.
+    — is not clobbered by the subparser's parse.
     """
     faults = argparse.ArgumentParser(add_help=False)
     faults.add_argument(
@@ -179,46 +183,24 @@ def _pipeline_parents() -> list[argparse.ArgumentParser]:
         "(stage:kind[:index[:count[:seconds]]] or "
         "source:NAME:kind[:amount[:start]])")
     faults.add_argument(
-        "--inject-fault", action=_DeprecatedSpelling,
-        preferred="--inject-faults", append=True, dest="inject_faults",
-        default=argparse.SUPPRESS, metavar="SPEC", type=parse_fault,
-        help=argparse.SUPPRESS)
-    faults.add_argument(
         "--quarantine-policy", choices=POLICY_PRESETS,
         default=argparse.SUPPRESS, metavar="PRESET",
         help="source-integrity preset judging each source per window "
         f"({', '.join(POLICY_PRESETS)})")
-    faults.add_argument(
-        "--quarantine", action=_DeprecatedSpelling,
-        preferred="--quarantine-policy", dest="quarantine_policy",
-        default=argparse.SUPPRESS, choices=POLICY_PRESETS,
-        help=argparse.SUPPRESS)
 
     obs = argparse.ArgumentParser(add_help=False)
     obs.add_argument(
         "--trace", metavar="DIR", default=argparse.SUPPRESS,
         help="enable tracing and persist the run ledger to DIR")
     obs.add_argument(
-        "--trace-dir", action=_DeprecatedSpelling, preferred="--trace",
-        dest="trace", default=argparse.SUPPRESS, metavar="DIR",
-        help=argparse.SUPPRESS)
-    obs.add_argument(
         "--metrics-out", metavar="PATH", default=argparse.SUPPRESS,
         help="enable metrics and write the JSON export to PATH")
-    obs.add_argument(
-        "--metrics", action=_DeprecatedSpelling, preferred="--metrics-out",
-        dest="metrics_out", default=argparse.SUPPRESS, metavar="PATH",
-        help=argparse.SUPPRESS)
 
     store = argparse.ArgumentParser(add_help=False)
     store.add_argument(
         "--store", metavar="DIR", default=argparse.SUPPRESS,
         help="persistent artifact store directory (content-addressed "
         "stage outputs reused across runs and workers)")
-    store.add_argument(
-        "--artifact-store", action=_DeprecatedSpelling, preferred="--store",
-        dest="store", default=argparse.SUPPRESS, metavar="DIR",
-        help=argparse.SUPPRESS)
     return [faults, obs, store]
 
 
@@ -232,10 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale-log2", type=int, default=-12,
                         help="log2 of the simulation scale (default -12)")
     parser.add_argument("--seed", type=int, default=20140630)
-    parser.add_argument("--retries", type=int, default=1,
+    parser.add_argument("--retries", type=_parse_retries, default=1,
                         help="extra attempts per stage/task before it is "
                         "degraded (default 1)")
-    parser.add_argument("--task-timeout", type=float, default=None,
+    parser.add_argument("--task-timeout", type=_parse_task_timeout,
+                        default=None,
                         metavar="SECONDS",
                         help="wall-clock timeout per pool task; a hung "
                         "task's pool is respawned and the task retried")

@@ -28,7 +28,7 @@ from repro.core.private import (
     tabulate_blinded,
 )
 from repro.core.design import LoglinearTerms, design_matrix, hierarchical_closure
-from repro.core.fitkernel import FitCounters, weighted_least_squares
+from repro.core.fitkernel import FitCounters
 from repro.core.estimator import CaptureRecapture, EstimatorOptions
 from repro.core.histories import ContingencyTable, tabulate_histories
 from repro.core.lincoln_petersen import (
@@ -84,5 +84,4 @@ __all__ = [
     "select_model",
     "stratified_estimate",
     "tabulate_histories",
-    "weighted_least_squares",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from repro._aliases import resolve_deprecated_aliases, warn_legacy_entry_point
 from repro.core.histories import ContingencyTable, tabulate_histories
 from repro.core.loglinear import PopulationEstimate
 from repro.core.profile_ci import (
@@ -27,26 +26,13 @@ from repro.core.stratified import Labeler, StratifiedEstimate, stratified_estima
 from repro.ipspace.ipset import IPSet
 
 
-#: Deprecated EstimatorOptions keyword spellings -> canonical names.
-_OPTION_ALIASES = {
-    "min_observed": "min_stratum_observed",
-    "truncation_limit": "limit",
-}
-
-_UNSET = object()
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class EstimatorOptions:
     """Configuration for :class:`CaptureRecapture`.
 
     Defaults follow the paper's Section 5.1 conclusion: adaptive
     divisor capped at 1000, BIC, and the right-truncated Poisson
     whenever a ``limit`` (routed-space size) is supplied.
-
-    Deprecated keyword aliases (``min_observed``, ``truncation_limit``)
-    are accepted with a :class:`DeprecationWarning` and resolve to
-    their canonical fields.
     """
 
     criterion: str = "bic"
@@ -55,47 +41,6 @@ class EstimatorOptions:
     distribution: str = "auto"
     limit: float | None = None
     min_stratum_observed: int = 1000
-
-    def __init__(
-        self,
-        criterion: str = _UNSET,  # type: ignore[assignment]
-        divisor: int | str = _UNSET,  # type: ignore[assignment]
-        max_order: int = _UNSET,  # type: ignore[assignment]
-        distribution: str = _UNSET,  # type: ignore[assignment]
-        limit: float | None = _UNSET,  # type: ignore[assignment]
-        min_stratum_observed: int = _UNSET,  # type: ignore[assignment]
-        **deprecated,
-    ) -> None:
-        defaults = {
-            "criterion": "bic",
-            "divisor": "adaptive1000",
-            "max_order": 2,
-            "distribution": "auto",
-            "limit": None,
-            "min_stratum_observed": 1000,
-        }
-        explicit = {
-            name: value
-            for name, value in (
-                ("criterion", criterion),
-                ("divisor", divisor),
-                ("max_order", max_order),
-                ("distribution", distribution),
-                ("limit", limit),
-                ("min_stratum_observed", min_stratum_observed),
-            )
-            if value is not _UNSET
-        }
-        for name, value in resolve_deprecated_aliases(
-            "EstimatorOptions", deprecated, _OPTION_ALIASES
-        ).items():
-            if name in explicit:
-                raise TypeError(
-                    f"EstimatorOptions() got both {name!r} and its deprecated alias"
-                )
-            explicit[name] = value
-        for name, default in defaults.items():
-            object.__setattr__(self, name, explicit.get(name, default))
 
     def resolved_distribution(self) -> str:
         """The effective likelihood: truncated when a limit is known."""
@@ -112,7 +57,6 @@ class CaptureRecapture:
         sources: Mapping[str, IPSet],
         options: EstimatorOptions | None = None,
     ) -> None:
-        warn_legacy_entry_point("CaptureRecapture", "repro.Session.from_sets")
         if len(sources) < 2:
             raise ValueError("capture-recapture needs at least two sources")
         self.sources = dict(sources)

@@ -5,7 +5,7 @@ solving the weighted least-squares normal equations of an IRLS step.
 This module owns that primitive and the counters that make the fit
 layer observable:
 
-* :func:`weighted_least_squares` solves the normal equations with a
+* :class:`IrlsSolver` solves the normal equations with a
   Cholesky factorisation (O(n p^2 + p^3) instead of the O(n p^2) SVD
   with a much larger constant that ``np.linalg.lstsq`` pays), falling
   back to ``lstsq`` — the old behaviour, pseudo-inverse semantics and
@@ -508,38 +508,6 @@ class BatchedIrlsSolver:
         w = np.sqrt(np.maximum(weights, 1e-12))
         solution, *_ = np.linalg.lstsq(X * w[:, None], target * w, rcond=None)
         return solution
-
-
-#: One-shot solver reuse: the memoised design matrices handed to
-#: :func:`weighted_least_squares` are read-only and long-lived, so a
-#: small id-keyed cache lets repeated one-shot solves against the same
-#: design skip re-allocating the contiguous transpose copy.  Each cached
-#: solver holds a reference to its design, which pins the id for the
-#: cache's lifetime (no recycled-id aliasing).
-_ONE_SHOT_SOLVERS: dict[int, IrlsSolver] = {}
-_ONE_SHOT_SOLVERS_MAX = 64
-
-
-def weighted_least_squares(
-    X: np.ndarray, weights: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """One-shot :meth:`IrlsSolver.solve` (see there for semantics)."""
-    X = np.asarray(X, dtype=np.float64)
-    solver = None
-    if X.ndim == 2 and not X.flags.writeable:
-        key = id(X)
-        solver = _ONE_SHOT_SOLVERS.get(key)
-        if solver is None or solver._X is not X:
-            if len(_ONE_SHOT_SOLVERS) >= _ONE_SHOT_SOLVERS_MAX:
-                _ONE_SHOT_SOLVERS.clear()
-            solver = IrlsSolver(X)
-            _ONE_SHOT_SOLVERS[key] = solver
-    if solver is None:
-        solver = IrlsSolver(X)
-    return solver.solve(
-        np.asarray(weights, dtype=np.float64),
-        np.asarray(target, dtype=np.float64),
-    )
 
 
 #: Process-wide persistent warm-start store (a

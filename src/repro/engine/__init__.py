@@ -8,16 +8,17 @@ dataflow a first-class object:
 * :mod:`repro.engine.stages` — the named :class:`Stage` functions and
   the :class:`RunContext` they see, plus the shared
   :class:`PipelineOptions` / :class:`WindowResult` types.
-* :mod:`repro.engine.artifacts` — keyed artifacts and the LRU
-  :class:`ArtifactCache` with optional on-disk ``.npz`` spill.
-* :mod:`repro.engine.store` — the :class:`ArtifactStore` interface and
-  its persistent backends: the content-addressed :class:`LocalStore`
-  directory and the write-through :class:`TieredStore` (memory LRU
-  over a shared persistent directory) opened by :func:`open_store`.
+* :mod:`repro.engine.artifacts` — keyed artifacts and the in-memory
+  LRU :class:`ArtifactCache`.
+* :mod:`repro.engine.store` — the :class:`ArtifactStore` interface,
+  the on-disk entry codec and its persistent backends: the
+  content-addressed :class:`LocalStore` directory and the
+  write-through :class:`TieredStore` (memory LRU over a shared
+  persistent directory) opened by :func:`open_store`.
 * :mod:`repro.engine.report` — per-stage instrumentation
   (:class:`RunReport`), including retry/degradation accounting.
 * :mod:`repro.engine.faults` — a deterministic, seeded
-  :class:`FaultInjector` (exceptions, delays, worker kills, spill
+  :class:`FaultInjector` (exceptions, delays, worker kills, store-entry
   corruption) that makes every recovery path of the executor's
   :class:`ExecutionPolicy` testable in-process, plus source-level
   *data* faults (:class:`SourceFaultSpec` / :class:`FaultySource`:

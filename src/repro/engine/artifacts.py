@@ -1,38 +1,25 @@
-"""Keyed artifacts and the engine's unified cache.
+"""Keyed artifacts and the engine's in-memory cache.
 
 Every stage execution produces one *artifact*: a value addressed by an
 :class:`ArtifactKey` (stage name + the parameters that determine the
 value, options included).  The :class:`ArtifactCache` replaces the old
 ad-hoc ``_dataset_cache`` / ``_result_cache`` dicts with one LRU cache
-that accounts for artifact sizes and can optionally *spill* evicted
-array-backed artifacts (:class:`~repro.ipspace.ipset.IPSet` mappings,
-:class:`~repro.core.histories.ContingencyTable`) to disk as ``.npz``
-and restore them transparently on the next ``get``.
+that accounts for artifact sizes.  Persistence lives in
+:mod:`repro.engine.store`, which owns the on-disk entry format.
 """
 
 from __future__ import annotations
 
-import itertools
-import logging
-import os
 import sys
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
 from repro._canonical import KEY_SCHEMA_VERSION, canonical_digest
 from repro.core.histories import ContingencyTable
 from repro.ipspace.ipset import IPSet
-
-if TYPE_CHECKING:
-    from repro.engine.faults import FaultInjector
-    from repro.obs.observer import Observer
-
-logger = logging.getLogger(__name__)
 
 #: Default in-memory budget (bytes) before the LRU starts evicting.
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
@@ -73,7 +60,7 @@ class ArtifactKey:
         return self._digest
 
     def token(self) -> str:
-        """Stable filesystem-safe short form (store/spill file stem)."""
+        """Stable filesystem-safe short form (store file stem)."""
         return f"{self.stage}-{self.digest()[:16]}"
 
 
@@ -104,206 +91,47 @@ def artifact_nbytes(value: Any) -> int:
     return int(sys.getsizeof(value))
 
 
-# -- spill encoding ---------------------------------------------------------
-
-
-def _spill_payload(value: Any) -> dict[str, np.ndarray] | None:
-    """Encode a spillable artifact as named arrays (None if unsupported)."""
-    if isinstance(value, IPSet):
-        return {"__ipset__": value.addresses}
-    if isinstance(value, ContingencyTable):
-        names = np.array(list(value.source_names), dtype=np.str_)
-        return {"__table_counts__": value.counts, "__table_names__": names}
-    if (
-        isinstance(value, Mapping)
-        and value
-        and all(isinstance(v, IPSet) for v in value.values())
-    ):
-        return {f"set:{name}": s.addresses for name, s in value.items()}
-    return None
-
-
-def _restore_payload(payload: Mapping[str, np.ndarray]) -> Any:
-    """Inverse of :func:`_spill_payload`."""
-    if "__ipset__" in payload:
-        return IPSet.from_sorted_unique(payload["__ipset__"].astype(np.uint32))
-    if "__table_counts__" in payload:
-        counts = payload["__table_counts__"].astype(np.int64)
-        names = tuple(str(n) for n in payload["__table_names__"])
-        num_sources = int(np.log2(counts.size))
-        return ContingencyTable(num_sources, counts, names)
-    return {
-        name[len("set:"):]: IPSet.from_sorted_unique(
-            payload[name].astype(np.uint32)
-        )
-        for name in payload
-        if name.startswith("set:")
-    }
-
-
-#: Archive member holding the payload checksum (not part of the payload).
-CHECKSUM_KEY = "__checksum__"
-
-
-def _payload_checksum(payload: Mapping[str, np.ndarray]) -> int:
-    """crc32 over the payload's names and array bytes, order-independent."""
-    crc = 0
-    for name in sorted(payload):
-        crc = zlib.crc32(name.encode("utf-8"), crc)
-        arr = np.ascontiguousarray(payload[name])
-        crc = zlib.crc32(str(arr.dtype).encode("utf-8"), crc)
-        crc = zlib.crc32(arr.tobytes(), crc)
-    return crc
-
-
-#: Process-wide sequence for unique temp-file names.  Two threads (or
-#: two caches) in one process writing the same entry still get distinct
-#: temp paths; distinct processes are separated by pid.
-_TMP_SEQ = itertools.count()
-
-
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Publish ``data`` under ``path`` via unique temp name + ``os.replace``.
-
-    Lock-free concurrency-safe: every writer uses its own
-    ``.{name}.{pid}-{seq}.tmp`` in the same directory, so concurrent
-    runs sharing one store directory race only on the final atomic
-    rename — last writer wins, and no reader can ever observe a
-    half-written file under the final name.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{next(_TMP_SEQ)}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-class CorruptSpillError(RuntimeError):
-    """A spilled artifact failed its checksum or could not be decoded."""
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        stored_crc: int | None = None,
-        computed_crc: int | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.stored_crc = stored_crc
-        self.computed_crc = computed_crc
-
-
 class ArtifactCache:
-    """LRU artifact cache with size accounting and optional disk spill.
+    """Size-bounded in-memory LRU artifact cache.
 
     ``max_bytes`` bounds the in-memory footprint; once exceeded, least
-    recently used artifacts are evicted.  With a ``spill_dir``, evicted
-    artifacts whose value is an :class:`IPSet`, an ``{name: IPSet}``
-    mapping or a :class:`ContingencyTable` are written to
-    ``<spill_dir>/<key.token()>.npz`` instead of being dropped, and are
-    restored (counting as hits) on the next ``get``.
-
-    Spill files are written atomically (same-directory temp file +
-    ``os.replace``) and carry a crc32 checksum of their payload; a
-    file that fails verification on load is evicted and the request
-    degrades to a recomputing miss.  An optional
-    :class:`~repro.engine.faults.FaultInjector` can corrupt freshly
-    written spills (keyed by stage name and per-stage spill index) to
-    exercise exactly that path.
+    recently used artifacts are evicted (the sole remaining entry never
+    is).  Evicted artifacts are simply dropped: a persistent tier, when
+    wanted, is a :class:`~repro.engine.store.TieredStore` over this
+    cache.
     """
 
-    def __init__(
-        self,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        spill_dir: str | Path | None = None,
-        faults: "FaultInjector | None" = None,
-        observer: "Observer | None" = None,
-    ) -> None:
+    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
         self.max_bytes = max_bytes
-        self.spill_dir = Path(spill_dir) if spill_dir is not None else None
-        self.faults = faults
-        #: Telemetry sink for cache events (corrupt-spill warnings).  An
-        #: executor adopts its observer onto an unclaimed cache.
-        self.observer = observer
         self._entries: OrderedDict[ArtifactKey, Artifact] = OrderedDict()
-        self._spilled: dict[ArtifactKey, Path] = {}
-        self._spill_counts: dict[str, int] = {}
         self.current_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.spills = 0
-        self.restores = 0
-        self.corrupt_evictions = 0
-        #: Where the most recent hit was served from ("memory" or
-        #: "spill"); None after a miss.  Tiered stores extend this with
-        #: "persistent" so stage records can attribute their hits.
+        #: ``"memory"`` after a hit, None after a miss.  Tiered stores
+        #: extend this with ``"persistent"`` so stage records can
+        #: attribute their hits.
         self.last_hit_tier: str | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, key: ArtifactKey) -> bool:
-        return key in self._entries or key in self._spilled
+        return key in self._entries
 
     def get(self, key: ArtifactKey) -> Any:
-        """The cached value, or the :data:`MISS` sentinel.
-
-        A spilled entry is checksum-verified on load; a truncated or
-        garbled file is evicted (unlinked and forgotten, counted in
-        ``corrupt_evictions``) and the request degrades to a miss, so
-        the stage simply recomputes instead of consuming bad data.
-        """
+        """The cached value, or the :data:`MISS` sentinel."""
         entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            self.last_hit_tier = "memory"
-            return entry.value
-        path = self._spilled.get(key)
-        if path is not None and path.exists():
-            try:
-                value = self._load_spill(path)
-            except CorruptSpillError as exc:
-                del self._spilled[key]
-                path.unlink(missing_ok=True)
-                self.corrupt_evictions += 1
-                self._warn_corrupt(key, path, exc)
-            else:
-                del self._spilled[key]
-                self.restores += 1
-                self.hits += 1
-                self.last_hit_tier = "spill"
-                self.put(key, value)
-                return value
-        self.misses += 1
-        self.last_hit_tier = None
-        return MISS
-
-    @staticmethod
-    def _load_spill(path: Path) -> Any:
-        """Decode and verify one spill file (raises on any corruption)."""
-        try:
-            with np.load(path) as archive:
-                payload = {name: archive[name] for name in archive.files}
-        except Exception as exc:  # truncated zip, bad header, short read
-            raise CorruptSpillError(f"unreadable spill {path.name}") from exc
-        checksum = payload.pop(CHECKSUM_KEY, None)
-        if checksum is None or not payload:
-            raise CorruptSpillError(f"spill {path.name} has no checksum")
-        stored = int(checksum)
-        computed = _payload_checksum(payload)
-        if stored != computed:
-            raise CorruptSpillError(
-                f"checksum mismatch in {path.name}: "
-                f"stored crc32 {stored:#010x} != computed {computed:#010x}",
-                stored_crc=stored,
-                computed_crc=computed,
-            )
-        return _restore_payload(payload)
+        if entry is None:
+            self.misses += 1
+            self.last_hit_tier = None
+            return MISS
+        self._entries.move_to_end(key)
+        self.hits += 1
+        self.last_hit_tier = "memory"
+        return entry.value
 
     def put(self, key: ArtifactKey, value: Any) -> None:
         """Insert (or refresh) an artifact, evicting LRU entries as needed."""
@@ -313,67 +141,10 @@ class ArtifactCache:
             self.current_bytes -= old.nbytes
         self._entries[key] = Artifact(key=key, value=value, nbytes=nbytes)
         self.current_bytes += nbytes
-        self._evict()
-
-    def _evict(self) -> None:
         while self.current_bytes > self.max_bytes and len(self._entries) > 1:
-            evicted_key, artifact = self._entries.popitem(last=False)
+            _, artifact = self._entries.popitem(last=False)
             self.current_bytes -= artifact.nbytes
             self.evictions += 1
-            if self.spill_dir is not None:
-                payload = _spill_payload(artifact.value)
-                if payload is not None:
-                    self._write_spill(evicted_key, payload)
-
-    def _write_spill(
-        self, key: ArtifactKey, payload: dict[str, np.ndarray]
-    ) -> None:
-        """Atomically write one checksummed spill file.
-
-        The archive lands in a same-directory temp file first and is
-        published with ``os.replace``, so a worker killed mid-write can
-        never leave a truncated ``.npz`` under the final name for a
-        later run to load.
-        """
-        self.spill_dir.mkdir(parents=True, exist_ok=True)
-        path = self.spill_dir / f"{key.token()}.npz"
-        tmp = path.with_name(
-            f".{path.name}.{os.getpid()}-{next(_TMP_SEQ)}.tmp"
-        )
-        checksum = np.array(_payload_checksum(payload), dtype=np.uint64)
-        try:
-            # Write through a file object: savez would append another
-            # ".npz" to a bare temp-file *name*, breaking the replace.
-            with open(tmp, "wb") as fh:
-                np.savez_compressed(fh, **payload, **{CHECKSUM_KEY: checksum})
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        self._spilled[key] = path
-        self.spills += 1
-        index = self._spill_counts.get(key.stage, 0)
-        self._spill_counts[key.stage] = index + 1
-        if self.faults is not None:
-            self.faults.corrupt_spill(key.stage, index, path)
-
-    def _warn_corrupt(
-        self, key: ArtifactKey, path: Path, exc: CorruptSpillError
-    ) -> None:
-        """Surface a corrupt-entry eviction: structured event + warning log."""
-        attrs: dict[str, Any] = {
-            "key": key.token(),
-            "stage": key.stage,
-            "path": str(path),
-            "error": str(exc),
-        }
-        if exc.stored_crc is not None:
-            attrs["stored_crc"] = f"{exc.stored_crc:#010x}"
-            attrs["computed_crc"] = f"{exc.computed_crc:#010x}"
-        if self.observer is not None:
-            self.observer.event("cache.corrupt_spill", level="warning", **attrs)
-        else:
-            detail = " ".join(f"{k}={v}" for k, v in attrs.items())
-            logger.warning("cache.corrupt_spill %s", detail)
 
     def stats(self) -> dict[str, int]:
         """Counters snapshot for reports and benches."""
@@ -383,9 +154,6 @@ class ArtifactCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "spills": self.spills,
-            "restores": self.restores,
-            "corrupt_evictions": self.corrupt_evictions,
         }
 
     def describe(self) -> dict[str, Any]:
@@ -393,7 +161,6 @@ class ArtifactCache:
         return {
             "backend": "memory",
             "max_bytes": self.max_bytes,
-            "spill_dir": str(self.spill_dir) if self.spill_dir else None,
             "key_schema": KEY_SCHEMA_VERSION,
         }
 

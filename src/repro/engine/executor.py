@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping, Sequence
 
-from repro._aliases import resolve_deprecated_aliases
 from repro.core import fitkernel
 from repro.core.stratified import Labeler, StratifiedEstimate, stratified_estimate
 from repro.engine.artifacts import MISS, ArtifactCache, ArtifactKey, artifact_nbytes
@@ -78,27 +77,13 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-#: Deprecated ExecutionPolicy keyword spellings -> canonical names.
-_POLICY_ALIASES = {
-    "max_retries": "retries",
-    "timeout_s": "task_timeout",
-    "timeout": "task_timeout",
-}
-
-_UNSET = object()
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ExecutionPolicy:
     """How the executor treats failing, hanging or worker-killing tasks.
 
     The policy never changes *what* a run computes — stages are pure,
     so a retried task converges to the same artifact — only whether a
     partial failure takes the whole run down with it.
-
-    Deprecated keyword aliases (``max_retries``, ``timeout_s``,
-    ``timeout``) are accepted with a :class:`DeprecationWarning` and
-    resolve to their canonical fields.
     """
 
     #: Extra attempts after the first, per stage resolution / pool task.
@@ -119,52 +104,13 @@ class ExecutionPolicy:
     #: re-raising (the surviving tasks still produce their estimates).
     degrade: bool = True
 
-    def __init__(
-        self,
-        retries: int = _UNSET,  # type: ignore[assignment]
-        backoff_base: float = _UNSET,  # type: ignore[assignment]
-        backoff_max: float = _UNSET,  # type: ignore[assignment]
-        jitter: float = _UNSET,  # type: ignore[assignment]
-        task_timeout: float | None = _UNSET,  # type: ignore[assignment]
-        pool_kill_limit: int = _UNSET,  # type: ignore[assignment]
-        serial_fallback: bool = _UNSET,  # type: ignore[assignment]
-        degrade: bool = _UNSET,  # type: ignore[assignment]
-        **deprecated: Any,
-    ) -> None:
-        defaults = {
-            "retries": 1,
-            "backoff_base": 0.05,
-            "backoff_max": 2.0,
-            "jitter": 0.25,
-            "task_timeout": None,
-            "pool_kill_limit": 2,
-            "serial_fallback": True,
-            "degrade": True,
-        }
-        explicit = {
-            name: value
-            for name, value in (
-                ("retries", retries),
-                ("backoff_base", backoff_base),
-                ("backoff_max", backoff_max),
-                ("jitter", jitter),
-                ("task_timeout", task_timeout),
-                ("pool_kill_limit", pool_kill_limit),
-                ("serial_fallback", serial_fallback),
-                ("degrade", degrade),
+    def __post_init__(self) -> None:
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if self.task_timeout is not None and not self.task_timeout > 0:
+            raise ValueError(
+                f"task_timeout must be > 0 (or None), got {self.task_timeout}"
             )
-            if value is not _UNSET
-        }
-        for name, value in resolve_deprecated_aliases(
-            "ExecutionPolicy", deprecated, _POLICY_ALIASES
-        ).items():
-            if name in explicit:
-                raise TypeError(
-                    f"ExecutionPolicy() got both {name!r} and its deprecated alias"
-                )
-            explicit[name] = value
-        for name, default in defaults.items():
-            object.__setattr__(self, name, explicit.get(name, default))
 
 
 @dataclass
@@ -381,9 +327,11 @@ class Executor:
         self.faults = faults
         self.observer = observer if observer is not None else Observer.disabled()
         # `is not None`, not `or`: an empty cache/report is falsy.
-        self.cache = cache if cache is not None else ArtifactCache(faults=faults)
+        self.cache = cache if cache is not None else ArtifactCache()
         self.report = report if report is not None else RunReport()
-        if self.cache.observer is None:
+        # A persistent store nobody gave an observer reports its corrupt
+        # entries to this run's (a bare memory cache has no events).
+        if hasattr(self.cache, "observer") and self.cache.observer is None:
             self.cache.observer = self.observer
         # Always set — including to None: a store-less executor must not
         # inherit the persistent warm-start store of a previous one.
@@ -744,7 +692,7 @@ class Executor:
                 )
         # Return the computed objects directly: presence in the cache is
         # not a proxy for success (a tiny budget can evict a fresh
-        # WindowResult, which has no spillable payload).
+        # WindowResult).
         out = []
         for w in windows:
             if w in computed:

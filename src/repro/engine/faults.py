@@ -2,10 +2,10 @@
 
 Combining nine heterogeneous measurement feeds only works if a run
 survives the partial failures that real feeds exhibit — crashed
-workers, hung fits, truncated spill files.  This module provides the
-:class:`FaultInjector`: a seeded, picklable source of injected
-failures (exceptions, delays, worker kills, spill corruption) keyed by
-``(stage, task index, attempt)``, so every recovery path of the
+workers, hung fits, truncated store entries.  This module provides
+the :class:`FaultInjector`: a seeded, picklable source of injected
+failures (exceptions, delays, worker kills, store-entry corruption)
+keyed by ``(stage, task index, attempt)``, so every recovery path of the
 executor's :class:`~repro.engine.executor.ExecutionPolicy` — retry,
 timeout, pool respawn, serial fallback, degradation — can be driven
 deterministically from a test or from the CLI's ``--inject-faults``
@@ -162,9 +162,9 @@ class FaultInjector:
                 )
 
     def corrupt_spill(self, stage: str, index: int, path: Path) -> bool:
-        """Garble a freshly spilled artifact if a ``corrupt`` spec matches.
+        """Garble a freshly written store entry if a ``corrupt`` spec matches.
 
-        ``index`` counts spills per stage (assigned by the cache).
+        ``index`` counts entry writes per stage (assigned by the store).
         Corruption XORs a byte run in the tail of the file — the file
         stays openable often enough to exercise the checksum path, and
         a destroyed zip directory exercises the load-error path.

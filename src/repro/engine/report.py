@@ -35,8 +35,8 @@ class StageRecord:
     input_bytes: int = 0
     output_bytes: int = 0
     worker: str = "main"
-    #: Which store tier served a cache hit ("memory", "spill" or
-    #: "persistent"); None for misses and for stores without tiers.
+    #: Which store tier served a cache hit ("memory" or "persistent");
+    #: None for misses and for stores without tiers.
     tier: str | None = None
     #: Fit-kernel counter delta attributed to this execution (None when
     #: the stage ran no fits, e.g. cache hits and pure-IO stages).

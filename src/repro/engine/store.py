@@ -1,13 +1,13 @@
 """Pluggable artifact stores: in-memory tier + persistent local backend.
 
-PR 1's :class:`~repro.engine.artifacts.ArtifactCache` is a per-run LRU
+The :class:`~repro.engine.artifacts.ArtifactCache` is a per-run LRU
 that dies with the Executor; window sweeps, sensitivity grids and
-cross-validation folds therefore start cold in every process.  This
-module promotes the storage layer to an :class:`ArtifactStore`
+cross-validation folds would therefore start cold in every process.
+This module provides the storage layer's :class:`ArtifactStore`
 interface with two backends:
 
-* the existing :class:`~repro.engine.artifacts.ArtifactCache`
-  (registered as a virtual subclass) — fast, process-local, evicting;
+* the :class:`~repro.engine.artifacts.ArtifactCache` (registered as a
+  virtual subclass) — fast, process-local, evicting;
 * :class:`LocalStore` — a persistent local-directory backend that
   stores payloads *content-addressed* by the canonical key digest
   (:meth:`~repro.engine.artifacts.ArtifactKey.digest`), survives the
@@ -20,7 +20,8 @@ workers rebuild the same tiered store from its picklable :meth:`spec`,
 so a window computed by one worker is readable by every other — and by
 next week's run.
 
-On-disk layout (``token = f"{stage}-{digest[:16]}"``)::
+This is the only module that knows the on-disk entry format.  Layout
+(``token = f"{stage}-{digest[:16]}"``)::
 
     <root>/v2/<stage>/<token>.npz    array payloads (IPSet, tables, ...)
     <root>/v2/<stage>/<token>.pkl    everything else (crc-framed pickle)
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import abc
 import io
+import itertools
 import logging
 import os
 import pickle
@@ -45,23 +47,19 @@ import struct
 import time
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 import numpy as np
 
 from repro._canonical import KEY_SCHEMA_VERSION
+from repro.core.histories import ContingencyTable
 from repro.engine.artifacts import (
-    CHECKSUM_KEY,
     DEFAULT_MAX_BYTES,
     MISS,
     ArtifactCache,
     ArtifactKey,
-    CorruptSpillError,
-    _payload_checksum,
-    _restore_payload,
-    _spill_payload,
-    atomic_write_bytes,
 )
+from repro.ipspace.ipset import IPSet
 
 if TYPE_CHECKING:
     from repro.engine.faults import FaultInjector
@@ -76,6 +74,96 @@ _PICKLE_HEADER = struct.Struct("<4sI")
 #: Temp files older than this are presumed orphaned by a killed writer
 #: and are swept during :meth:`LocalStore.gc`.
 STALE_TMP_SECONDS = 3600.0
+
+
+# -- entry codec ------------------------------------------------------------
+
+
+def _spill_payload(value: Any) -> dict[str, np.ndarray] | None:
+    """Encode an array-backed artifact as named arrays (None if unsupported)."""
+    if isinstance(value, IPSet):
+        return {"__ipset__": value.addresses}
+    if isinstance(value, ContingencyTable):
+        names = np.array(list(value.source_names), dtype=np.str_)
+        return {"__table_counts__": value.counts, "__table_names__": names}
+    if (
+        isinstance(value, Mapping)
+        and value
+        and all(isinstance(v, IPSet) for v in value.values())
+    ):
+        return {f"set:{name}": s.addresses for name, s in value.items()}
+    return None
+
+
+def _restore_payload(payload: Mapping[str, np.ndarray]) -> Any:
+    """Inverse of :func:`_spill_payload`."""
+    if "__ipset__" in payload:
+        return IPSet.from_sorted_unique(payload["__ipset__"].astype(np.uint32))
+    if "__table_counts__" in payload:
+        counts = payload["__table_counts__"].astype(np.int64)
+        names = tuple(str(n) for n in payload["__table_names__"])
+        num_sources = int(np.log2(counts.size))
+        return ContingencyTable(num_sources, counts, names)
+    return {
+        name[len("set:"):]: IPSet.from_sorted_unique(
+            payload[name].astype(np.uint32)
+        )
+        for name in payload
+        if name.startswith("set:")
+    }
+
+
+#: Archive member holding the payload checksum (not part of the payload).
+CHECKSUM_KEY = "__checksum__"
+
+
+def _payload_checksum(payload: Mapping[str, np.ndarray]) -> int:
+    """crc32 over the payload's names and array bytes, order-independent."""
+    crc = 0
+    for name in sorted(payload):
+        crc = zlib.crc32(name.encode("utf-8"), crc)
+        arr = np.ascontiguousarray(payload[name])
+        crc = zlib.crc32(str(arr.dtype).encode("utf-8"), crc)
+        crc = zlib.crc32(arr.tobytes(), crc)
+    return crc
+
+
+#: Process-wide sequence for unique temp-file names.  Two threads (or
+#: two stores) in one process writing the same entry still get distinct
+#: temp paths; distinct processes are separated by pid.
+_TMP_SEQ = itertools.count()
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Publish ``data`` under ``path`` via unique temp name + ``os.replace``.
+
+    Lock-free concurrency-safe: every writer uses its own
+    ``.{name}.{pid}-{seq}.tmp`` in the same directory, so concurrent
+    runs sharing one store directory race only on the final atomic
+    rename — last writer wins, and no reader can ever observe a
+    half-written file under the final name.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{next(_TMP_SEQ)}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+class CorruptSpillError(RuntimeError):
+    """A store entry failed its checksum or could not be decoded."""
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        stored_crc: int | None = None,
+        computed_crc: int | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.stored_crc = stored_crc
+        self.computed_crc = computed_crc
 
 
 class ArtifactStore(abc.ABC):
@@ -114,8 +202,8 @@ class ArtifactStore(abc.ABC):
         return None
 
 
-# The LRU cache predates the interface and must not import this module;
-# it satisfies the contract structurally, so register it.
+# The LRU cache must not import this module (the store imports it); it
+# satisfies the contract structurally, so register it.
 ArtifactStore.register(ArtifactCache)
 
 
@@ -203,7 +291,7 @@ class LocalStore(ArtifactStore):
         except CorruptSpillError as exc:
             path.unlink(missing_ok=True)
             self.corrupt_entries += 1
-            self._warn_corrupt(key, path, exc)
+            _warn_corrupt_entry(self.observer, key, path, exc)
             self.misses += 1
             return MISS
         except OSError as exc:  # racing gc/unlink: plain miss
@@ -294,11 +382,6 @@ class LocalStore(ArtifactStore):
             raise CorruptSpillError(
                 f"undecodable store entry {path.name}"
             ) from exc
-
-    def _warn_corrupt(
-        self, key: ArtifactKey, path: Path, exc: CorruptSpillError
-    ) -> None:
-        _warn_corrupt_entry(self.observer, key, path, exc)
 
     # -- accounting and maintenance ---------------------------------------
 
@@ -505,8 +588,8 @@ class TieredStore(ArtifactStore):
     ``get`` serves from memory when possible and falls back to the
     persistent directory, promoting the value into the memory tier;
     ``put`` lands in both.  :attr:`last_hit_tier` records where the
-    most recent hit came from (``"memory"``, ``"spill"`` or
-    ``"persistent"``) so stage records can attribute their cache hits.
+    most recent hit came from (``"memory"`` or ``"persistent"``) so
+    stage records can attribute their cache hits.
     """
 
     def __init__(self, memory: ArtifactCache, persistent: LocalStore) -> None:
@@ -519,16 +602,15 @@ class TieredStore(ArtifactStore):
         self.misses = 0
         self.last_hit_tier: str | None = None
 
-    # The engine adopts its observer onto an unclaimed cache; propagate
-    # the adoption to every tier.
+    # The engine adopts its observer onto an unclaimed store; only the
+    # persistent tiers report events (corrupt entries).
     @property
     def observer(self) -> "Observer | None":
-        """Shared observer; assignment propagates to every tier."""
-        return self.memory.observer
+        """Observer of the persistent tiers; assignment sets both."""
+        return self.persistent.observer
 
     @observer.setter
     def observer(self, value: "Observer | None") -> None:
-        self.memory.observer = value
         self.persistent.observer = value
         self.fitmemo.observer = value
 
@@ -540,7 +622,7 @@ class TieredStore(ArtifactStore):
         value = self.memory.get(key)
         if value is not MISS:
             self.hits += 1
-            self.last_hit_tier = self.memory.last_hit_tier
+            self.last_hit_tier = "memory"
             return value
         value = self.persistent.get(key)
         if value is not MISS:
@@ -599,9 +681,7 @@ def open_store(
     ``open_store(**spec)`` with the parent's :meth:`TieredStore.spec`,
     sharing the persistent directory while keeping private memory tiers.
     """
-    memory = ArtifactCache(max_bytes=memory_bytes, faults=faults)
-    persistent = LocalStore(path, observer=observer, faults=faults)
-    store = TieredStore(memory, persistent)
-    if observer is not None:
-        store.observer = observer
-    return store
+    return TieredStore(
+        ArtifactCache(max_bytes=memory_bytes),
+        LocalStore(path, observer=observer, faults=faults),
+    )

@@ -11,7 +11,7 @@ and writes one run directory:
   trace.jsonl    one completed span per line (run → stage → task → fit)
   metrics.json   counters / gauges / histograms, structured
   metrics.prom   the same registry in Prometheus text exposition
-  events.jsonl   structured warning/info events (e.g. corrupt spills)
+  events.jsonl   structured warning/info events (e.g. corrupt store entries)
   report.json    the RunReport (per-stage records), when one was passed
 ```
 

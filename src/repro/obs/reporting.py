@@ -135,10 +135,7 @@ def render_run_report(run_dir: str | Path, top: int = 10) -> str:
             "",
             f"cache: {int(hits)} hits / {int(misses)} misses "
             f"({rate:.1%} hit rate), "
-            f"{int(counters.get('cache_evictions_total', 0))} evictions, "
-            f"{int(counters.get('cache_spills_total', 0))} spills, "
-            f"{int(counters.get('cache_restores_total', 0))} restores, "
-            f"{int(counters.get('cache_corrupt_evictions_total', 0))} corrupt",
+            f"{int(counters.get('cache_evictions_total', 0))} evictions",
         ]
 
     # persistent store tiers

@@ -20,10 +20,8 @@ campaigns through :class:`~repro.service.campaign.CampaignSpec`.
     an observation-delta journal; ``stream()`` is the incremental
     estimator, ``sweep()`` closes every coverable window through it.
 
-The legacy constructors keep working (with a
-:class:`DeprecationWarning` for external callers); a ``Session``
-constructs them internally, so adopting the facade never changes what
-is computed.
+A ``Session`` constructs those classes internally, so adopting the
+facade never changes what is computed.
 """
 
 from __future__ import annotations

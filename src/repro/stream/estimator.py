@@ -308,7 +308,7 @@ class StreamEstimator:
         them.
         """
         if self._executor is None or self._executor_version != self._version:
-            cache = ArtifactCache(faults=self.faults)
+            cache = ArtifactCache()
             cache.fitmemo = getattr(self.store, "fitmemo", None)
             self._executor = Executor(
                 self.internet,

@@ -72,6 +72,11 @@ class TestPipelineConfig:
         assert est.options.criterion == "bic"
         assert est.options.limit is not None
 
+    def test_run_all_of_no_windows_runs_nothing(self, tiny_internet, tiny_sources):
+        pipeline = EstimationPipeline(tiny_internet, tiny_sources)
+        assert pipeline.run_all([]) == []
+        assert pipeline.report.records == []
+
 
 class TestStratifiedViews:
     @pytest.mark.parametrize("kind", ["rir", "industry", "dynamic"])

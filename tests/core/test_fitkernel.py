@@ -41,7 +41,7 @@ class TestCholeskySolve:
         X = np.column_stack([np.ones(60), rng.normal(size=(60, 4))])
         w = rng.uniform(0.5, 3.0, size=60)
         z = rng.normal(size=60)
-        fast = fitkernel.weighted_least_squares(X, w, z)
+        fast = fitkernel.IrlsSolver(X).solve(w, z)
         sw = np.sqrt(w)
         slow, *_ = np.linalg.lstsq(X * sw[:, None], z * sw, rcond=None)
         np.testing.assert_allclose(fast, slow, rtol=1e-8, atol=1e-10)
@@ -53,7 +53,7 @@ class TestCholeskySolve:
         w = rng.uniform(0.5, 2.0, size=40)
         z = rng.normal(size=40)
         before = fitkernel.snapshot()
-        solution = fitkernel.weighted_least_squares(X, w, z)
+        solution = fitkernel.IrlsSolver(X).solve(w, z)
         delta = fitkernel.snapshot() - before
         assert delta.cholesky_fallbacks == 1
         assert np.all(np.isfinite(solution))
@@ -65,9 +65,7 @@ class TestCholeskySolve:
         rng = np.random.default_rng(5)
         X = np.column_stack([np.ones(30), rng.normal(size=(30, 2))])
         before = fitkernel.snapshot()
-        fitkernel.weighted_least_squares(
-            X, np.ones(30), rng.normal(size=30)
-        )
+        fitkernel.IrlsSolver(X).solve(np.ones(30), rng.normal(size=30))
         delta = fitkernel.snapshot() - before
         assert delta.cholesky_fallbacks == 0
 
@@ -354,28 +352,6 @@ class TestWarmStartValidation:
         assert not fitkernel.usable_warm_start(np.zeros(3), 4)
         assert not fitkernel.usable_warm_start(np.array([np.nan] * 4), 4)
         assert not fitkernel.usable_warm_start(None, 4)
-
-
-class TestOneShotSolverReuse:
-    def test_memoised_design_reuses_solver(self):
-        X, _ = design_matrix(4, main_effect_terms(4))  # read-only, cached
-        rng = np.random.default_rng(23)
-        w = rng.uniform(0.5, 2.0, size=X.shape[0])
-        z = rng.normal(size=X.shape[0])
-        fitkernel.weighted_least_squares(X, w, z)
-        solver = fitkernel._ONE_SHOT_SOLVERS.get(id(X))
-        assert solver is not None and solver._X is X
-        fitkernel.weighted_least_squares(X, w, z)
-        assert fitkernel._ONE_SHOT_SOLVERS.get(id(X)) is solver
-
-    def test_writable_designs_are_not_cached(self):
-        rng = np.random.default_rng(24)
-        X = np.column_stack([np.ones(30), rng.normal(size=(30, 3))])
-        w = rng.uniform(0.5, 2.0, size=30)
-        z = rng.normal(size=30)
-        before = dict(fitkernel._ONE_SHOT_SOLVERS)
-        fitkernel.weighted_least_squares(X, w, z)
-        assert fitkernel._ONE_SHOT_SOLVERS == before
 
 
 class TestBatchedEquivalenceProperty:

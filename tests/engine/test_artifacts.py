@@ -1,4 +1,4 @@
-"""The keyed artifact cache: LRU accounting, spill and restore."""
+"""The keyed artifact cache: keys, size accounting and LRU eviction."""
 
 import numpy as np
 import pytest
@@ -92,6 +92,7 @@ class TestLRUEviction:
         assert keys[1] in cache and keys[2] in cache
         assert cache.evictions == 1
         assert cache.current_bytes <= 1000
+        assert cache.get(keys[0]) is MISS  # evicted entries are dropped
 
     def test_get_refreshes_recency(self):
         cache = ArtifactCache(max_bytes=1000)
@@ -108,152 +109,3 @@ class TestLRUEviction:
         k = key()
         cache.put(k, ipset(1000))  # far over budget, but the only entry
         assert k in cache
-
-
-class TestSpill:
-    def test_ipset_spills_and_restores(self, tmp_path):
-        cache = ArtifactCache(max_bytes=500, spill_dir=tmp_path)
-        a, b = key(i=0), key(i=1)
-        first = ipset(100)
-        cache.put(a, first)
-        cache.put(b, ipset(100, start=1000))  # evicts + spills `a`
-        assert cache.spills == 1
-        assert list(tmp_path.glob("*.npz"))
-        assert a in cache  # spilled still counts as present
-        restored = cache.get(a)
-        assert restored is not MISS
-        assert np.array_equal(restored.addresses, first.addresses)
-        assert cache.restores == 1
-
-    def test_dataset_mapping_spills_and_restores(self, tmp_path):
-        cache = ArtifactCache(max_bytes=500, spill_dir=tmp_path)
-        sets = {"WEB": ipset(50), "IPING": ipset(30, start=500)}
-        a, b = key(i=0), key(i=1)
-        cache.put(a, sets)
-        cache.put(b, ipset(200))
-        restored = cache.get(a)
-        assert set(restored) == {"WEB", "IPING"}
-        for name in sets:
-            assert np.array_equal(
-                restored[name].addresses, sets[name].addresses
-            )
-
-    def test_table_spills_and_restores(self, tmp_path):
-        cache = ArtifactCache(max_bytes=40, spill_dir=tmp_path)
-        table = ContingencyTable(
-            2, np.array([0, 5, 3, 2]), source_names=("x", "y")
-        )
-        a, b = key(i=0), key(i=1)
-        cache.put(a, table)
-        cache.put(b, ipset(100))
-        restored = cache.get(a)
-        assert isinstance(restored, ContingencyTable)
-        assert np.array_equal(restored.counts, table.counts)
-        assert restored.source_names == ("x", "y")
-
-    def test_unspillable_artifacts_are_dropped(self, tmp_path):
-        cache = ArtifactCache(max_bytes=120, spill_dir=tmp_path)
-        a, b = key(i=0), key(i=1)
-        cache.put(a, np.zeros(25))  # plain ndarray: evictable, not spillable
-        cache.put(b, np.ones(25))
-        assert cache.evictions == 1 and cache.spills == 0
-        assert cache.get(a) is MISS
-
-    def test_no_spill_dir_means_plain_eviction(self):
-        cache = ArtifactCache(max_bytes=500)
-        a, b = key(i=0), key(i=1)
-        cache.put(a, ipset(100))
-        cache.put(b, ipset(100))
-        assert cache.get(a) is MISS
-        assert cache.spills == 0
-
-
-class TestSpillIntegrity:
-    def test_spill_write_is_atomic(self, tmp_path):
-        cache = ArtifactCache(max_bytes=64, spill_dir=tmp_path)
-        cache.put(key(i=0), ipset(100))
-        cache.put(key(i=1), ipset(100, start=200))  # evicts + spills i=0
-        leftovers = [p for p in tmp_path.iterdir() if p.suffix != ".npz"]
-        assert leftovers == []  # no temp files under any other name
-
-    def test_spill_carries_checksum(self, tmp_path):
-        from repro.engine.artifacts import CHECKSUM_KEY
-
-        cache = ArtifactCache(max_bytes=64, spill_dir=tmp_path)
-        cache.put(key(i=0), ipset(100))
-        cache.put(key(i=1), ipset(100, start=200))
-        (path,) = tmp_path.glob("*.npz")
-        with np.load(path) as archive:
-            assert CHECKSUM_KEY in archive.files
-
-    def test_truncated_spill_is_evicted_not_loaded(self, tmp_path):
-        cache = ArtifactCache(max_bytes=64, spill_dir=tmp_path)
-        a = key(i=0)
-        cache.put(a, ipset(100))
-        cache.put(key(i=1), ipset(100, start=200))
-        (path,) = tmp_path.glob("*.npz")
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        assert cache.get(a) is MISS
-        assert cache.corrupt_evictions == 1
-        assert not path.exists()
-
-    def test_bitflipped_spill_fails_checksum(self, tmp_path):
-        cache = ArtifactCache(max_bytes=64, spill_dir=tmp_path)
-        a = key(i=0)
-        cache.put(a, ipset(100))
-        cache.put(key(i=1), ipset(100, start=200))
-        (path,) = tmp_path.glob("*.npz")
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        path.write_bytes(bytes(data))
-        assert cache.get(a) is MISS
-        assert cache.corrupt_evictions == 1
-
-    def test_stats_count_corrupt_evictions(self, tmp_path):
-        cache = ArtifactCache(max_bytes=64, spill_dir=tmp_path)
-        assert cache.stats()["corrupt_evictions"] == 0
-
-
-class TestCorruptSpillEvents:
-    """Corrupt-entry eviction emits a structured warning (satellite of
-    the observability layer): key, path and the crc mismatch."""
-
-    def corrupt_one(self, tmp_path, observer=None):
-        cache = ArtifactCache(max_bytes=64, spill_dir=tmp_path, observer=observer)
-        a = key(i=0)
-        cache.put(a, ipset(100))
-        cache.put(key(i=1), ipset(100, start=200))
-        (path,) = tmp_path.glob("*.npz")
-        data = bytearray(path.read_bytes())
-        data[-20] ^= 0xFF  # flip a payload bit; npz structure survives
-        path.write_bytes(bytes(data))
-        assert cache.get(a) is MISS
-        return a
-
-    def test_event_carries_key_and_crc_mismatch(self, tmp_path):
-        from repro.obs.observer import Observer
-
-        obs = Observer()
-        a = self.corrupt_one(tmp_path, observer=obs)
-        (event,) = [e for e in obs.events if e["name"] == "cache.corrupt_spill"]
-        assert event["level"] == "warning"
-        assert event["key"] == a.token()
-        assert event["stage"] == a.stage
-        assert "spill" in event["error"]
-        assert obs.metrics.value("events_warning_total") == 1.0
-
-    def test_crc_values_attached_when_known(self, tmp_path):
-        from repro.obs.observer import Observer
-
-        obs = Observer()
-        self.corrupt_one(tmp_path, observer=obs)
-        (event,) = [e for e in obs.events if e["name"] == "cache.corrupt_spill"]
-        if "stored_crc" in event:  # structural damage has no crc pair
-            assert event["stored_crc"] != event["computed_crc"]
-
-    def test_without_observer_falls_back_to_logging(self, tmp_path, caplog):
-        import logging
-
-        with caplog.at_level(logging.WARNING, logger="repro.engine.artifacts"):
-            self.corrupt_one(tmp_path, observer=None)
-        assert "cache.corrupt_spill" in caplog.text

@@ -1,13 +1,11 @@
 """Fault injection and the executor's recovery paths.
 
 Every scenario here drives a real failure mode — injected exceptions,
-worker kills, hung tasks, corrupted spill files — through the engine
+worker kills, hung tasks, corrupted store entries — through the engine
 with a deterministic :class:`FaultInjector` and asserts both the
 recovery (results identical to a clean run) and the accounting
 (``retried`` / ``degraded`` records in the :class:`RunReport`).
 """
-
-import pathlib
 
 import numpy as np
 import pytest
@@ -23,9 +21,9 @@ from repro.engine import (
     FaultSpec,
     fan_out,
 )
-from repro.engine.artifacts import ArtifactCache
 from repro.engine.faults import backoff_seconds
 from repro.engine.report import RunReport
+from repro.engine.store import LocalStore, open_store
 from repro.simnet.internet import SimulationConfig, SyntheticInternet
 
 WINDOWS = [TimeWindow(2011.0, 2012.0), TimeWindow(2013.5, 2014.5)]
@@ -297,59 +295,66 @@ class TestSpillFaults:
         from repro.ipspace.ipset import IPSet
 
         faults = FaultInjector([FaultSpec("collect", "corrupt", index=0)])
-        cache = ArtifactCache(
-            max_bytes=64, spill_dir=tmp_path, faults=faults
-        )
+        store = LocalStore(tmp_path, faults=faults)
         key = ArtifactKey("collect", ("w",))
         value = IPSet.from_sorted_unique(np.arange(100, dtype=np.uint32))
-        cache.put(key, value)
-        cache.put(ArtifactKey("collect", ("w2",)), IPSet.empty())  # evict+spill
-        assert cache.get(key) is MISS
-        assert cache.corrupt_evictions == 1
-        assert not list(tmp_path.glob(f"{key.token()}*"))
+        store.put(key, value)  # first collect write: garbled on disk
+        assert store.get(key) is MISS
+        assert store.corrupt_entries == 1
+        assert not list(store.entries())
+        store.put(key, value)  # the recompute's write is the second: clean
+        assert np.array_equal(store.get(key).addresses, value.addresses)
+
+
+def _assert_same_windows(results, expected):
+    assert [r.window for r in results] == [r.window for r in expected]
+    for got, want in zip(results, expected):
+        assert got.estimate_addresses.population == (
+            want.estimate_addresses.population
+        )
+        for name in want.datasets:
+            assert np.array_equal(
+                got.datasets[name].addresses, want.datasets[name].addresses
+            )
 
 
 class TestFaultySweepAcceptance:
-    def test_kill_and_corrupt_sweep_matches_clean_run(
-        self, small_internet, tmp_path
-    ):
-        windows = [*WINDOWS, TimeWindow(2012.5, 2013.5)]
-        clean = Executor(small_internet)
-        expected = clean.run_windows(windows, workers=2)
+    SWEEP = [*WINDOWS, TimeWindow(2012.5, 2013.5)]
 
+    @pytest.fixture(scope="class")
+    def clean_results(self, small_internet):
+        return Executor(small_internet).run_windows(self.SWEEP)
+
+    def test_killed_worker_sweep_matches_clean_run(
+        self, small_internet, clean_results, tmp_path
+    ):
         faults = FaultInjector([
             FaultSpec("window_result", "kill", index=1, count=1),
-            FaultSpec("preprocess", "corrupt", index=0, count=1),
         ])
-        cache = ArtifactCache(
-            max_bytes=300_000, spill_dir=pathlib.Path(tmp_path), faults=faults
-        )
         engine = Executor(
             small_internet,
-            cache=cache,
+            cache=open_store(tmp_path),
             policy=ExecutionPolicy(retries=2, backoff_base=0.001),
             faults=faults,
         )
-        results = engine.run_windows(windows, workers=2)
-
-        assert [r.window for r in results] == [r.window for r in expected]
-        for got, want in zip(results, expected):
-            assert got.estimate_addresses.population == (
-                want.estimate_addresses.population
-            )
-            for name in want.datasets:
-                assert np.array_equal(
-                    got.datasets[name].addresses, want.datasets[name].addresses
-                )
+        results = engine.run_windows(self.SWEEP, workers=2)
+        _assert_same_windows(results, clean_results)
         assert engine.report.retried_records()
         assert engine.report.degraded_count == 0
 
-        # Serial re-derivation in the parent walks the spill files —
-        # including the corrupted one, which must be evicted and
-        # recomputed rather than parsed into a wrong estimate.
-        rereads = [engine.window_result(w) for w in windows]
-        for got, want in zip(rereads, expected):
-            assert got.estimate_addresses.population == (
-                want.estimate_addresses.population
-            )
-        assert cache.corrupt_evictions >= 1
+    def test_corrupt_entry_recomputed_on_reread(
+        self, small_internet, clean_results, tmp_path
+    ):
+        # Serial: pool workers' stores carry no injector, and the
+        # parent's put of an entry a worker already wrote is a skip.
+        faults = FaultInjector([FaultSpec("window_result", "corrupt", index=0)])
+        cold = Executor(small_internet, cache=open_store(tmp_path, faults=faults))
+        _assert_same_windows(cold.run_windows(self.SWEEP), clean_results)
+
+        # A fresh executor and store over the same directory reread every
+        # window from disk; the garbled entry must be recomputed, never
+        # parsed into an estimate.
+        store = open_store(tmp_path)
+        warm = Executor(small_internet, cache=store)
+        _assert_same_windows(warm.run_windows(self.SWEEP), clean_results)
+        assert store.persistent.corrupt_entries == 1

@@ -13,7 +13,6 @@ import dataclasses
 import os
 
 import numpy as np
-import pytest
 
 from repro._canonical import (
     KEY_SCHEMA_VERSION,
@@ -26,6 +25,7 @@ from repro.core.histories import ContingencyTable
 from repro.engine import Executor
 from repro.engine.artifacts import MISS, ArtifactCache, ArtifactKey
 from repro.engine.store import (
+    CHECKSUM_KEY,
     ArtifactStore,
     FitMemoStore,
     LocalStore,
@@ -218,6 +218,11 @@ class TestLocalStoreCorruption:
         (path,) = store.entries()
         return store, k, path
 
+    def test_npz_entry_carries_checksum(self, tmp_path):
+        store, k, path = self.put_one(tmp_path)
+        with np.load(path) as archive:
+            assert CHECKSUM_KEY in archive.files
+
     def test_truncated_npz_degrades_to_miss(self, tmp_path):
         store, k, path = self.put_one(tmp_path)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
@@ -408,7 +413,7 @@ class TestTieredStore:
         store = open_store(tmp_path)
         obs = Observer()
         store.observer = obs
-        assert store.memory.observer is obs
+        assert store.observer is obs
         assert store.persistent.observer is obs
         assert store.fitmemo.observer is obs
 

@@ -76,8 +76,7 @@ class TestAbsorbEngineAccounting:
         def stats(self):
             return {
                 "entries": 3, "bytes": 100, "hits": 4, "misses": 6,
-                "evictions": 1, "spills": 0, "restores": 0,
-                "corrupt_evictions": 0,
+                "evictions": 1,
             }
 
     def test_cache_only(self):

@@ -55,6 +55,18 @@ class TestParser:
             assert excinfo.value.code == 2
             assert "must be >= 1" in capsys.readouterr().err
 
+    def test_out_of_range_fault_tolerance_is_a_parse_error(self, capsys):
+        for argv, message in (
+            (["--retries", "-1", "windows"], "--retries must be >= 0"),
+            (["--retries", "-1", "campaign", "submit"], "--retries must be >= 0"),
+            (["--task-timeout", "0", "windows"], "--task-timeout must be > 0"),
+            (["--task-timeout", "-5", "windows"], "--task-timeout must be > 0"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2
+            assert message in capsys.readouterr().err
+
     def test_workers_help_not_duplicated(self, capsys):
         # One canonical --workers definition via the shared parent
         # parser: each command's help shows the flag exactly once in

@@ -1,4 +1,4 @@
-"""The stream CLI: normalized flags, deprecated spellings, end-to-end parity."""
+"""The stream CLI: normalized flags, removed spellings, end-to-end parity."""
 
 import json
 
@@ -58,32 +58,12 @@ class TestFlagNormalization:
         )
         assert args.store == "late"
 
-    @pytest.mark.parametrize(
-        ("deprecated", "canonical", "value"),
-        [
-            ("--artifact-store", "store", "s"),
-            ("--quarantine", "quarantine_policy", "strict"),
-            ("--trace-dir", "trace", "t"),
-            ("--metrics", "metrics_out", "m.prom"),
-        ],
-    )
-    def test_deprecated_spellings_warn_and_map(
-        self, deprecated, canonical, value
-    ):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            args = build_parser().parse_args(["estimate", deprecated, value])
-        assert getattr(args, canonical) == value
-
-    def test_deprecated_inject_fault_appends(self):
-        with pytest.warns(DeprecationWarning, match="--inject-faults"):
-            args = build_parser().parse_args(
-                [
-                    "estimate",
-                    "--inject-fault", "fit:error",
-                    "--inject-fault", "preprocess:corrupt",
-                ]
-            )
-        assert len(args.inject_faults) == 2
+    @pytest.mark.parametrize("spelling", ["--artifact-store", "--trace-dir"])
+    def test_removed_spellings_exit_2(self, spelling, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["estimate", spelling, "x"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_deprecated_spellings_are_hidden_from_help(self, capsys):
         with pytest.raises(SystemExit):

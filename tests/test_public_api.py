@@ -1,8 +1,8 @@
-"""The consolidated public surface and its deprecation shims.
+"""The consolidated public surface and its plain config dataclasses.
 
 `repro.__all__` is a contract: star-import exposes exactly the
-documented names.  Renamed keywords keep working through
-`DeprecationWarning` aliases that resolve to identical objects.
+documented names.  The config dataclasses accept only their canonical
+keywords; the historical alias spellings are ordinary unknown keywords.
 """
 
 import dataclasses
@@ -52,27 +52,19 @@ class TestStarImport:
 
 
 class TestExecutionPolicyAliases:
-    def test_canonical_and_alias_resolve_identically(self):
-        with pytest.warns(DeprecationWarning, match="max_retries"):
-            aliased = ExecutionPolicy(max_retries=3)
-        assert aliased == ExecutionPolicy(retries=3)
-        assert hash(aliased) == hash(ExecutionPolicy(retries=3))
+    def test_max_retries_alias(self):
+        with pytest.raises(TypeError, match="unexpected keyword.*max_retries"):
+            ExecutionPolicy(max_retries=3)
 
     def test_timeout_aliases(self):
-        canonical = ExecutionPolicy(task_timeout=5.0)
         for spelling in ("timeout_s", "timeout"):
-            with pytest.warns(DeprecationWarning, match="task_timeout"):
-                assert ExecutionPolicy(**{spelling: 5.0}) == canonical
+            with pytest.raises(TypeError, match=f"unexpected keyword.*{spelling}"):
+                ExecutionPolicy(**{spelling: 5.0})
 
     def test_canonical_spelling_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ExecutionPolicy(retries=2, task_timeout=1.0)
-
-    def test_both_spellings_conflict(self):
-        with pytest.raises(TypeError, match="retries"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            ExecutionPolicy(retries=1, max_retries=2)
 
     def test_unknown_kwarg_still_a_type_error(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
@@ -83,17 +75,22 @@ class TestExecutionPolicyAliases:
         assert dataclasses.replace(policy, retries=3).retries == 3
         assert dataclasses.asdict(policy)["retries"] == 2
 
+    def test_out_of_range_values_rejected(self):
+        with pytest.raises(ValueError, match="retries"):
+            ExecutionPolicy(retries=-1)
+        for timeout in (0, -1.0):
+            with pytest.raises(ValueError, match="task_timeout"):
+                ExecutionPolicy(task_timeout=timeout)
+
 
 class TestEstimatorOptionsAliases:
     def test_truncation_limit_alias(self):
-        with pytest.warns(DeprecationWarning, match="limit"):
-            aliased = EstimatorOptions(truncation_limit=100.0)
-        assert aliased == EstimatorOptions(limit=100.0)
+        with pytest.raises(TypeError, match="unexpected keyword.*truncation_limit"):
+            EstimatorOptions(truncation_limit=100.0)
 
     def test_min_observed_alias(self):
-        with pytest.warns(DeprecationWarning, match="min_stratum_observed"):
-            aliased = EstimatorOptions(min_observed=5)
-        assert aliased == EstimatorOptions(min_stratum_observed=5)
+        with pytest.raises(TypeError, match="unexpected keyword.*min_observed"):
+            EstimatorOptions(min_observed=5)
 
     def test_canonical_spelling_does_not_warn(self):
         with warnings.catch_warnings():

@@ -1,12 +1,9 @@
-"""The unified Session facade and the legacy-constructor shims."""
-
-import warnings
+"""The unified Session facade."""
 
 import numpy as np
 import pytest
 
 from repro import Session
-from repro.analysis.pipeline import EstimationPipeline
 from repro.core.estimator import CaptureRecapture
 from repro.engine.stages import PipelineOptions
 from repro.stream.estimator import StreamEstimator
@@ -64,9 +61,7 @@ class TestModeGating:
 
 class TestFacadeEquivalence:
     def test_from_sets_matches_capture_recapture(self, toy_sets):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = CaptureRecapture(toy_sets).estimate()
+        legacy = CaptureRecapture(toy_sets).estimate()
         unified = Session.from_sets(toy_sets).estimate()
         assert unified.population == pytest.approx(legacy.population)
         assert unified.observed == legacy.observed
@@ -128,20 +123,3 @@ class TestFacadeEquivalence:
         assert spec.drop_sources == ("WIKI",)
         assert len(spec.windows) == 11
         assert spec.options == options
-
-
-class TestDeprecationShims:
-    def test_capture_recapture_warns_externally(self, toy_sets):
-        with pytest.warns(DeprecationWarning, match="Session.from_sets"):
-            CaptureRecapture(toy_sets)
-
-    def test_estimation_pipeline_warns_externally(
-        self, tiny_internet, tiny_sources
-    ):
-        with pytest.warns(DeprecationWarning, match="Session.from_simulation"):
-            EstimationPipeline(tiny_internet, tiny_sources)
-
-    def test_session_internal_use_is_silent(self, toy_sets):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            Session.from_sets(toy_sets).estimate()
