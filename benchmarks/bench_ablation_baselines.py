@@ -22,8 +22,8 @@ from repro.ipspace.ipset import IPSet
 from benchmarks.conftest import BENCH_SCALE
 
 
-def run(pipeline, window, truth):
-    datasets = pipeline.datasets(window)
+def run(executor, window, truth):
+    datasets = executor.datasets(window)
     union = len(IPSet.empty().union(*datasets.values()))
     lp_estimates = {}
     for a, b in combinations(datasets, 2):
@@ -34,17 +34,17 @@ def run(pipeline, window, truth):
         lp_estimates[(a, b)] = lp.population
     table = tabulate_histories(datasets)
     chao = chao_estimate(table).population
-    llm = pipeline.run_window(window).estimated_addresses
+    llm = executor.window_result(window).estimated_addresses
     return union, lp_estimates, chao, llm
 
 
-def test_ablation_baselines(benchmark, bench_pipeline, bench_internet,
+def test_ablation_baselines(benchmark, bench_executor, bench_internet,
                             last_window):
     truth = bench_internet.truth_used_addresses(
         last_window.start, last_window.end
     )
     union, lp_estimates, chao, llm = benchmark.pedantic(
-        run, args=(bench_pipeline, last_window, truth), rounds=1, iterations=1
+        run, args=(bench_executor, last_window, truth), rounds=1, iterations=1
     )
     lp_values = np.array(list(lp_estimates.values()))
     best_pair = min(lp_estimates, key=lambda k: abs(lp_estimates[k] - truth))

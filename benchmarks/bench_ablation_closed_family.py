@@ -14,17 +14,17 @@ from repro.core.histories import tabulate_histories
 from benchmarks.conftest import BENCH_SCALE
 
 
-def run(pipeline, window):
-    table = tabulate_histories(pipeline.datasets(window))
+def run(executor, window):
+    table = tabulate_histories(executor.datasets(window))
     family = fit_all_closed_models(table)
-    llm = pipeline.run_window(window).estimated_addresses
+    llm = executor.window_result(window).estimated_addresses
     return table, family, llm
 
 
-def test_ablation_closed_family(benchmark, bench_pipeline, bench_internet,
+def test_ablation_closed_family(benchmark, bench_executor, bench_internet,
                                 last_window):
     table, family, llm = benchmark.pedantic(
-        run, args=(bench_pipeline, last_window), rounds=1, iterations=1
+        run, args=(bench_executor, last_window), rounds=1, iterations=1
     )
     truth = bench_internet.truth_used_addresses(
         last_window.start, last_window.end

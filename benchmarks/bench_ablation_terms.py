@@ -16,8 +16,8 @@ from repro.core.selection import select_model
 from benchmarks.conftest import BENCH_SCALE
 
 
-def run(pipeline, window):
-    table = tabulate_histories(pipeline.datasets(window))
+def run(executor, window):
+    table = tabulate_histories(executor.datasets(window))
     independence = (
         LoglinearModel(table.num_sources, main_effect_terms(table.num_sources))
         .fit(table)
@@ -28,10 +28,10 @@ def run(pipeline, window):
     return table, independence, pairwise, threeway
 
 
-def test_ablation_term_order(benchmark, bench_pipeline, bench_internet,
+def test_ablation_term_order(benchmark, bench_executor, bench_internet,
                              last_window):
     table, independence, pairwise, threeway = benchmark.pedantic(
-        run, args=(bench_pipeline, last_window), rounds=1, iterations=1
+        run, args=(bench_executor, last_window), rounds=1, iterations=1
     )
     truth = bench_internet.truth_used_addresses(
         last_window.start, last_window.end

@@ -15,8 +15,8 @@ from repro.core.selection import select_model
 from repro.ipspace.intervals import IntervalSet
 
 
-def run(pipeline, internet, window):
-    datasets = pipeline.datasets(window)
+def run(executor, internet, window):
+    datasets = executor.datasets(window)
     candidates = [
         a
         for a in internet.registry
@@ -51,10 +51,10 @@ def run(pipeline, internet, window):
     return rows
 
 
-def test_ablation_truncation(benchmark, bench_pipeline, bench_internet,
+def test_ablation_truncation(benchmark, bench_executor, bench_internet,
                              last_window):
     rows = benchmark.pedantic(
-        run, args=(bench_pipeline, bench_internet, last_window),
+        run, args=(bench_executor, bench_internet, last_window),
         rounds=1, iterations=1,
     )
     printable = [

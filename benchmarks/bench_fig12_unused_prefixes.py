@@ -17,9 +17,9 @@ from repro.analysis.unused import build_unused_space_model
 from benchmarks.conftest import BENCH_SCALE
 
 
-def run(pipeline, internet, window):
-    result = pipeline.run_window(window)
-    datasets = pipeline.datasets(window)
+def run(executor, internet, window):
+    result = executor.window_result(window)
+    datasets = executor.datasets(window)
     universe = internet.routing.window(window.start, window.end)
     model = build_unused_space_model(
         datasets, universe, result.estimate_addresses.unseen
@@ -27,10 +27,10 @@ def run(pipeline, internet, window):
     return result, model
 
 
-def test_fig12_unused_prefixes(benchmark, bench_pipeline, bench_internet,
+def test_fig12_unused_prefixes(benchmark, bench_executor, bench_internet,
                                last_window):
     result, model = benchmark.pedantic(
-        run, args=(bench_pipeline, bench_internet, last_window),
+        run, args=(bench_executor, bench_internet, last_window),
         rounds=1, iterations=1,
     )
     obs = model.observed_unused_addresses

@@ -7,7 +7,7 @@ NetFlow at all.  The paper's pattern: unfiltered estimates blow up
 no-NetFlow estimates.
 """
 
-from repro.analysis.pipeline import EstimationPipeline
+from repro.engine.executor import Executor
 from repro.analysis.report import format_table
 from repro.analysis.windows import TimeWindow
 from repro.core.estimator import CaptureRecapture, EstimatorOptions
@@ -27,10 +27,10 @@ def subnet_estimate(datasets, routed24):
 
 def run_configurations(internet, sources):
     routed24 = internet.routing.subnet24_count(WINDOW.start, WINDOW.end)
-    pipeline = EstimationPipeline(internet, sources)
+    executor = Executor(internet, sources)
     configs = {}
-    unfiltered = pipeline.datasets(WINDOW, spoof_filtering=False)
-    filtered = pipeline.datasets(WINDOW, spoof_filtering=True)
+    unfiltered = executor.datasets(WINDOW, spoof_filtering=False)
+    filtered = executor.datasets(WINDOW, spoof_filtering=True)
     no_netflow = {
         n: d for n, d in filtered.items() if n not in ("SWIN", "CALT")
     }

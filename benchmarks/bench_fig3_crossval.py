@@ -14,14 +14,14 @@ from repro.analysis.crossval import cross_validate_all
 from repro.analysis.report import format_table
 
 
-def run_crossval(pipeline, window):
-    datasets = pipeline.datasets(window)
+def run_crossval(executor, window):
+    datasets = executor.datasets(window)
     return cross_validate_all(datasets, with_range=True)
 
 
-def test_fig3_crossvalidation(benchmark, bench_pipeline, last_window):
+def test_fig3_crossvalidation(benchmark, bench_executor, last_window):
     results = benchmark.pedantic(
-        run_crossval, args=(bench_pipeline, last_window), rounds=1,
+        run_crossval, args=(bench_executor, last_window), rounds=1,
         iterations=1,
     )
     rows = []

@@ -11,19 +11,23 @@ import numpy as np
 
 from repro.analysis.growth import series_from_results
 from repro.analysis.report import fmt_real_millions, format_table
+from repro.core.profile_ci import profile_likelihood_interval
 from benchmarks.conftest import BENCH_SCALE
 
 
-def test_fig4_subnet_growth(benchmark, all_window_results, bench_pipeline):
+def test_fig4_subnet_growth(benchmark, all_window_results, bench_executor):
     series = benchmark.pedantic(
         series_from_results, args=(all_window_results, "subnets"),
         rounds=1, iterations=1,
     )
     # The paper: the /24 estimate range is within ±1 % of the point
     # estimates.  Check the final window's profile range.
-    interval = bench_pipeline.subnet_estimator(
-        all_window_results[-1].window
-    ).profile_interval(alpha=1e-7)
+    window = all_window_results[-1].window
+    interval = profile_likelihood_interval(
+        bench_executor.run("tabulate", window, level="subnets"),
+        bench_executor.run("fit", window, level="subnets").fit.terms,
+        alpha=1e-7,
+    )
     point = series.estimated[-1]
     half_width = 0.5 * (interval.population_high - interval.population_low)
     assert half_width / point < 0.03

@@ -12,10 +12,10 @@ from repro.registry.rir import RIR
 from benchmarks.conftest import BENCH_SCALE
 
 
-def test_fig6_by_rir(benchmark, bench_pipeline, first_window, last_window):
+def test_fig6_by_rir(benchmark, bench_executor, first_window, last_window):
     rows = benchmark.pedantic(
         stratified_yearly_growth,
-        args=(bench_pipeline, "rir", first_window, last_window),
+        args=(bench_executor, "rir", first_window, last_window),
         rounds=1, iterations=1,
     )
     by_rir = {RIR(int(r.label)).name: r for r in rows if int(r.label) >= 0}

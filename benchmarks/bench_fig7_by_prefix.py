@@ -13,11 +13,11 @@ from repro.analysis.report import fmt_real_millions, format_table
 from benchmarks.conftest import BENCH_SCALE
 
 
-def test_fig7_by_prefix_size(benchmark, bench_pipeline, first_window,
+def test_fig7_by_prefix_size(benchmark, bench_executor, first_window,
                              last_window):
     rows = benchmark.pedantic(
         stratified_yearly_growth,
-        args=(bench_pipeline, "prefix", first_window, last_window),
+        args=(bench_executor, "prefix", first_window, last_window),
         rounds=1, iterations=1,
     )
     by_len = {int(r.label): r for r in rows if int(r.label) >= 8}

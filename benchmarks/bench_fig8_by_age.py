@@ -20,9 +20,9 @@ def era_of(year: int) -> str:
     return "other"
 
 
-def run(pipeline, first_window, last_window):
+def run(executor, first_window, last_window):
     rows = stratified_yearly_growth(
-        pipeline, "age", first_window, last_window
+        executor, "age", first_window, last_window
     )
     buckets: dict[str, dict[str, float]] = {}
     for row in rows:
@@ -38,10 +38,10 @@ def run(pipeline, first_window, last_window):
     return buckets
 
 
-def test_fig8_by_allocation_age(benchmark, bench_pipeline, first_window,
+def test_fig8_by_allocation_age(benchmark, bench_executor, first_window,
                                 last_window):
     buckets = benchmark.pedantic(
-        run, args=(bench_pipeline, first_window, last_window),
+        run, args=(bench_executor, first_window, last_window),
         rounds=1, iterations=1,
     )
     printable = []

@@ -16,11 +16,11 @@ from benchmarks.conftest import BENCH_SCALE
 MIN_OBSERVED = 1.5e6 * BENCH_SCALE
 
 
-def test_fig9_by_country(benchmark, bench_pipeline, first_window,
+def test_fig9_by_country(benchmark, bench_executor, first_window,
                          last_window):
     rows = benchmark.pedantic(
         stratified_yearly_growth,
-        args=(bench_pipeline, "country", first_window, last_window),
+        args=(bench_executor, "country", first_window, last_window),
         kwargs={"min_observed": MIN_OBSERVED},
         rounds=1, iterations=1,
     )

@@ -17,8 +17,8 @@ from repro.ipspace.ipset import IPSet
 from benchmarks.conftest import BENCH_SCALE
 
 
-def run(pipeline, internet, window):
-    datasets = pipeline.datasets(window)
+def run(executor, internet, window):
+    datasets = executor.datasets(window)
     universe = internet.routing.window(window.start, window.end)
     observed = IPSet.empty().union(*datasets.values())
     vacancy = vacant_block_histogram(observed.addresses, universe)
@@ -28,7 +28,7 @@ def run(pipeline, internet, window):
     from repro.ipspace.aggregation import compress_prefixes
 
     compression = compress_prefixes(table.prefixes())
-    result = pipeline.run_window(window)
+    result = executor.window_result(window)
     unused_24s = result.routed_subnets - result.estimated_subnets
     valuation = value_unused_subnets(
         to_real(max(unused_24s, 0.0), BENCH_SCALE)
@@ -36,10 +36,10 @@ def run(pipeline, internet, window):
     return forecast, valuation, compression
 
 
-def test_sec721_fib_and_market(benchmark, bench_pipeline, bench_internet,
+def test_sec721_fib_and_market(benchmark, bench_executor, bench_internet,
                                last_window):
     forecast, valuation, compression = benchmark.pedantic(
-        run, args=(bench_pipeline, bench_internet, last_window),
+        run, args=(bench_executor, bench_internet, last_window),
         rounds=1, iterations=1,
     )
     # Prefix *counts* do not rescale linearly with the address scale

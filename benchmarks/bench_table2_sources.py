@@ -12,17 +12,17 @@ from benchmarks.conftest import BENCH_SCALE
 YEARS = [2011, 2012, 2013]
 
 
-def collect_yearly(pipeline):
+def collect_yearly(executor):
     per_year = {}
     for year in YEARS:
         window = TimeWindow(float(year), float(year) + 1.0)
-        per_year[year] = pipeline.datasets(window)
+        per_year[year] = executor.datasets(window)
     return per_year
 
 
-def test_table2_source_inventory(benchmark, bench_pipeline):
+def test_table2_source_inventory(benchmark, bench_executor):
     per_year = benchmark.pedantic(
-        collect_yearly, args=(bench_pipeline,), rounds=1, iterations=1
+        collect_yearly, args=(bench_executor,), rounds=1, iterations=1
     )
     names = sorted(
         {name for datasets in per_year.values() for name in datasets},

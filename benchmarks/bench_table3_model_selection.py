@@ -18,8 +18,8 @@ from benchmarks.conftest import BENCH_SCALE
 WINDOWS = [TimeWindow(2012.5, 2013.5), TimeWindow(2013.5, 2014.5)]
 
 
-def run_sweep(pipeline):
-    address_sets = [pipeline.datasets(w) for w in WINDOWS]
+def run_sweep(executor):
+    address_sets = [executor.datasets(w) for w in WINDOWS]
     subnet_sets = [
         {name: d.subnets24() for name, d in datasets.items()}
         for datasets in address_sets
@@ -30,9 +30,9 @@ def run_sweep(pipeline):
     )
 
 
-def test_table3_selection_settings(benchmark, bench_pipeline):
+def test_table3_selection_settings(benchmark, bench_executor):
     addr_rows, sub_rows = benchmark.pedantic(
-        run_sweep, args=(bench_pipeline,), rounds=1, iterations=1
+        run_sweep, args=(bench_executor,), rounds=1, iterations=1
     )
     table = []
     for a, s in zip(addr_rows, sub_rows):

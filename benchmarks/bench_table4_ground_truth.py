@@ -18,8 +18,8 @@ from repro.ipspace.intervals import IntervalSet
 from repro.ipspace.ipset import IPSet
 
 
-def evaluate_networks(pipeline, internet, window):
-    datasets = pipeline.datasets(window)
+def evaluate_networks(executor, internet, window):
+    datasets = executor.datasets(window)
     rows = []
     for network in internet.ground_truth_networks():
         prefix = network.allocation.prefix
@@ -65,11 +65,11 @@ def evaluate_networks(pipeline, internet, window):
     return rows
 
 
-def test_table4_ground_truth(benchmark, bench_pipeline, bench_internet,
+def test_table4_ground_truth(benchmark, bench_executor, bench_internet,
                              last_window):
     rows = benchmark.pedantic(
         evaluate_networks,
-        args=(bench_pipeline, bench_internet, last_window),
+        args=(bench_executor, bench_internet, last_window),
         rounds=1, iterations=1,
     )
     printable = [

@@ -14,21 +14,21 @@ from benchmarks.conftest import BENCH_SCALE
 STRATIFICATIONS = ["rir", "country", "age", "prefix", "industry", "dynamic"]
 
 
-def run_totals(pipeline, window):
-    result = pipeline.run_window(window)
+def run_totals(executor, window):
+    result = executor.window_result(window)
     addr_totals = {"none": result.estimated_addresses}
     sub_totals = {"none": result.estimated_subnets}
     for kind in STRATIFICATIONS:
-        addr_totals[kind] = pipeline.stratified_addresses(
-            window, kind
+        addr_totals[kind] = executor.stratified(window, kind).population
+        sub_totals[kind] = executor.stratified(
+            window, kind, "subnets"
         ).population
-        sub_totals[kind] = pipeline.stratified_subnets(window, kind).population
     return result, addr_totals, sub_totals
 
 
-def test_table5_totals(benchmark, bench_pipeline, last_window):
+def test_table5_totals(benchmark, bench_executor, last_window):
     result, addr_totals, sub_totals = benchmark.pedantic(
-        run_totals, args=(bench_pipeline, last_window), rounds=1, iterations=1
+        run_totals, args=(bench_executor, last_window), rounds=1, iterations=1
     )
 
     def row(label, totals, ping, observed, routed, truth):

@@ -13,11 +13,11 @@ from repro.analysis.supply import supply_by_rir, world_supply
 from benchmarks.conftest import BENCH_SCALE
 
 
-def run_supply(pipeline, first, last):
-    addr = supply_by_rir(pipeline, first, last, level="addresses")
-    subs = supply_by_rir(pipeline, first, last, level="subnets")
+def run_supply(executor, first, last):
+    addr = supply_by_rir(executor, first, last, level="addresses")
+    subs = supply_by_rir(executor, first, last, level="subnets")
     capped = supply_by_rir(
-        pipeline, first, last, level="addresses", utilisation_cap=0.75
+        executor, first, last, level="addresses", utilisation_cap=0.75
     )
     return addr, subs, capped
 
@@ -26,10 +26,10 @@ def fmt_year(year):
     return "never" if math.isinf(year) else f"{year:.0f}"
 
 
-def test_table6_supply(benchmark, bench_pipeline, first_window, last_window):
+def test_table6_supply(benchmark, bench_executor, first_window, last_window):
     addr, subs, capped = benchmark.pedantic(
         run_supply,
-        args=(bench_pipeline, first_window, last_window),
+        args=(bench_executor, first_window, last_window),
         rounds=1, iterations=1,
     )
     rows = []

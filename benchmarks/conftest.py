@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.pipeline import EstimationPipeline, PipelineOptions
 from repro.analysis.windows import TimeWindow, standard_windows
+from repro.engine.executor import Executor
+from repro.engine.stages import PipelineOptions
 from repro.simnet.internet import SimulationConfig, SyntheticInternet
 from repro.sources.catalog import build_standard_sources
 
@@ -33,8 +34,8 @@ def bench_sources(bench_internet):
 
 
 @pytest.fixture(scope="session")
-def bench_pipeline(bench_internet, bench_sources) -> EstimationPipeline:
-    return EstimationPipeline(
+def bench_executor(bench_internet, bench_sources) -> Executor:
+    return Executor(
         bench_internet,
         bench_sources,
         PipelineOptions(min_stratum_observed=30),
@@ -52,11 +53,11 @@ def last_window() -> TimeWindow:
 
 
 @pytest.fixture(scope="session")
-def all_window_results(bench_pipeline):
+def all_window_results(bench_executor):
     """The 11 standard windows, run once and shared (Figs 4, 5, 10)."""
-    return bench_pipeline.run_all(standard_windows())
+    return bench_executor.run_windows(standard_windows())
 
 
 @pytest.fixture(scope="session")
-def last_window_result(bench_pipeline, last_window):
-    return bench_pipeline.run_window(last_window)
+def last_window_result(bench_executor, last_window):
+    return bench_executor.window_result(last_window)

@@ -13,7 +13,7 @@ Run:  python examples/census_campaign.py  [--scale-log2 -12]
 import argparse
 import time
 
-from repro import EstimationPipeline, SimulationConfig, SyntheticInternet
+from repro import Executor, SimulationConfig, SyntheticInternet
 from repro.analysis.growth import series_from_results
 from repro.analysis.report import format_table
 from repro.analysis.windows import standard_windows
@@ -33,10 +33,10 @@ def main() -> None:
         SimulationConfig(scale=2.0**args.scale_log2, seed=args.seed)
     )
     print(internet.describe())
-    pipeline = EstimationPipeline(internet)
+    executor = Executor(internet)
 
     windows = standard_windows()[::2]  # every second window for speed
-    results = pipeline.run_all(windows)
+    results = executor.run_windows(windows)
 
     rows = []
     for r in results:

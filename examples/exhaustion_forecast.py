@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from repro import (
-    EstimationPipeline,
+    Executor,
     SimulationConfig,
     SyntheticInternet,
     TimeWindow,
@@ -31,7 +31,7 @@ def fmt_year(year: float) -> str:
 
 def main() -> None:
     internet = SyntheticInternet(SimulationConfig(scale=2.0**-12))
-    pipeline = EstimationPipeline(internet)
+    executor = Executor(internet)
     first = TimeWindow(2011.0, 2012.0)
     last = TimeWindow(2013.5, 2014.5)
 
@@ -39,7 +39,7 @@ def main() -> None:
     rows = []
     for cap, label in [(1.0, "optimistic (100 % usable)"),
                        (0.75, "pessimistic (75 % usable)")]:
-        supply = supply_by_rir(pipeline, first, last, utilisation_cap=cap)
+        supply = supply_by_rir(executor, first, last, utilisation_cap=cap)
         world = world_supply(supply, now=last.end)
         for row in supply + [world]:
             rows.append([
@@ -57,8 +57,8 @@ def main() -> None:
     ))
 
     # --- Section 7: where do the ghosts live? --------------------------
-    result = pipeline.run_window(last)
-    datasets = pipeline.datasets(last)
+    result = executor.window_result(last)
+    datasets = executor.datasets(last)
     universe = internet.routing.window(last.start, last.end)
     model = build_unused_space_model(
         datasets, universe, result.estimate_addresses.unseen

@@ -10,7 +10,14 @@ standard errors, and leave-one-source-out leverage.
 Run:  python examples/model_inspection.py
 """
 
-from repro import EstimationPipeline, SimulationConfig, SyntheticInternet, TimeWindow
+from repro import (
+    CaptureRecapture,
+    EstimatorOptions,
+    Executor,
+    SimulationConfig,
+    SyntheticInternet,
+    TimeWindow,
+)
 from repro.analysis.report import format_table
 from repro.analysis.sensitivity import leave_one_out_sensitivity
 from repro.core.design import describe_terms
@@ -18,9 +25,14 @@ from repro.core.design import describe_terms
 
 def main() -> None:
     internet = SyntheticInternet(SimulationConfig(scale=2.0**-13))
-    pipeline = EstimationPipeline(internet)
+    executor = Executor(internet)
     window = TimeWindow(2013.5, 2014.5)
-    estimator = pipeline.address_estimator(window)
+    # The set-level toolkit over the window's preprocessed, spoof-filtered
+    # datasets, truncated at the routed space.
+    routed = internet.routing.size(window.start, window.end)
+    estimator = CaptureRecapture(
+        executor.datasets(window), EstimatorOptions(limit=routed)
+    )
 
     # --- 1. the selection path -----------------------------------------
     selection = estimator.selection()
@@ -63,7 +75,7 @@ def main() -> None:
     ))
 
     # --- 4. source leverage ----------------------------------------------
-    report = leave_one_out_sensitivity(pipeline.datasets(window),
+    report = leave_one_out_sensitivity(executor.datasets(window),
                                        estimator.options)
     rows = [
         [row.source, f"{row.estimate_without:,.0f}", f"{row.shift:+.1%}"]

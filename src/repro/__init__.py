@@ -26,9 +26,9 @@ Quick start — :class:`Session` is the unified entry point::
     stream = Session.from_journal("journal/").stream()
     stream.advance()                     # ingest + close coverable windows
 
-``CaptureRecapture`` and ``EstimationPipeline``, which ``Session``
-builds internally, stay constructible directly; see ``docs/API.md``
-and ``examples/``.
+``CaptureRecapture`` and ``Executor``, which ``Session`` builds
+internally, stay constructible directly; see ``docs/API.md`` and
+``examples/``.
 """
 
 from repro.core import (
@@ -55,6 +55,7 @@ from repro.engine import (
     FaultSpec,
     FaultySource,
     LocalStore,
+    PipelineOptions,
     RunReport,
     SourceFaultSpec,
     TieredStore,
@@ -77,12 +78,7 @@ from repro.obs import (
     render_run_diff,
     render_run_report,
 )
-from repro.analysis import (
-    EstimationPipeline,
-    PipelineOptions,
-    TimeWindow,
-    standard_windows,
-)
+from repro.analysis import TimeWindow, standard_windows
 from repro.service import (
     CampaignScheduler,
     CampaignSpec,
@@ -168,8 +164,7 @@ __all__ = [
     "ObservationDelta",
     "StreamEstimator",
     "journal_from_sources",
-    # pipeline / simulator / session
-    "EstimationPipeline",
+    # pipeline options / simulator / session
     "PipelineOptions",
     "Session",
     "SimulationConfig",

@@ -15,11 +15,6 @@ from repro.analysis.growth import (
     normalized,
     stratified_yearly_growth,
 )
-from repro.analysis.pipeline import (
-    EstimationPipeline,
-    PipelineOptions,
-    WindowResult,
-)
 from repro.analysis.supply import SupplyRow, supply_by_rir, world_supply
 from repro.analysis.unused import (
     UnusedSpaceModel,
@@ -31,18 +26,15 @@ from repro.analysis.windows import TimeWindow, standard_windows
 
 __all__ = [
     "CrossValidationResult",
-    "EstimationPipeline",
     "FibForecast",
     "MarketValuation",
     "forecast_fib",
     "value_unused_space",
     "GrowthSeries",
-    "PipelineOptions",
     "SettingSweepRow",
     "SupplyRow",
     "TimeWindow",
     "UnusedSpaceModel",
-    "WindowResult",
     "address_growth_from_users",
     "cross_validate_all",
     "cross_validate_source",

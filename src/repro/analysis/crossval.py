@@ -146,37 +146,29 @@ def cross_validate_all(
 
 
 def cross_validate_window(
-    engine: "Executor",
+    executor: "Executor",
     window: "TimeWindow",
     workers: int = 1,
     **kwargs,
 ) -> list[CrossValidationResult]:
-    """Cross-validate one window straight off the engine's artifacts.
+    """Cross-validate one window straight off the executor's artifacts.
 
-    Accepts an :class:`~repro.engine.executor.Executor` or anything
-    exposing one as ``.engine`` (e.g. ``EstimationPipeline``); fold
-    records land in the engine's :class:`RunReport`, and the engine's
+    Fold records land in the executor's :class:`RunReport`, and its
     execution policy and fault injector govern fold retries and
     degradation.
     """
-    engine = getattr(engine, "engine", engine)
     # Fold on the same view the estimation stages use: when the
     # integrity layer quarantines (or drops) a source for this window,
     # the folds realign on the surviving sources instead of holding a
     # poisoned universe out against poisoned others.
-    datasets = (
-        engine.analysis_datasets(window)
-        if hasattr(engine, "analysis_datasets")
-        else engine.datasets(window)
-    )
     return cross_validate_all(
-        datasets,
+        executor.analysis_datasets(window),
         workers=workers,
-        report=engine.report,
-        policy=getattr(engine, "policy", None),
-        faults=getattr(engine, "faults", None),
-        seed=engine.options.seed,
-        observer=getattr(engine, "observer", None),
+        report=executor.report,
+        policy=executor.policy,
+        faults=executor.faults,
+        seed=executor.options.seed,
+        observer=executor.observer,
         **kwargs,
     )
 

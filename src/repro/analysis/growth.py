@@ -1,6 +1,6 @@
 """Growth-trend extraction (Sections 6.3-6.7).
 
-Turns per-window pipeline results into the series the paper plots:
+Turns per-window results into the series the paper plots:
 routed/observed/estimated over time (Figures 4 and 5, absolute and
 normalised on the first window) and average yearly growth per stratum
 (Figures 6-9), both observed and estimated.
@@ -9,12 +9,15 @@ normalised on the first window) and average yearly growth per stratum
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
 
-from repro.analysis.pipeline import EstimationPipeline, WindowResult
 from repro.analysis.windows import TimeWindow
+from repro.engine.stages import WindowResult
+
+if TYPE_CHECKING:
+    from repro.engine.executor import Executor
 
 
 @dataclass(frozen=True)
@@ -59,19 +62,19 @@ def linear_growth_per_year(times: np.ndarray, series: np.ndarray) -> float:
 
 
 def growth_series(
-    pipeline: EstimationPipeline,
+    executor: "Executor",
     windows: Sequence[TimeWindow] | None = None,
     level: str = "addresses",
     workers: int = 1,
 ) -> GrowthSeries:
     """The Figure 4/5 series straight off the engine.
 
-    Submits the window sweep to the pipeline's engine (fanning windows
-    across processes with ``workers > 1``) instead of looping by hand;
+    Submits the window sweep to the executor (fanning windows across
+    processes with ``workers > 1``) instead of looping by hand;
     bit-identical to a serial sweep by the engine's determinism
     contract.
     """
-    results = pipeline.run_all(
+    results = executor.run_windows(
         list(windows) if windows is not None else None, workers=workers
     )
     return series_from_results(results, level=level)
@@ -80,7 +83,7 @@ def growth_series(
 def series_from_results(
     results: Sequence[WindowResult], level: str = "addresses"
 ) -> GrowthSeries:
-    """Build the Figure 4/5 series from pipeline window results."""
+    """Build the Figure 4/5 series from window results."""
     if level not in ("addresses", "subnets"):
         raise ValueError(f"level must be 'addresses' or 'subnets', got {level!r}")
     ends = np.array([r.window.end for r in results])
@@ -138,7 +141,7 @@ class StratumGrowth:
 
 
 def stratified_yearly_growth(
-    pipeline: EstimationPipeline,
+    executor: "Executor",
     kind: str,
     first_window: TimeWindow,
     last_window: TimeWindow,
@@ -153,17 +156,11 @@ def stratified_yearly_growth(
     last window) are dropped, mirroring the paper's cut of small
     countries.
     """
-    if level == "addresses":
-        first = pipeline.stratified_addresses(first_window, kind)
-        last = pipeline.stratified_addresses(last_window, kind)
-    elif level == "subnets":
-        first = pipeline.stratified_subnets(first_window, kind)
-        last = pipeline.stratified_subnets(last_window, kind)
-    else:
-        raise ValueError(f"unknown level {level!r}")
     years = last_window.end - first_window.end
     if years <= 0:
         raise ValueError("windows must be ordered")
+    first = executor.stratified(first_window, kind, level)
+    last = executor.stratified(last_window, kind, level)
     rows = []
     for label, stratum in sorted(last.strata.items(), key=lambda kv: str(kv[0])):
         if stratum.observed < min_observed:

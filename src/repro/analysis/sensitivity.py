@@ -107,20 +107,17 @@ def leave_one_out_sensitivity(
 
 
 def source_leverage_window(
-    engine: "Executor",
+    executor: "Executor",
     window: "TimeWindow",
     workers: int = 1,
 ) -> SensitivityReport:
-    """Leverage analysis for one window straight off the engine.
+    """Leverage analysis for one window straight off the executor.
 
-    Accepts an :class:`~repro.engine.executor.Executor` or anything
-    exposing one as ``.engine`` (e.g. ``EstimationPipeline``); uses the
-    window's cached datasets and the pipeline's estimator options, and
-    records fold timings in the engine's report.
+    Uses the window's cached datasets and the executor's estimator
+    options, and records fold timings in the executor's report.
     """
-    engine = getattr(engine, "engine", engine)
-    opts = engine.options
-    limit = float(engine.internet.routing.size(window.start, window.end))
+    opts = executor.options
+    limit = float(executor.internet.routing.size(window.start, window.end))
     distribution = opts.distribution
     if distribution == "auto":
         distribution = "truncated"
@@ -133,12 +130,12 @@ def source_leverage_window(
         min_stratum_observed=opts.min_stratum_observed,
     )
     return leave_one_out_sensitivity(
-        engine.datasets(window),
+        executor.datasets(window),
         options,
         workers=workers,
-        report=engine.report,
-        policy=getattr(engine, "policy", None),
-        faults=getattr(engine, "faults", None),
-        seed=engine.options.seed,
-        observer=getattr(engine, "observer", None),
+        report=executor.report,
+        policy=executor.policy,
+        faults=executor.faults,
+        seed=opts.seed,
+        observer=executor.observer,
     )

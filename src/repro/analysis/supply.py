@@ -11,12 +11,15 @@ ever usable) tightens the runout accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import math
 
-from repro.analysis.pipeline import EstimationPipeline
 from repro.analysis.windows import TimeWindow
 from repro.registry.rir import RIR, rir_profiles
+
+if TYPE_CHECKING:
+    from repro.engine.executor import Executor
 
 
 @dataclass(frozen=True)
@@ -36,37 +39,18 @@ class SupplyRow:
 
 
 def _per_rir_quantities(
-    pipeline: EstimationPipeline,
+    executor: "Executor",
     first_window: TimeWindow,
     last_window: TimeWindow,
     level: str,
 ) -> dict[int, tuple[float, float, float]]:
     """(routed_size, estimate_last, growth_per_year) per RIR code."""
-    first = (
-        pipeline.stratified_addresses(first_window, "rir")
-        if level == "addresses"
-        else pipeline.stratified_subnets(first_window, "rir")
-    )
-    last = (
-        pipeline.stratified_addresses(last_window, "rir")
-        if level == "addresses"
-        else pipeline.stratified_subnets(last_window, "rir")
-    )
+    first = executor.stratified(first_window, "rir", level)
+    last = executor.stratified(last_window, "rir", level)
     years = last_window.end - first_window.end
-    registry = pipeline.internet.registry
-    mask = pipeline.internet.routing.routed_allocation_mask(
-        last_window.start, last_window.end
+    routed = executor.internet.routing.stratum_sizes(
+        last_window.start, last_window.end, "rir", subnets=level == "subnets"
     )
-    routed: dict[int, float] = {}
-    for alloc, flag in zip(registry.allocations, mask):
-        if not flag:
-            continue
-        size = (
-            alloc.prefix.size
-            if level == "addresses"
-            else max(1, alloc.prefix.size // 256)
-        )
-        routed[int(alloc.rir)] = routed.get(int(alloc.rir), 0.0) + size
     out = {}
     for code in routed:
         est_last = last.strata[code].population if code in last.strata else 0.0
@@ -79,7 +63,7 @@ def _per_rir_quantities(
 
 
 def supply_by_rir(
-    pipeline: EstimationPipeline,
+    executor: "Executor",
     first_window: TimeWindow,
     last_window: TimeWindow,
     level: str = "addresses",
@@ -94,8 +78,8 @@ def supply_by_rir(
     if not 0 < utilisation_cap <= 1:
         raise ValueError("utilisation_cap must be in (0, 1]")
     profiles = rir_profiles()
-    quantities = _per_rir_quantities(pipeline, first_window, last_window, level)
-    registry = pipeline.internet.registry
+    quantities = _per_rir_quantities(executor, first_window, last_window, level)
+    registry = executor.internet.registry
     now = last_window.end
     rows = []
     for code in sorted(quantities):

@@ -209,23 +209,20 @@ def build_unused_space_model(
 
 
 def unused_space_for_window(
-    engine: "Executor",
+    executor: "Executor",
     window: "TimeWindow",
     deltas: Sequence[str] = DEFAULT_DELTAS,
     excluded: Sequence[str] = EXCLUDED,
 ) -> UnusedSpaceModel:
-    """Section 7 for one window, straight off the engine's artifacts.
+    """Section 7 for one window, straight off the executor's artifacts.
 
-    Accepts an :class:`~repro.engine.executor.Executor` or anything
-    exposing one as ``.engine`` (e.g. ``EstimationPipeline``).  The
-    window's filtered datasets, routed universe and CR unseen count all
-    come from cached stage artifacts, so this composes with a prior
+    The window's filtered datasets, routed universe and CR unseen count
+    all come from cached stage artifacts, so this composes with a prior
     window sweep at zero marginal estimation cost.
     """
-    engine = getattr(engine, "engine", engine)
-    datasets = engine.datasets(window)
-    universe = engine.internet.routing.window(window.start, window.end)
-    estimate = engine.run("estimate", window, level="addresses")
+    datasets = executor.datasets(window)
+    universe = executor.internet.routing.window(window.start, window.end)
+    estimate = executor.run("estimate", window, level="addresses")
     return build_unused_space_model(
         datasets, universe, estimate.unseen, deltas=deltas, excluded=excluded
     )

@@ -55,7 +55,6 @@ import sys
 from typing import Sequence
 
 from repro.analysis.crossval import cross_validate_window
-from repro.analysis.pipeline import EstimationPipeline
 from repro.analysis.report import format_table, to_real
 from repro.analysis.supply import supply_by_rir, world_supply
 from repro.analysis.windows import TimeWindow
@@ -489,21 +488,47 @@ def _internet(args: argparse.Namespace) -> SyntheticInternet:
     )
 
 
-def _pipeline(args: argparse.Namespace) -> EstimationPipeline:
-    """A pipeline whose engine runs under the CLI's execution policy."""
-    internet = _internet(args)
+def _run_knobs(args: argparse.Namespace):
+    """The knobs every estimating command runs under.
+
+    Returns ``(options, policy, faults, observer, store)``; the
+    stage-fault injector, observer and store are ``None`` where their
+    flags are absent.  Opens the run ledger here, before the run is
+    built, so it clocks the whole run.
+    """
     policy = ExecutionPolicy(
         retries=args.retries, task_timeout=args.task_timeout
     )
     stage_specs = [
         s for s in args.inject_faults if not isinstance(s, SourceFaultSpec)
     ]
-    source_specs = [
-        s for s in args.inject_faults if isinstance(s, SourceFaultSpec)
-    ]
     faults = (
         FaultInjector(stage_specs, seed=args.seed) if stage_specs else None
     )
+    options = PipelineOptions(
+        quarantine=QuarantinePolicy.named(args.quarantine_policy),
+    )
+    observer = Observer() if (args.trace or args.metrics_out) else None
+    store = (
+        open_store(args.store, observer=observer, faults=faults)
+        if args.store
+        else None
+    )
+    if observer is not None and args.trace:
+        args._obs_ledger = RunLedger(
+            args.trace, seed=args.seed, options=options, policy=policy
+        )
+    return options, policy, faults, observer, store
+
+
+def _executor(args: argparse.Namespace) -> Executor:
+    """An executor under the CLI's knobs, over sources that carry any
+    ``source:`` data faults."""
+    options, policy, faults, observer, store = _run_knobs(args)
+    internet = _internet(args)
+    source_specs = [
+        s for s in args.inject_faults if isinstance(s, SourceFaultSpec)
+    ]
     sources = None
     if source_specs:
         from repro.sources.catalog import build_standard_sources
@@ -516,48 +541,20 @@ def _pipeline(args: argparse.Namespace) -> EstimationPipeline:
             seed=args.seed,
             spoof_support=internet.registry.allocated_space(),
         )
-    options = PipelineOptions(
-        quarantine=QuarantinePolicy.named(args.quarantine_policy),
-    )
-    observer = Observer() if (args.trace or args.metrics_out) else None
-    cache = (
-        open_store(args.store, observer=observer, faults=faults)
-        if getattr(args, "store", None)
-        else None
-    )
-    engine = Executor(
+    executor = Executor(
         internet, sources, options, policy=policy, faults=faults,
-        observer=observer, cache=cache,
+        observer=observer, cache=store,
     )
-    pipeline = EstimationPipeline(internet, engine=engine)
-    if observer is not None and args.trace:
-        # Built here, not at finalize, so the ledger clocks the whole run.
-        args._obs_ledger = RunLedger(
-            args.trace,
-            seed=args.seed,
-            options=pipeline.options,
-            policy=policy,
-        )
-    args._obs_pipeline = pipeline
-    return pipeline
+    args._obs_run = (executor.observer, executor.report, executor.cache)
+    return executor
 
 
 def _finalize_observability(args: argparse.Namespace) -> None:
     """Persist the run ledger and/or metrics export, if requested."""
-    pipeline = getattr(args, "_obs_pipeline", None)
-    stream = getattr(args, "_obs_stream", None)
-    if (pipeline is None and stream is None) or not (
-        args.trace or args.metrics_out
-    ):
+    run = getattr(args, "_obs_run", None)
+    if run is None or not (args.trace or args.metrics_out):
         return
-    if pipeline is not None:
-        observer = pipeline.engine.observer
-    else:
-        observer = stream.observer
-    if pipeline is not None:
-        report, cache = pipeline.report, pipeline.engine.cache
-    else:
-        report, cache = stream.report, None
+    observer, report, cache = run
     ledger = getattr(args, "_obs_ledger", None)
     if ledger is not None:
         run_dir = ledger.finalize(observer, report=report, cache=cache)
@@ -608,9 +605,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     """Run the estimation pipeline on one window and print it."""
-    pipeline = _pipeline(args)
-    result = pipeline.run_window(args.window)
-    scale = pipeline.internet.config.scale
+    executor = _executor(args)
+    result = executor.window_result(args.window)
+    scale = executor.internet.config.scale
     rows = [
         ["routed", result.routed_addresses, result.routed_subnets],
         ["pingable", result.ping_addresses, result.ping_subnets],
@@ -652,8 +649,7 @@ def _print_integrity_summary(result) -> None:
 
 def cmd_health(args: argparse.Namespace) -> int:
     """Print one window's per-source verdicts and agreement matrix."""
-    pipeline = _pipeline(args)
-    report = pipeline.window_health(args.window)
+    report = _executor(args).window_health(args.window)
 
     def score(value: float) -> str:
         return "-" if math.isnan(value) else f"{value:.3f}"
@@ -730,27 +726,8 @@ def _degraded_refit_line(label: str, quarantined, dropped) -> str:
     return f"window {label}: refit degraded ({'; '.join(parts)})"
 
 
-def cmd_windows(args: argparse.Namespace) -> int:
-    """Sweep all standard windows through the engine and print them."""
-    from repro.analysis.growth import series_from_results
-    from repro.analysis.windows import missing_windows, standard_windows
-
-    pipeline = _pipeline(args)
-    windows = standard_windows()
-    results = pipeline.run_all(windows, workers=args.workers)
-    if not results:
-        print("every window degraded; no estimates produced",
-              file=sys.stderr)
-        _print_fault_summary(pipeline.report)
-        return 1
-    series = series_from_results(results)
-    scale = pipeline.internet.config.scale
-    _print_sweep_table(
-        series, scale,
-        title=f"standard window sweep ({args.workers} worker(s))",
-    )
-    for window in missing_windows(windows, results):
-        print(f"window {window.label()}: degraded, no estimate")
+def _print_degraded_refits(results) -> None:
+    """One :func:`_degraded_refit_line` per degraded window result."""
     for result in results:
         if result.is_degraded:
             print(_degraded_refit_line(
@@ -759,19 +736,43 @@ def cmd_windows(args: argparse.Namespace) -> int:
                 [n for n, _ in result.health.dropped]
                 if result.health is not None else [],
             ))
+
+
+def cmd_windows(args: argparse.Namespace) -> int:
+    """Sweep all standard windows through the engine and print them."""
+    from repro.analysis.growth import series_from_results
+    from repro.analysis.windows import missing_windows, standard_windows
+
+    executor = _executor(args)
+    windows = standard_windows()
+    results = executor.run_windows(windows, workers=args.workers)
+    if not results:
+        print("every window degraded; no estimates produced",
+              file=sys.stderr)
+        _print_fault_summary(executor.report)
+        return 1
+    series = series_from_results(results)
+    scale = executor.internet.config.scale
+    _print_sweep_table(
+        series, scale,
+        title=f"standard window sweep ({args.workers} worker(s))",
+    )
+    for window in missing_windows(windows, results):
+        print(f"window {window.label()}: degraded, no estimate")
+    _print_degraded_refits(results)
     _print_growth_rate(series)
-    _print_fault_summary(pipeline.report)
+    _print_fault_summary(executor.report)
     if args.report:
         print()
-        print(pipeline.report.summary())
+        print(executor.report.summary())
     return 0
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:
     """Leave-one-source-out cross-validation for one window."""
-    pipeline = _pipeline(args)
+    executor = _executor(args)
     rows = []
-    for r in cross_validate_window(pipeline, args.window,
+    for r in cross_validate_window(executor, args.window,
                                    workers=args.workers):
         rows.append([
             r.source,
@@ -787,23 +788,23 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         rows,
         title=f"cross-validation, window {args.window.label()}",
     ))
-    _print_fault_summary(pipeline.report)
+    _print_fault_summary(executor.report)
     return 0
 
 
 def cmd_supply(args: argparse.Namespace) -> int:
     """Print the Table 6 runout forecast."""
-    pipeline = _pipeline(args)
-    internet = pipeline.internet
+    executor = _executor(args)
+    scale = executor.internet.config.scale
     first = TimeWindow(2011.0, 2012.0)
     last = TimeWindow(2013.5, 2014.5)
-    rows = supply_by_rir(pipeline, first, last)
+    rows = supply_by_rir(executor, first, last)
     world = world_supply(rows, now=last.end)
     printable = [
         [
             r.label,
-            f"{to_real(r.available, internet.config.scale) / 1e6:.0f}",
-            f"{to_real(r.growth_per_year, internet.config.scale) / 1e6:.0f}",
+            f"{to_real(r.available, scale) / 1e6:.0f}",
+            f"{to_real(r.growth_per_year, scale) / 1e6:.0f}",
             "never" if math.isinf(r.runout_year) else f"{r.runout_year:.0f}",
         ]
         for r in rows + [world]
@@ -820,8 +821,8 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     """Print each source's leave-one-out leverage."""
     from repro.analysis.sensitivity import source_leverage_window
 
-    pipeline = _pipeline(args)
-    report = source_leverage_window(pipeline, args.window,
+    executor = _executor(args)
+    report = source_leverage_window(executor, args.window,
                                     workers=args.workers)
     rows = [
         [row.source, f"{row.estimate_without:.0f}", f"{row.shift:+.1%}"]
@@ -834,7 +835,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         f"({args.window.label()}); "
         f"robust: {report.is_robust()}",
     ))
-    _print_fault_summary(pipeline.report)
+    _print_fault_summary(executor.report)
     return 0
 
 
@@ -1025,8 +1026,7 @@ def _cmd_campaign_submit(args: argparse.Namespace) -> int:
     from repro.service.campaign import CampaignSpec
     from repro.service.scheduler import CampaignScheduler
 
-    pipeline = _pipeline(args)
-    executor = pipeline.engine
+    executor = _executor(args)
     windows = args.window if args.window else standard_windows()
     spec = CampaignSpec(
         windows=tuple((w.start, w.end) for w in windows),
@@ -1131,33 +1131,14 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def _stream(args: argparse.Namespace) -> StreamEstimator:
-    """A stream estimator resumed under the CLI's execution policy.
+    """A stream estimator resumed under the CLI's knobs.
 
-    Mirrors :func:`_pipeline` knob for knob — same options, policy,
-    fault injector, observer and store wiring — so a stream close
+    Shares :func:`_run_knobs` with :func:`_executor`, so a stream close
     computes exactly what the batch subcommands would.
     """
-    internet = _internet(args)
-    policy = ExecutionPolicy(
-        retries=args.retries, task_timeout=args.task_timeout
-    )
-    stage_specs = [
-        s for s in args.inject_faults if not isinstance(s, SourceFaultSpec)
-    ]
-    faults = (
-        FaultInjector(stage_specs, seed=args.seed) if stage_specs else None
-    )
-    options = PipelineOptions(
-        quarantine=QuarantinePolicy.named(args.quarantine_policy),
-    )
-    observer = Observer() if (args.trace or args.metrics_out) else None
-    store = (
-        open_store(args.store, observer=observer, faults=faults)
-        if args.store
-        else None
-    )
+    options, policy, faults, observer, store = _run_knobs(args)
     stream = StreamEstimator.resume(
-        internet,
+        _internet(args),
         DeltaJournal(args.journal),
         options=options,
         policy=policy,
@@ -1165,11 +1146,9 @@ def _stream(args: argparse.Namespace) -> StreamEstimator:
         observer=observer,
         faults=faults,
     )
-    if observer is not None and args.trace:
-        args._obs_ledger = RunLedger(
-            args.trace, seed=args.seed, options=stream.options, policy=policy
-        )
-    args._obs_stream = stream
+    # No cache to account: a stream rebuilds its stage cache per data
+    # version, and its store holds snapshots.
+    args._obs_run = (stream.observer, stream.report, None)
     return stream
 
 
@@ -1233,14 +1212,7 @@ def _cmd_stream_advance(args: argparse.Namespace) -> int:
         series, scale,
         title=f"stream window sweep (journal {stream.journal.journal_id})",
     )
-    for result in results:
-        if result.is_degraded:
-            print(_degraded_refit_line(
-                result.window.label(),
-                result.excluded_sources,
-                [n for n, _ in result.health.dropped]
-                if result.health is not None else [],
-            ))
+    _print_degraded_refits(results)
     _print_growth_rate(series)
     for result in results:
         revision = stream.revision_of(result.window)

@@ -46,7 +46,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.core import fitkernel
-from repro.core.stratified import Labeler, StratifiedEstimate, stratified_estimate
+from repro.core.stratified import StratifiedEstimate, stratified_estimate
 from repro.engine.artifacts import MISS, ArtifactCache, ArtifactKey, artifact_nbytes
 from repro.engine.faults import FaultInjector, backoff_seconds
 from repro.engine.report import RunReport, StageRecord
@@ -57,6 +57,7 @@ from repro.engine.stages import (
     PipelineOptions,
     RunContext,
     WindowResult,
+    _fit_distribution,
 )
 from repro.ipspace.ipset import IPSet
 from repro.simnet.internet import SyntheticInternet
@@ -702,23 +703,38 @@ class Executor:
         return out
 
     def stratified(
-        self,
-        window: TimeWindow,
-        labeler: Labeler,
-        level: str = "addresses",
-        limit_per_stratum: Callable[[Hashable], float] | None = None,
-        min_observed: int | None = None,
+        self, window: TimeWindow, kind: str, level: str = "addresses"
     ) -> StratifiedEstimate:
-        """Per-stratum estimation, strata batched through one search."""
-        datasets = self.datasets(window)
-        if level == "subnets":
-            datasets = {name: d.subnets24() for name, d in datasets.items()}
-        elif level != "addresses":
+        """Per-stratum estimates summed to a total (Table 5).
+
+        ``kind`` is a registry stratification (``"rir"``,
+        ``"country"``, ``"prefix"``, ``"age"``, ``"industry"``) or
+        ``"dynamic"`` for the static/dynamic split.  Each stratum is
+        truncated at its routed size (in /24 blocks at the ``"subnets"``
+        level), a dynamic stratum at the whole window's.  The strata
+        are batched through one stepwise search.
+        """
+        if level not in ("addresses", "subnets"):
             raise ValueError(f"level must be 'addresses' or 'subnets', got {level!r}")
+        subnets = level == "subnets"
+        routing = self.internet.routing
+        if kind == "dynamic":
+            labeler = self.internet.population.dynamic_labeler()
+            # No per-stratum sizes: both strata take the whole total.
+            sizes: dict[Hashable, float] = {}
+            total = (
+                routing.subnet24_count(window.start, window.end)
+                if subnets
+                else routing.size(window.start, window.end)
+            )
+        else:
+            labeler = self.internet.registry.labeler(kind)
+            sizes = routing.stratum_sizes(window.start, window.end, kind, subnets)
+            total = sum(sizes.values())
+        datasets = self.datasets(window)
+        if subnets:
+            datasets = {name: d.subnets24() for name, d in datasets.items()}
         opts = self.options
-        distribution = opts.distribution
-        if distribution == "auto":
-            distribution = "truncated" if limit_per_stratum is not None else "poisson"
         start = perf_counter()
         fit_before = fitkernel.snapshot()
         with self.observer.span(
@@ -727,13 +743,11 @@ class Executor:
             result = stratified_estimate(
                 datasets,
                 labeler,
-                min_observed=(
-                    opts.min_stratum_observed if min_observed is None else min_observed
-                ),
+                min_observed=opts.min_stratum_observed,
                 criterion=opts.criterion,
                 divisor=opts.divisor,
-                distribution=distribution,
-                limit_per_stratum=limit_per_stratum,
+                distribution=_fit_distribution(opts, total),
+                limit_per_stratum=lambda label: sizes.get(label, total),
                 max_order=opts.max_order,
             )
             span.set(strata=len(result.strata))

@@ -149,42 +149,44 @@ class AllocationRegistry:
 
     # -- stratification labelers ------------------------------------------
 
-    def labeler(self, kind: str) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorised address -> stratum-label function.
+    def stratum_values(self, kind: str) -> np.ndarray:
+        """Per-allocation stratum label of a stratification ``kind``.
 
         ``kind`` is one of ``"rir"``, ``"country"``, ``"industry"``,
         ``"prefix"`` (real-equivalent allocation length) or ``"age"``
-        (allocation year).  Unallocated addresses label as -1 (or
-        ``"??"`` for country).
+        (allocation year).
         """
-        attr = {
+        values = {
             "rir": self.rir_codes,
             "industry": self.industry_codes,
             "prefix": self.real_lengths,
             "age": self.years,
-        }
-        if kind in attr:
-            values = attr[kind]
+            "country": self.countries,
+        }.get(kind)
+        if values is None:
+            raise ValueError(f"unknown stratification kind: {kind!r}")
+        return values
 
-            def label_numeric(addrs: np.ndarray) -> np.ndarray:
-                idx = self.lookup(addrs)
-                out = np.full(idx.shape, -1, dtype=np.int64)
-                hit = idx >= 0
-                out[hit] = values[idx[hit]]
-                return out
+    def labeler(self, kind: str) -> Callable[[np.ndarray], np.ndarray]:
+        """Vectorised address -> stratum-label function.
 
-            return label_numeric
+        Labels are :meth:`stratum_values` of the covering allocation.
+        Unallocated addresses label as -1 (or ``"??"`` for country).
+        """
+        values = self.stratum_values(kind)
         if kind == "country":
+            missing, dtype = "??", values.dtype
+        else:
+            missing, dtype = -1, np.int64
 
-            def label_country(addrs: np.ndarray) -> np.ndarray:
-                idx = self.lookup(addrs)
-                out = np.full(idx.shape, "??", dtype=self.countries.dtype)
-                hit = idx >= 0
-                out[hit] = self.countries[idx[hit]]
-                return out
+        def label(addrs: np.ndarray) -> np.ndarray:
+            idx = self.lookup(addrs)
+            out = np.full(idx.shape, missing, dtype=dtype)
+            hit = idx >= 0
+            out[hit] = values[idx[hit]]
+            return out
 
-            return label_country
-        raise ValueError(f"unknown stratification kind: {kind!r}")
+        return label
 
 
 class _FreePool:

@@ -13,6 +13,8 @@ then excluded, mirroring the paper's filtering step.
 
 from __future__ import annotations
 
+from typing import Hashable
+
 import numpy as np
 
 from repro.ipspace.intervals import IntervalSet
@@ -95,6 +97,28 @@ class RoutedSpace:
     def subnet24_count(self, start: float, end: float) -> int:
         """Routed /24 blocks in the window."""
         return self.window(start, end).subnet24_count()
+
+    def stratum_sizes(
+        self, start: float, end: float, kind: str, subnets: bool = False
+    ) -> dict[Hashable, float]:
+        """Routed size per stratum label of a registry stratification.
+
+        Sums the allocations advertised during [start, end) by their
+        :meth:`~AllocationRegistry.stratum_values` label, in addresses
+        or, with ``subnets``, in /24 blocks (at least one per
+        allocation).
+        """
+        values = self.registry.stratum_values(kind)
+        mask = self.routed_allocation_mask(start, end)
+        sizes: dict[Hashable, float] = {}
+        for alloc, routed, value in zip(self.registry.allocations, mask, values):
+            if routed:
+                size = alloc.prefix.size
+                if subnets:
+                    size = max(1, size // 256)
+                label = value.item()
+                sizes[label] = sizes.get(label, 0.0) + size
+        return sizes
 
     def routing_table(self, start: float, end: float) -> PrefixTrie:
         """A longest-prefix-match table of the window's advertisements.

@@ -2,10 +2,8 @@
 
 Historically the library grew three divergent front doors — raw
 address sets through :class:`~repro.core.estimator.CaptureRecapture`,
-simulator runs through
-:class:`~repro.analysis.pipeline.EstimationPipeline` /
-:meth:`~repro.engine.executor.Executor.run_windows`, and scheduled
-campaigns through :class:`~repro.service.campaign.CampaignSpec`.
+simulator runs through :class:`~repro.engine.executor.Executor`, and
+scheduled campaigns through :class:`~repro.service.campaign.CampaignSpec`.
 :class:`Session` puts one documented facade in front of all of them
 (plus the streaming path):
 
@@ -26,6 +24,7 @@ facade never changes what is computed.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -39,7 +38,6 @@ from repro.stream.estimator import StreamEstimator
 from repro.stream.journal import DeltaJournal
 
 if TYPE_CHECKING:
-    from repro.analysis.pipeline import EstimationPipeline
     from repro.analysis.windows import TimeWindow
     from repro.engine.faults import FaultInjector
     from repro.engine.store import ArtifactStore
@@ -114,7 +112,8 @@ class Session:
 
         Pass an existing ``internet`` to reuse a simulator, or let the
         session build one from ``scale_log2``/``seed`` (the CLI's
-        defaults).  ``sources`` defaults to the standard catalog;
+        defaults; ignored when ``internet`` is given).  ``sources``
+        defaults to the standard catalog;
         ``store``/``observer``/``policy``/``faults`` thread through to
         the executor exactly as the CLI flags do.
         """
@@ -125,8 +124,6 @@ class Session:
         return cls(
             _mode="simulation",
             internet=internet,
-            scale_log2=scale_log2,
-            seed=seed,
             sources=sources,
             options=options or PipelineOptions(),
             policy=policy,
@@ -166,8 +163,6 @@ class Session:
             _mode="journal",
             journal=journal,
             internet=internet,
-            scale_log2=scale_log2,
-            seed=seed,
             options=options or PipelineOptions(),
             policy=policy,
             store=store,
@@ -220,13 +215,6 @@ class Session:
                 observer=state["observer"],
             )
         return self._executor
-
-    def pipeline(self) -> "EstimationPipeline":
-        """An :class:`EstimationPipeline` view over this session's engine."""
-        from repro.analysis.pipeline import EstimationPipeline
-
-        self._require("pipeline()", "simulation")
-        return EstimationPipeline(self.internet, engine=self.executor())
 
     # -- the unified verbs -------------------------------------------------
 
@@ -316,19 +304,36 @@ class Session:
         simulator shape and options, so submitting it to a
         :class:`~repro.service.CampaignScheduler` computes exactly what
         :meth:`sweep` would, content-addressed for the query ledger.
+
+        A campaign rebuilds its simulator from a power-of-two scale and
+        a seed alone, and always measures the standard source catalog;
+        a session whose world it cannot rebuild raises
+        :class:`ValueError`.
         """
         from repro.analysis.windows import standard_windows
         from repro.service.campaign import CampaignSpec
 
         self._require("campaign_spec()", "simulation")
         state = self._state
+        if state["sources"] is not None:
+            raise ValueError(
+                "a campaign always measures the standard source catalog; "
+                "this session was given its own sources"
+            )
+        config = state["internet"].config
+        scale_log2 = round(math.log2(config.scale))
+        if config != SimulationConfig(scale=2.0**scale_log2, seed=config.seed):
+            raise ValueError(
+                "a campaign rebuilds SimulationConfig(scale=2**k, seed=...) "
+                f"with every other field at its default; cannot rebuild {config}"
+            )
         return CampaignSpec(
             windows=tuple(
                 (w.start, w.end)
                 for w in (windows if windows is not None else standard_windows())
             ),
-            scale_log2=state["scale_log2"],
-            seed=state["seed"],
+            scale_log2=scale_log2,
+            seed=config.seed,
             options=state["options"],
             drop_sources=tuple(drop_sources),
         )

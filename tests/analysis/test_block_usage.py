@@ -65,11 +65,11 @@ class TestSimulatorShape:
         # clearly above 100.
         assert profile.mean_per_block > 100
 
-    def test_observed_sparser_than_truth(self, tiny_pipeline, tiny_internet,
+    def test_observed_sparser_than_truth(self, tiny_executor, tiny_internet,
                                          last_window):
         """Sources undersample inside blocks, so observed occupancy
         sits below the truth's."""
-        datasets = tiny_pipeline.datasets(last_window)
+        datasets = tiny_executor.datasets(last_window)
         union = datasets["IPING"]
         observed = block_usage_profile(union)
         truth = block_usage_profile(

@@ -12,8 +12,8 @@ from repro.analysis.crossval import (
 
 
 @pytest.fixture(scope="module")
-def window_datasets(tiny_pipeline, last_window):
-    return tiny_pipeline.datasets(last_window)
+def window_datasets(tiny_executor, last_window):
+    return tiny_executor.datasets(last_window)
 
 
 class TestCrossValidateSource:

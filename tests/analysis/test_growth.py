@@ -13,13 +13,13 @@ from repro.analysis.windows import TimeWindow
 
 
 @pytest.fixture(scope="module")
-def three_window_results(tiny_pipeline):
+def three_window_results(tiny_executor):
     windows = [
         TimeWindow(2011.0, 2012.0),
         TimeWindow(2012.25, 2013.25),
         TimeWindow(2013.5, 2014.5),
     ]
-    return tiny_pipeline.run_all(windows)
+    return tiny_executor.run_windows(windows)
 
 
 class TestSeries:
@@ -73,9 +73,9 @@ class TestHelpers:
 
 
 class TestStratifiedGrowth:
-    def test_rir_growth_rows(self, tiny_pipeline):
+    def test_rir_growth_rows(self, tiny_executor):
         rows = stratified_yearly_growth(
-            tiny_pipeline,
+            tiny_executor,
             "rir",
             TimeWindow(2011.0, 2012.0),
             TimeWindow(2013.5, 2014.5),
@@ -84,14 +84,14 @@ class TestStratifiedGrowth:
         # Every RIR grew over the period.
         assert all(r.estimated_per_year > 0 for r in rows)
 
-    def test_fast_regions_grow_faster(self, tiny_pipeline):
+    def test_fast_regions_grow_faster(self, tiny_executor):
         """AfriNIC/LACNIC outpace RIPE in relative growth (Fig 6)."""
         from repro.registry.rir import RIR
 
         rows = {
             r.label: r
             for r in stratified_yearly_growth(
-                tiny_pipeline,
+                tiny_executor,
                 "rir",
                 TimeWindow(2011.0, 2012.0),
                 TimeWindow(2013.5, 2014.5),
@@ -102,21 +102,21 @@ class TestStratifiedGrowth:
             > rows[int(RIR.RIPE)].estimated_relative
         )
 
-    def test_min_observed_filters(self, tiny_pipeline):
+    def test_min_observed_filters(self, tiny_executor):
         all_rows = stratified_yearly_growth(
-            tiny_pipeline, "country",
+            tiny_executor, "country",
             TimeWindow(2011.0, 2012.0), TimeWindow(2013.5, 2014.5),
         )
         big_rows = stratified_yearly_growth(
-            tiny_pipeline, "country",
+            tiny_executor, "country",
             TimeWindow(2011.0, 2012.0), TimeWindow(2013.5, 2014.5),
             min_observed=1000,
         )
         assert len(big_rows) < len(all_rows)
 
-    def test_windows_must_be_ordered(self, tiny_pipeline):
+    def test_windows_must_be_ordered(self, tiny_executor):
         with pytest.raises(ValueError):
             stratified_yearly_growth(
-                tiny_pipeline, "rir",
+                tiny_executor, "rir",
                 TimeWindow(2013.5, 2014.5), TimeWindow(2011.0, 2012.0),
             )

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.analysis.pipeline import EstimationPipeline, PipelineOptions
 from repro.analysis.windows import TimeWindow
+from repro.engine.executor import Executor
+from repro.engine.stages import PipelineOptions
 
 
 class TestWindowResult:
@@ -42,70 +43,80 @@ class TestWindowResult:
         r = last_window_result
         assert r.estimated_addresses > 1.25 * r.observed_addresses
 
-    def test_result_cached(self, tiny_pipeline, last_window):
-        assert tiny_pipeline.run_window(last_window) is (
-            tiny_pipeline.run_window(last_window)
+    def test_result_cached(self, tiny_executor, last_window):
+        assert tiny_executor.window_result(last_window) is (
+            tiny_executor.window_result(last_window)
         )
 
 
 class TestPipelineConfig:
     def test_exclude_sources(self, tiny_internet):
-        pipeline = EstimationPipeline(
+        executor = Executor(
             tiny_internet,
             options=PipelineOptions(exclude_sources=("SWIN", "CALT")),
         )
         window = TimeWindow(2013.5, 2014.5)
-        datasets = pipeline.datasets(window)
+        datasets = executor.datasets(window)
         assert "SWIN" not in datasets and "CALT" not in datasets
         assert "IPING" in datasets
 
-    def test_early_window_lacks_late_sources(self, tiny_pipeline,
+    def test_early_window_lacks_late_sources(self, tiny_executor,
                                              first_window):
-        datasets = tiny_pipeline.datasets(first_window)
+        datasets = tiny_executor.datasets(first_window)
         assert "CALT" not in datasets
         assert "SPAM" not in datasets
         assert "TPING" not in datasets
         assert "IPING" in datasets
 
-    def test_estimators_expose_options(self, tiny_pipeline, last_window):
-        est = tiny_pipeline.address_estimator(last_window)
-        assert est.options.criterion == "bic"
-        assert est.options.limit is not None
+    def test_estimators_expose_options(self, tiny_executor, tiny_internet,
+                                       last_window):
+        """Each level's fit selects by BIC, truncated at the routed
+        space (in /24 blocks at the subnets level)."""
+        routing = tiny_internet.routing
+        bounds = (last_window.start, last_window.end)
+        for level, routed in (
+            ("addresses", routing.size(*bounds)),
+            ("subnets", routing.subnet24_count(*bounds)),
+        ):
+            selection = tiny_executor.run("fit", last_window, level=level)
+            assert selection.criterion == "bic"
+            assert selection.fit.distribution == "truncated"
+            assert selection.fit.limit == routed
 
     def test_run_all_of_no_windows_runs_nothing(self, tiny_internet, tiny_sources):
-        pipeline = EstimationPipeline(tiny_internet, tiny_sources)
-        assert pipeline.run_all([]) == []
-        assert pipeline.report.records == []
+        executor = Executor(tiny_internet, tiny_sources)
+        assert executor.run_windows([]) == []
+        assert executor.report.records == []
 
 
 class TestStratifiedViews:
     @pytest.mark.parametrize("kind", ["rir", "industry", "dynamic"])
-    def test_stratified_total_consistent(self, tiny_pipeline, last_window,
+    def test_stratified_total_consistent(self, tiny_executor, last_window,
                                          last_window_result, kind):
         """Table 5's observation: totals are stable across
         stratifications (within ~15 % of the unstratified estimate)."""
-        strat = tiny_pipeline.stratified_addresses(last_window, kind)
+        strat = tiny_executor.stratified(last_window, kind)
         plain = last_window_result.estimated_addresses
         assert strat.population == pytest.approx(plain, rel=0.15)
 
-    def test_stratified_observed_matches_union(self, tiny_pipeline,
+    def test_stratified_observed_matches_union(self, tiny_executor,
                                                last_window,
                                                last_window_result):
-        strat = tiny_pipeline.stratified_addresses(last_window, "rir")
+        strat = tiny_executor.stratified(last_window, "rir")
         assert strat.observed == last_window_result.observed_addresses
 
-    def test_stratified_subnets(self, tiny_pipeline, last_window,
+    def test_stratified_subnets(self, tiny_executor, last_window,
                                 last_window_result):
-        strat = tiny_pipeline.stratified_subnets(last_window, "rir")
+        strat = tiny_executor.stratified(last_window, "rir", "subnets")
         assert strat.population == pytest.approx(
             last_window_result.estimated_subnets, rel=0.15
         )
 
-    def test_rir_strata_sizes_ordered(self, tiny_pipeline, last_window):
+    def test_rir_strata_sizes_ordered(self, tiny_executor, last_window):
         """APNIC/ARIN/RIPE dwarf AfriNIC in used addresses (Fig 6)."""
         from repro.registry.rir import RIR
 
-        strat = tiny_pipeline.stratified_addresses(last_window, "rir")
+        strat = tiny_executor.stratified(last_window, "rir")
         pops = {label: s.population for label, s in strat.strata.items()}
         assert pops[int(RIR.AFRINIC)] < pops[int(RIR.APNIC)]
         assert pops[int(RIR.AFRINIC)] < pops[int(RIR.ARIN)]

@@ -58,9 +58,9 @@ class TestSensitivity:
         with pytest.raises(ValueError):
             leave_one_out_sensitivity(sources)
 
-    def test_pipeline_estimate_is_robust(self, tiny_pipeline, last_window):
+    def test_pipeline_estimate_is_robust(self, tiny_executor, last_window):
         """The nine-source pipeline estimate does not hinge on any
         single dataset (the paper's diversity argument)."""
-        datasets = tiny_pipeline.datasets(last_window)
+        datasets = tiny_executor.datasets(last_window)
         report = leave_one_out_sensitivity(datasets)
         assert report.is_robust(threshold=0.3)

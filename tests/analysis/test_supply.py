@@ -10,9 +10,9 @@ from repro.registry.rir import RIR
 
 
 @pytest.fixture(scope="module")
-def supply_rows(tiny_pipeline):
+def supply_rows(tiny_executor):
     return supply_by_rir(
-        tiny_pipeline,
+        tiny_executor,
         TimeWindow(2011.0, 2012.0),
         TimeWindow(2013.5, 2014.5),
     )
@@ -37,13 +37,13 @@ class TestSupplyRows:
         assert by_label["APNIC"].runout_year < arin
         assert by_label["LACNIC"].runout_year < arin
 
-    def test_utilisation_cap_tightens_runout(self, tiny_pipeline):
+    def test_utilisation_cap_tightens_runout(self, tiny_executor):
         full = supply_by_rir(
-            tiny_pipeline,
+            tiny_executor,
             TimeWindow(2011.0, 2012.0), TimeWindow(2013.5, 2014.5),
         )
         capped = supply_by_rir(
-            tiny_pipeline,
+            tiny_executor,
             TimeWindow(2011.0, 2012.0), TimeWindow(2013.5, 2014.5),
             utilisation_cap=0.75,
         )
@@ -51,17 +51,17 @@ class TestSupplyRows:
             assert c.available <= f.available
             assert c.runout_year <= f.runout_year
 
-    def test_invalid_cap_rejected(self, tiny_pipeline):
+    def test_invalid_cap_rejected(self, tiny_executor):
         with pytest.raises(ValueError):
             supply_by_rir(
-                tiny_pipeline,
+                tiny_executor,
                 TimeWindow(2011.0, 2012.0), TimeWindow(2013.5, 2014.5),
                 utilisation_cap=0.0,
             )
 
-    def test_subnet_level(self, tiny_pipeline):
+    def test_subnet_level(self, tiny_executor):
         rows = supply_by_rir(
-            tiny_pipeline,
+            tiny_executor,
             TimeWindow(2011.0, 2012.0), TimeWindow(2013.5, 2014.5),
             level="subnets",
         )

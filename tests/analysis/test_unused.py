@@ -84,9 +84,9 @@ class TestPredictAllocation:
 
 class TestEndToEnd:
     @pytest.fixture(scope="class")
-    def model(self, tiny_pipeline, tiny_internet, last_window,
+    def model(self, tiny_executor, tiny_internet, last_window,
               last_window_result):
-        datasets = tiny_pipeline.datasets(last_window)
+        datasets = tiny_executor.datasets(last_window)
         universe = tiny_internet.routing.window(
             last_window.start, last_window.end
         )
@@ -113,10 +113,10 @@ class TestEndToEnd:
         if llm_24s > 10:
             assert 0.1 < model_24s / llm_24s < 10.0
 
-    def test_estimate_ratio_estimation_requires_deltas(self, tiny_pipeline,
+    def test_estimate_ratio_estimation_requires_deltas(self, tiny_executor,
                                                        last_window,
                                                        tiny_internet):
-        datasets = tiny_pipeline.datasets(last_window)
+        datasets = tiny_executor.datasets(last_window)
         universe = tiny_internet.routing.window(
             last_window.start, last_window.end
         )

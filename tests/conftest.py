@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.pipeline import EstimationPipeline, PipelineOptions
 from repro.analysis.windows import TimeWindow
+from repro.engine.executor import Executor
+from repro.engine.stages import PipelineOptions
 from repro.ipspace.ipset import IPSet
 from repro.simnet.internet import SimulationConfig, SyntheticInternet
 from repro.sources.catalog import build_standard_sources
@@ -34,9 +35,9 @@ def tiny_sources(tiny_internet):
 
 
 @pytest.fixture(scope="session")
-def tiny_pipeline(tiny_internet, tiny_sources) -> EstimationPipeline:
-    """A pipeline over the tiny Internet (results are cached inside)."""
-    return EstimationPipeline(
+def tiny_executor(tiny_internet, tiny_sources) -> Executor:
+    """An executor over the tiny Internet (results are cached inside)."""
+    return Executor(
         tiny_internet, tiny_sources, PipelineOptions(min_stratum_observed=25)
     )
 
@@ -54,9 +55,9 @@ def first_window() -> TimeWindow:
 
 
 @pytest.fixture(scope="session")
-def last_window_result(tiny_pipeline, last_window):
-    """Full pipeline result for the final window (computed once)."""
-    return tiny_pipeline.run_window(last_window)
+def last_window_result(tiny_executor, last_window):
+    """Full window result for the final window (computed once)."""
+    return tiny_executor.window_result(last_window)
 
 
 def make_independent_sources(

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis.pipeline import EstimationPipeline
 from repro.analysis.windows import TimeWindow
 from repro.engine import (
     ArtifactCache,
@@ -128,8 +127,8 @@ class TestSpoofFilterDeterminism:
         assert spoof_filter_seed(0, "SWIN") == spoof_filter_seed(0, "SWIN")
 
     def test_fresh_pipelines_agree(self, tiny_internet, tiny_sources, last_window):
-        first = EstimationPipeline(tiny_internet, tiny_sources)
-        second = EstimationPipeline(tiny_internet, tiny_sources)
+        first = Executor(tiny_internet, tiny_sources)
+        second = Executor(tiny_internet, tiny_sources)
         datasets_a = first.datasets(last_window)
         datasets_b = second.datasets(last_window)
         assert set(datasets_a) == set(datasets_b)
@@ -186,3 +185,80 @@ class TestFanOut:
         fan_out(1, _double, [1, 2, 3], workers=1, report=report, stage="demo")
         assert len(report.records) == 3
         assert all(r.stage == "demo" for r in report.records)
+
+
+def _reference_stratification(internet, window, kind, subnets):
+    """Labeler and per-stratum truncation limits of a stratification,
+    written out without the registry and routing helpers: the reference
+    ``Executor.stratified`` must match exactly."""
+    routing = internet.routing
+    if kind == "dynamic":
+        routed = (
+            routing.subnet24_count(window.start, window.end)
+            if subnets
+            else routing.size(window.start, window.end)
+        )
+        return internet.population.dynamic_labeler(), lambda label: routed
+    registry = internet.registry
+    values = {"rir": registry.rir_codes}[kind]
+
+    def labeler(addrs):
+        idx = registry.lookup(addrs)
+        out = np.full(idx.shape, -1, dtype=np.int64)
+        hit = idx >= 0
+        out[hit] = values[idx[hit]]
+        return out
+
+    mask = routing.routed_allocation_mask(window.start, window.end)
+    sizes = {}
+    for alloc, routed_flag, value in zip(registry.allocations, mask, values):
+        if routed_flag:
+            size = alloc.prefix.size
+            if subnets:
+                size = max(1, size // 256)
+            sizes[value.item()] = sizes.get(value.item(), 0.0) + size
+    total = sum(sizes.values())
+    return labeler, lambda label: sizes.get(label, total)
+
+
+class TestStratified:
+    @pytest.mark.parametrize("level", ["addresses", "subnets"])
+    @pytest.mark.parametrize("kind", ["rir", "dynamic"])
+    def test_matches_direct_stratified_estimate(
+        self, tiny_executor, tiny_internet, last_window, kind, level
+    ):
+        from repro.core.stratified import stratified_estimate
+
+        subnets = level == "subnets"
+        datasets = tiny_executor.datasets(last_window)
+        if subnets:
+            datasets = {name: d.subnets24() for name, d in datasets.items()}
+        labeler, limits = _reference_stratification(
+            tiny_internet, last_window, kind, subnets
+        )
+        opts = tiny_executor.options
+        expected = stratified_estimate(
+            datasets,
+            labeler,
+            min_observed=opts.min_stratum_observed,
+            criterion=opts.criterion,
+            divisor=opts.divisor,
+            distribution="truncated",
+            limit_per_stratum=limits,
+            max_order=opts.max_order,
+        )
+        result = tiny_executor.stratified(last_window, kind, level)
+
+        def summary(strat):
+            return strat.population, strat.observed, {
+                label: (s.population, s.observed)
+                for label, s in strat.strata.items()
+            }
+
+        assert summary(result) == summary(expected)
+
+    def test_unknown_kind_or_level_rejected(self, tiny_executor, last_window):
+        with pytest.raises(ValueError, match="unknown stratification kind"):
+            tiny_executor.stratified(last_window, "species")
+        with pytest.raises(ValueError, match="level must be"):
+            tiny_executor.stratified(last_window, "rir", "hosts")

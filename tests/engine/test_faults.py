@@ -261,8 +261,8 @@ class TestExecutorStageFaults:
 
 
 class TestAnalysisDegradation:
-    def test_crossval_drops_degraded_fold(self, tiny_pipeline):
-        datasets = tiny_pipeline.engine.datasets(WINDOWS[0])
+    def test_crossval_drops_degraded_fold(self, tiny_executor):
+        datasets = tiny_executor.datasets(WINDOWS[0])
         report = RunReport()
         faults = FaultInjector([FaultSpec("crossval", "error", index=2, count=9)])
         results = cross_validate_all(
@@ -274,16 +274,16 @@ class TestAnalysisDegradation:
         assert lost == [list(datasets)[2]]
         assert report.degraded_count == 1
 
-    def test_sensitivity_needs_baseline(self, tiny_pipeline):
-        datasets = tiny_pipeline.engine.datasets(WINDOWS[0])
+    def test_sensitivity_needs_baseline(self, tiny_executor):
+        datasets = tiny_executor.datasets(WINDOWS[0])
         faults = FaultInjector([FaultSpec("sensitivity", "error", index=0, count=9)])
         with pytest.raises(RuntimeError, match="baseline"):
             leave_one_out_sensitivity(
                 datasets, policy=FAST, faults=faults,
             )
 
-    def test_sensitivity_survives_degraded_drop(self, tiny_pipeline):
-        datasets = tiny_pipeline.engine.datasets(WINDOWS[0])
+    def test_sensitivity_survives_degraded_drop(self, tiny_executor):
+        datasets = tiny_executor.datasets(WINDOWS[0])
         faults = FaultInjector([FaultSpec("sensitivity", "error", index=1, count=9)])
         sens = leave_one_out_sensitivity(datasets, policy=FAST, faults=faults)
         assert len(sens.rows) == len(datasets) - 1

@@ -33,10 +33,10 @@ class TestPreprocess:
             == report.raw_count
         )
 
-    def test_pipeline_datasets_are_routed_only(self, tiny_pipeline,
+    def test_pipeline_datasets_are_routed_only(self, tiny_executor,
                                                tiny_internet, last_window):
         routed = tiny_internet.routing.window(
             last_window.start, last_window.end
         )
-        for name, dataset in tiny_pipeline.datasets(last_window).items():
+        for name, dataset in tiny_executor.datasets(last_window).items():
             assert routed.contains(dataset.addresses).all(), name

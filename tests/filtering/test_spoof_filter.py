@@ -34,9 +34,9 @@ class TestBinomialThreshold:
 
 
 class TestDetectEmptyBlocks:
-    def test_detects_planted_darknets(self, tiny_pipeline, tiny_internet,
+    def test_detects_planted_darknets(self, tiny_executor, tiny_internet,
                                       last_window):
-        datasets = tiny_pipeline.datasets(last_window, spoof_filtering=False)
+        datasets = tiny_executor.datasets(last_window, spoof_filtering=False)
         refs = (
             datasets["WIKI"] | datasets["WEB"] | datasets["MLAB"]
             | datasets["GAME"]
@@ -151,14 +151,14 @@ class TestSpoofFilterEndToEnd:
 
 
 class TestPipelineIntegration:
-    def test_filtering_reduces_netflow_24s(self, tiny_pipeline, last_window):
-        raw = tiny_pipeline.datasets(last_window, spoof_filtering=False)
-        filtered = tiny_pipeline.datasets(last_window, spoof_filtering=True)
+    def test_filtering_reduces_netflow_24s(self, tiny_executor, last_window):
+        raw = tiny_executor.datasets(last_window, spoof_filtering=False)
+        filtered = tiny_executor.datasets(last_window, spoof_filtering=True)
         for name in ("SWIN", "CALT"):
             assert len(filtered[name].subnets24()) < len(raw[name].subnets24())
 
-    def test_non_netflow_untouched(self, tiny_pipeline, last_window):
-        raw = tiny_pipeline.datasets(last_window, spoof_filtering=False)
-        filtered = tiny_pipeline.datasets(last_window, spoof_filtering=True)
+    def test_non_netflow_untouched(self, tiny_executor, last_window):
+        raw = tiny_executor.datasets(last_window, spoof_filtering=False)
+        filtered = tiny_executor.datasets(last_window, spoof_filtering=True)
         for name in ("WIKI", "WEB", "IPING"):
             assert raw[name] == filtered[name]

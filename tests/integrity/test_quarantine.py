@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.crossval import cross_validate_window
-from repro.analysis.pipeline import EstimationPipeline, PipelineOptions
-from repro.analysis.windows import TimeWindow
+from repro.engine.executor import Executor
 from repro.engine.faults import apply_source_faults
+from repro.engine.stages import PipelineOptions
 from repro.integrity import QuarantinePolicy
 
 #: The seeded flood: 200k spoofed addresses per quarter into SWIN
@@ -33,8 +33,8 @@ def flooded_sources(tiny_internet, tiny_sources):
     )
 
 
-def _pipeline(internet, sources, policy):
-    return EstimationPipeline(
+def _executor(internet, sources, policy):
+    return Executor(
         internet,
         sources,
         PipelineOptions(min_stratum_observed=25, quarantine=policy),
@@ -42,11 +42,11 @@ def _pipeline(internet, sources, policy):
 
 
 class TestCleanRunsStayClean:
-    def test_no_source_flagged_across_the_sweep(self, tiny_pipeline):
+    def test_no_source_flagged_across_the_sweep(self, tiny_executor):
         from repro.analysis.windows import standard_windows
 
         for window in standard_windows()[-4:]:
-            report = tiny_pipeline.window_health(window)
+            report = tiny_executor.window_health(window)
             assert report.suspect == (), window
             assert report.quarantined == (), window
 
@@ -59,13 +59,13 @@ class TestCleanRunsStayClean:
 
 class TestQuarantineAndRefit:
     def test_flooded_source_is_quarantined_and_refit_tracks_clean(
-        self, tiny_internet, flooded_sources, tiny_pipeline, last_window
+        self, tiny_internet, flooded_sources, tiny_executor, last_window
     ):
-        clean = tiny_pipeline.run_window(last_window).estimated_addresses
+        clean = tiny_executor.window_result(last_window).estimated_addresses
 
-        guarded = _pipeline(
+        guarded = _executor(
             tiny_internet, flooded_sources, QuarantinePolicy()
-        ).run_window(last_window)
+        ).window_result(last_window)
         assert guarded.excluded_sources == ("SWIN",)
         assert guarded.is_degraded
         assert guarded.health.verdict_of("SWIN") == "quarantined"
@@ -75,9 +75,9 @@ class TestQuarantineAndRefit:
         assert record.capture_zscore > 12
         guarded_dev = abs(guarded.estimated_addresses - clean) / clean
 
-        unguarded = _pipeline(
+        unguarded = _executor(
             tiny_internet, flooded_sources, QuarantinePolicy.named("off")
-        ).run_window(last_window)
+        ).window_result(last_window)
         assert unguarded.excluded_sources == ()
         assert unguarded.health is None
         unguarded_dev = abs(unguarded.estimated_addresses - clean) / clean
@@ -91,10 +91,10 @@ class TestQuarantineAndRefit:
     def test_crossval_folds_realign_on_survivors(
         self, tiny_internet, flooded_sources, last_window
     ):
-        pipeline = _pipeline(
+        executor = _executor(
             tiny_internet, flooded_sources, QuarantinePolicy()
         )
-        results = cross_validate_window(pipeline, last_window)
+        results = cross_validate_window(executor, last_window)
         assert all(r.source != "SWIN" for r in results)
         assert len(results) == 8
 
@@ -106,13 +106,13 @@ class TestQuarantineAndRefit:
         from repro.obs.observer import Observer
 
         observer = Observer()
-        pipeline = EstimationPipeline(
+        executor = Executor(
             tiny_internet,
             flooded_sources,
             PipelineOptions(min_stratum_observed=25),
             observer=observer,
         )
-        pipeline.run_window(last_window)
+        executor.window_result(last_window)
         metrics = json.loads(observer.metrics.to_json_text())
         quarantined = [
             c for c in metrics["counters"]
@@ -135,7 +135,7 @@ class TestQuarantineAndRefit:
 
 class TestSuspectBracket:
     def test_duplicate_fault_brackets_the_estimate(
-        self, tiny_internet, tiny_sources, tiny_pipeline, last_window
+        self, tiny_internet, tiny_sources, tiny_executor, last_window
     ):
         # A stale-duplicate fault inflates WIKI mildly: suspect-level
         # z-score, not quarantine.  The headline estimate keeps WIKI
@@ -143,15 +143,15 @@ class TestSuspectBracket:
         sources = apply_source_faults(
             tiny_sources, ["source:WIKI:duplicate:2:2013.5"], seed=9
         )
-        result = _pipeline(
+        result = _executor(
             tiny_internet, sources, QuarantinePolicy()
-        ).run_window(last_window)
+        ).window_result(last_window)
         assert result.excluded_sources == ()
         assert "WIKI" in result.health.suspect
         low, high = result.suspect_bracket
         assert 0 < low <= high
         assert np.isfinite(high)
-        clean = tiny_pipeline.run_window(last_window).estimated_addresses
+        clean = tiny_executor.window_result(last_window).estimated_addresses
         assert low < clean * 1.1 and high > clean * 0.9
 
 
@@ -170,9 +170,9 @@ class TestPerWindowEmptySource:
             seed=9,
             spoof_support=tiny_internet.registry.allocated_space(),
         )
-        result = _pipeline(
+        result = _executor(
             tiny_internet, sources, QuarantinePolicy()
-        ).run_window(last_window)
+        ).window_result(last_window)
         assert np.isfinite(result.estimated_addresses)
         health = result.health
         dropped_names = {name for name, _ in health.dropped}

@@ -75,3 +75,21 @@ class TestRoutedSpace:
         _, routing = setup
         window = routing.window(2013.5, 2014.5)
         assert routing.subnet24_count(2013.5, 2014.5) == window.subnet24_count()
+
+
+class TestStratumSizes:
+    @pytest.mark.parametrize(
+        "kind", ["rir", "country", "prefix", "age", "industry"]
+    )
+    def test_address_sizes_sum_to_routed_size(self, setup, kind):
+        # Allocations do not overlap, so the strata partition the
+        # routed space.
+        _, routing = setup
+        for start, end in [(2011.0, 2012.0), (2013.5, 2014.5)]:
+            sizes = routing.stratum_sizes(start, end, kind)
+            assert sum(sizes.values()) == routing.size(start, end)
+
+    def test_subnet_sizes_count_whole_blocks(self, setup):
+        _, routing = setup
+        sizes = routing.stratum_sizes(2013.5, 2014.5, "rir", subnets=True)
+        assert sum(sizes.values()) == routing.subnet24_count(2013.5, 2014.5)

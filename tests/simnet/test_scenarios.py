@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis.pipeline import EstimationPipeline
 from repro.analysis.windows import TimeWindow
+from repro.engine.executor import Executor
 from repro.simnet.scenarios import standard_scenarios
 
 WINDOW = TimeWindow(2013.5, 2014.5)
@@ -18,7 +18,7 @@ def scenarios():
 @pytest.fixture(scope="module")
 def baseline_result(scenarios):
     internet, sources = scenarios["baseline"].build()
-    return EstimationPipeline(internet, sources).run_window(WINDOW)
+    return Executor(internet, sources).window_result(WINDOW)
 
 
 class TestScenarios:
@@ -36,7 +36,7 @@ class TestScenarios:
         """8x spoofing: the filter still keeps the /24 estimate near
         the baseline's (the paper's Figure 2 claim, stress-tested)."""
         internet, sources = scenarios["heavy_spoof"].build()
-        result = EstimationPipeline(internet, sources).run_window(WINDOW)
+        result = Executor(internet, sources).window_result(WINDOW)
         assert result.observed_subnets == pytest.approx(
             baseline_result.observed_subnets, rel=0.2
         )
@@ -46,7 +46,7 @@ class TestScenarios:
         """Fewer ping responses -> bigger est/ping quotient, but the
         estimate itself stays anchored by the passive sources."""
         internet, sources = scenarios["fortress"].build()
-        result = EstimationPipeline(internet, sources).run_window(WINDOW)
+        result = Executor(internet, sources).window_result(WINDOW)
         base_quotient = (
             baseline_result.estimated_addresses / baseline_result.ping_addresses
         )
@@ -58,14 +58,14 @@ class TestScenarios:
 
     def test_sparse_logs_still_estimates(self, scenarios):
         internet, sources = scenarios["sparse_logs"].build()
-        result = EstimationPipeline(internet, sources).run_window(WINDOW)
+        result = Executor(internet, sources).window_result(WINDOW)
         assert result.observed_addresses < result.estimated_addresses
         assert result.estimated_addresses <= result.routed_addresses
 
     def test_high_churn_more_ghosts(self, scenarios, baseline_result):
         """Stronger heterogeneity widens the observed-truth gap."""
         internet, sources = scenarios["high_churn"].build()
-        result = EstimationPipeline(internet, sources).run_window(WINDOW)
+        result = Executor(internet, sources).window_result(WINDOW)
         base_gap = 1 - (
             baseline_result.observed_addresses / baseline_result.truth_addresses
         )

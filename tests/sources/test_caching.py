@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.core.histories import tabulate_histories
 from repro.sources.base import quarter_of
 from repro.sources.passive import LogSource
 
@@ -34,20 +35,24 @@ class TestQuarterCaching:
 
 
 class TestPipelineCaching:
-    def test_dataset_cache_distinguishes_filtering(self, tiny_pipeline,
+    def test_dataset_cache_distinguishes_filtering(self, tiny_executor,
                                                    last_window):
-        filtered = tiny_pipeline.datasets(last_window, spoof_filtering=True)
-        raw = tiny_pipeline.datasets(last_window, spoof_filtering=False)
-        assert filtered is tiny_pipeline.datasets(
+        filtered = tiny_executor.datasets(last_window, spoof_filtering=True)
+        raw = tiny_executor.datasets(last_window, spoof_filtering=False)
+        assert filtered is tiny_executor.datasets(
             last_window, spoof_filtering=True
         )
         assert raw is not filtered
         assert len(raw["SWIN"]) >= len(filtered["SWIN"])
 
-    def test_estimators_share_cached_datasets(self, tiny_pipeline,
+    def test_estimators_share_cached_datasets(self, tiny_executor,
                                               last_window):
-        addr_est = tiny_pipeline.address_estimator(last_window)
-        sub_est = tiny_pipeline.subnet_estimator(last_window)
-        # The /24 estimator's sources project the same cached datasets.
-        for name, dataset in addr_est.sources.items():
-            assert sub_est.sources[name] == dataset.subnets24()
+        # The /24 table tabulates the same cached datasets, projected.
+        projected = {
+            name: dataset.subnets24()
+            for name, dataset in tiny_executor.datasets(last_window).items()
+        }
+        expected = tabulate_histories(projected)
+        table = tiny_executor.run("tabulate", last_window, level="subnets")
+        assert table.source_names == expected.source_names
+        assert np.array_equal(table.counts, expected.counts)

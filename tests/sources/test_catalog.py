@@ -14,9 +14,9 @@ class TestCatalog:
         for name in ("WIKI", "MLAB", "GAME", "SWIN"):
             assert tiny_sources[name].available_from == 2011.0
 
-    def test_relative_sizes_match_table2(self, tiny_pipeline, last_window):
+    def test_relative_sizes_match_table2(self, tiny_executor, last_window):
         """IPING largest, CALT > SWIN > WEB > the small log sources."""
-        datasets = tiny_pipeline.datasets(last_window)
+        datasets = tiny_executor.datasets(last_window)
         sizes = {name: len(d) for name, d in datasets.items()}
         # IPING and CALT are the two giants (411 M and 357 M in the
         # paper's Table 2); sampling noise can swap them at tiny scale.
@@ -27,18 +27,18 @@ class TestCatalog:
         assert sizes["WEB"] > sizes["WIKI"]
         assert sizes["WIKI"] == min(sizes.values())
 
-    def test_tping_adds_icmp_silent_hosts(self, tiny_pipeline, last_window):
+    def test_tping_adds_icmp_silent_hosts(self, tiny_executor, last_window):
         """TCP probing sees addresses ICMP misses (the paper: +7 %)."""
-        datasets = tiny_pipeline.datasets(last_window)
+        datasets = tiny_executor.datasets(last_window)
         tcp_only = datasets["TPING"] - datasets["IPING"]
         assert len(tcp_only) > 0.02 * len(datasets["IPING"])
 
     def test_blocked_network_absent_from_pings(self, tiny_internet,
-                                               tiny_pipeline, last_window):
+                                               tiny_executor, last_window):
         network = tiny_internet.ground_truth_networks()[-1]
         assert network.blocks_pings
         prefix = network.allocation.prefix
-        datasets = tiny_pipeline.datasets(last_window)
+        datasets = tiny_executor.datasets(last_window)
         for name in ("IPING", "TPING"):
             addrs = datasets[name].addresses
             inside = (addrs >= prefix.base) & (addrs < prefix.end)

@@ -10,7 +10,7 @@ from repro.sources.base import quarter_bounds, quarter_of
 from repro.stream.estimator import StreamEstimator
 from repro.stream.journal import journal_from_sources
 
-#: Must match the ``tiny_pipeline`` fixture so closes compare equal.
+#: Must match the ``tiny_executor`` fixture so closes compare equal.
 OPTIONS = dict(min_stratum_observed=25)
 
 
@@ -63,13 +63,13 @@ class TestBatchParity:
         assert warm_stream.revision_of(last_window) == 0
 
     def test_adjacent_window_close_also_matches_batch(
-        self, warm_stream, tiny_pipeline
+        self, warm_stream, tiny_executor
     ):
         # The second close runs against a warm chain populated by the
         # first — parity must survive any seeding that happens.
         window = standard_windows()[-2]
         result = warm_stream.close(window)
-        batch = tiny_pipeline.run_window(window)
+        batch = tiny_executor.window_result(window)
         assert result.excluded_sources == batch.excluded_sources
         np.testing.assert_allclose(
             result.estimated_addresses, batch.estimated_addresses, rtol=1e-8
@@ -150,7 +150,7 @@ class TestSnapshotResume:
             warm_stream.snapshot()
 
     def test_resume_restores_state_and_tail_ingest_matches(
-        self, tiny_internet, tiny_sources, tiny_pipeline, tmp_path,
+        self, tiny_internet, tiny_sources, tiny_executor, tmp_path,
         first_window,
     ):
         journal = journal_from_sources(tiny_sources, tmp_path / "journal")
@@ -187,7 +187,7 @@ class TestSnapshotResume:
         results = resumed.advance()
         assert [r.window for r in results] == standard_windows()
         for result in results:
-            batch = tiny_pipeline.run_window(result.window)
+            batch = tiny_executor.window_result(result.window)
             assert result.excluded_sources == batch.excluded_sources
             np.testing.assert_allclose(
                 result.estimated_addresses, batch.estimated_addresses,

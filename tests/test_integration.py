@@ -5,10 +5,11 @@ simulator — the bar the full benchmark suite measures in detail.
 """
 
 from repro.analysis.windows import TimeWindow
+from repro.core.profile_ci import profile_likelihood_interval
 
 
 class TestHeadlineNumbers:
-    def test_paper_utilisation_shape(self, tiny_pipeline, last_window_result,
+    def test_paper_utilisation_shape(self, tiny_executor, last_window_result,
                                      tiny_internet):
         """Paper: ~45 % of routed addresses and ~60 % of routed /24s
         estimated used at end-June 2014."""
@@ -39,22 +40,24 @@ class TestHeadlineNumbers:
             r.observed_subnets - r.truth_subnets
         )
 
-    def test_growth_direction(self, tiny_pipeline):
-        first = tiny_pipeline.run_window(TimeWindow(2011.0, 2012.0))
-        last = tiny_pipeline.run_window(TimeWindow(2013.5, 2014.5))
+    def test_growth_direction(self, tiny_executor):
+        first = tiny_executor.window_result(TimeWindow(2011.0, 2012.0))
+        last = tiny_executor.window_result(TimeWindow(2013.5, 2014.5))
         assert last.estimated_addresses > 1.15 * first.estimated_addresses
         assert last.estimated_subnets > first.estimated_subnets
 
 
 class TestEstimateRanges:
-    def test_window_range_is_narrow(self, tiny_pipeline, last_window,
+    def test_window_range_is_narrow(self, tiny_executor, last_window,
                                     last_window_result):
         """The paper: the Fig 4/5 estimate ranges are within a few
         percent of the point estimates (±1 % for /24s, ±3 % for
         addresses at full scale; wider at simulation scale)."""
-        interval = tiny_pipeline.address_estimator(
-            last_window
-        ).profile_interval(alpha=1e-7)
+        interval = profile_likelihood_interval(
+            tiny_executor.run("tabulate", last_window, level="addresses"),
+            tiny_executor.run("fit", last_window, level="addresses").fit.terms,
+            alpha=1e-7,
+        )
         point = last_window_result.estimated_addresses
         assert interval.population_low <= point <= interval.population_high
         width = interval.population_high - interval.population_low
@@ -62,7 +65,7 @@ class TestEstimateRanges:
 
 
 class TestGroundTruthNetworks:
-    def test_cr_beats_observation_on_networks(self, tiny_pipeline,
+    def test_cr_beats_observation_on_networks(self, tiny_executor,
                                               tiny_internet, last_window):
         """Table 4's pattern: per-network CR estimates land closer to
         the truth than raw observation for most networks."""
@@ -70,7 +73,7 @@ class TestGroundTruthNetworks:
         from repro.ipspace.intervals import IntervalSet
         from repro.ipspace.ipset import IPSet
 
-        datasets = tiny_pipeline.datasets(last_window)
+        datasets = tiny_executor.datasets(last_window)
         wins = 0
         networks = tiny_internet.ground_truth_networks()
         for network in networks:

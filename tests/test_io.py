@@ -70,9 +70,9 @@ class TestTableRoundtrip:
 
 class TestWindowResultRoundtrip:
     def test_roundtrip_supports_growth_analysis(self, tmp_path,
-                                                tiny_pipeline):
+                                                tiny_executor):
         windows = [TimeWindow(2011.0, 2012.0), TimeWindow(2013.5, 2014.5)]
-        results = tiny_pipeline.run_all(windows)
+        results = tiny_executor.run_windows(windows)
         path = tmp_path / "results.json"
         save_window_results(path, results)
         loaded = load_window_results(path)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.pipeline import EstimationPipeline, PipelineOptions
 from repro.analysis.windows import TimeWindow
 from repro.core.estimator import CaptureRecapture, EstimatorOptions
 from repro.core.histories import tabulate_histories
 from repro.core.selection import select_model
+from repro.engine.executor import Executor
+from repro.engine.stages import PipelineOptions
 from repro.filtering.spoof_filter import SpoofFilter
 from repro.ipspace.intervals import IntervalSet
 from repro.ipspace.ipset import IPSet
@@ -44,13 +45,13 @@ class TestPipelineFailureInjection:
     def test_all_garbage_source_dropped(self, tiny_internet, tiny_sources):
         sources = dict(tiny_sources)
         sources["BROKEN"] = _BrokenSource()
-        pipeline = EstimationPipeline(
+        executor = Executor(
             tiny_internet, sources, PipelineOptions(min_stratum_observed=25)
         )
         window = TimeWindow(2013.5, 2014.5)
-        datasets = pipeline.datasets(window)
+        datasets = executor.datasets(window)
         assert "BROKEN" not in datasets
-        result = pipeline.run_window(window)
+        result = executor.window_result(window)
         assert np.isfinite(result.estimated_addresses)
 
     def test_window_broken_source_dropped_per_window(
@@ -66,30 +67,30 @@ class TestPipelineFailureInjection:
         ).healthy_like(tiny_sources["GAME"].collect(2011.0, 2014.5))
         sources = dict(tiny_sources)
         sources["BROKEN"] = source
-        pipeline = EstimationPipeline(
+        executor = Executor(
             tiny_internet, sources, PipelineOptions(min_stratum_observed=25)
         )
-        assert "BROKEN" not in pipeline.datasets(broken_window)
-        assert "BROKEN" in pipeline.datasets(healthy_window)
-        result = pipeline.run_window(broken_window)
+        assert "BROKEN" not in executor.datasets(broken_window)
+        assert "BROKEN" in executor.datasets(healthy_window)
+        result = executor.window_result(broken_window)
         assert np.isfinite(result.estimated_addresses)
         assert result.is_degraded
         assert ("BROKEN", "empty_after_preprocess") in result.health.dropped
 
     def test_pipeline_with_two_sources_only(self, tiny_internet,
                                             tiny_sources):
-        pipeline = EstimationPipeline(
+        executor = Executor(
             tiny_internet,
             {k: tiny_sources[k] for k in ("IPING", "WEB")},
             PipelineOptions(),
         )
-        result = pipeline.run_window(TimeWindow(2013.5, 2014.5))
+        result = executor.window_result(TimeWindow(2013.5, 2014.5))
         assert result.estimated_addresses >= result.observed_addresses
 
     def test_pipeline_deterministic(self, tiny_internet, tiny_sources):
         window = TimeWindow(2012.5, 2013.5)
-        a = EstimationPipeline(tiny_internet, tiny_sources).run_window(window)
-        b = EstimationPipeline(tiny_internet, tiny_sources).run_window(window)
+        a = Executor(tiny_internet, tiny_sources).window_result(window)
+        b = Executor(tiny_internet, tiny_sources).window_result(window)
         assert a.estimated_addresses == b.estimated_addresses
         assert a.observed_addresses == b.observed_addresses
 

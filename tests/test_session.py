@@ -1,9 +1,11 @@
 """The unified Session facade."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro import Session
+from repro import Session, SimulationConfig
 from repro.core.estimator import CaptureRecapture
 from repro.engine.stages import PipelineOptions
 from repro.stream.estimator import StreamEstimator
@@ -84,7 +86,7 @@ class TestFacadeEquivalence:
         assert result.excluded_sources == last_window_result.excluded_sources
 
     def test_from_journal_streams_the_latest_coverable_window(
-        self, tiny_internet, tiny_sources, tmp_path, first_window, tiny_pipeline
+        self, tiny_internet, tiny_sources, tmp_path, first_window, tiny_executor
     ):
         journal_from_sources(
             tiny_sources, tmp_path / "journal", through=2012.0
@@ -98,7 +100,7 @@ class TestFacadeEquivalence:
         assert isinstance(stream, StreamEstimator)
         result = session.estimate()  # latest coverable == the first window
         assert result.window == first_window
-        batch = tiny_pipeline.run_window(first_window)
+        batch = tiny_executor.window_result(first_window)
         np.testing.assert_allclose(
             result.estimated_addresses, batch.estimated_addresses, rtol=1e-8
         )
@@ -113,13 +115,35 @@ class TestFacadeEquivalence:
             session.estimate()
 
     def test_campaign_spec_captures_the_session_shape(self, tiny_internet):
+        # The shape comes from the simulator itself (a 2^-13, seed-123
+        # world), not from from_simulation's scale_log2/seed defaults.
         options = PipelineOptions(min_stratum_observed=25)
-        session = Session.from_simulation(
-            tiny_internet, scale_log2=-13, seed=123, options=options
-        )
+        session = Session.from_simulation(tiny_internet, options=options)
         spec = session.campaign_spec(drop_sources=("WIKI",))
         assert spec.scale_log2 == -13
         assert spec.seed == 123
         assert spec.drop_sources == ("WIKI",)
         assert len(spec.windows) == 11
         assert spec.options == options
+
+    def test_campaign_spec_rejects_custom_sources(
+        self, tiny_internet, tiny_sources
+    ):
+        session = Session.from_simulation(tiny_internet, sources=tiny_sources)
+        with pytest.raises(ValueError, match="standard source catalog"):
+            session.campaign_spec()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimulationConfig(scale=3 * 2.0**-14, seed=123),
+            SimulationConfig(scale=2.0**-13, seed=123, num_darknets=5),
+        ],
+        ids=["scale-not-power-of-two", "non-default-field"],
+    )
+    def test_campaign_spec_rejects_unrebuildable_world(self, config):
+        # campaign_spec only reads the simulator's config, so a bare
+        # holder of one stands in for a (costly) SyntheticInternet.
+        session = Session.from_simulation(SimpleNamespace(config=config))
+        with pytest.raises(ValueError, match="cannot rebuild"):
+            session.campaign_spec()
