@@ -31,9 +31,10 @@ from typing import Any
 import numpy as np
 
 #: Version stamp folded into every key digest.  Bump on any change to
-#: the canonical encoding or to the semantics of keyed parameters, so
-#: stale persistent entries miss instead of colliding.
-KEY_SCHEMA_VERSION = 2
+#: the canonical encoding, to the semantics of keyed parameters or to
+#: the store's entry format, so stale persistent entries miss instead
+#: of colliding.  3: delta-coded ``.arr`` array entries.
+KEY_SCHEMA_VERSION = 3
 
 
 def _emit_sized(out: bytearray, tag: bytes, payload: bytes) -> None:

@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="drop entries unused for AGE (e.g. 7d, 12h)")
 
     store_verify = store_sub.add_parser(
-        "verify", help="checksum-verify every entry in the store"
+        "verify", help="checksum-verify every current-schema entry"
     )
     store_verify.add_argument("path", help="store directory (as in --store)")
     store_verify.add_argument("--delete", action="store_true",
@@ -942,6 +942,7 @@ def cmd_store(args: argparse.Namespace) -> int:
     summary = store.verify(delete=args.delete)
     print(f"store verify: {path}")
     print(f"  checked: {summary['checked']}")
+    print(f"  stale:   {summary['stale']} (older key schema; gc reclaims)")
     print(f"  corrupt: {summary['corrupt']}"
           + (" (deleted)" if args.delete and summary["corrupt"] else ""))
     for corrupt_path in summary["corrupt_paths"]:

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.ipspace.addresses import unique_addresses
 from repro.ipspace.ipset import IPSet
 
 
@@ -153,7 +154,7 @@ def history_masks(member_arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.n
     arrays = [np.asarray(arr, dtype=np.uint32) for arr in member_arrays]
     if not arrays:
         raise ValueError("at least one source required")
-    union = np.unique(np.concatenate(arrays))
+    union = unique_addresses(np.concatenate(arrays))
     masks = np.zeros(union.shape, dtype=np.uint32)
     for bit, arr in enumerate(arrays):
         if arr.size == 0:

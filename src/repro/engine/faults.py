@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
+from repro.ipspace.addresses import unique_addresses
 from repro.ipspace.ipset import IPSet
 
 if TYPE_CHECKING:
@@ -165,9 +166,9 @@ class FaultInjector:
         """Garble a freshly written store entry if a ``corrupt`` spec matches.
 
         ``index`` counts entry writes per stage (assigned by the store).
-        Corruption XORs a byte run in the tail of the file — the file
-        stays openable often enough to exercise the checksum path, and
-        a destroyed zip directory exercises the load-error path.
+        Corruption XORs a 64-byte run from the middle of the file: a
+        garbled zlib body exercises the load-error path, a garbled
+        pickle the checksum path.
         """
         if not any(
             s.kind == "corrupt" and s.matches(stage, index, 0)
@@ -362,7 +363,7 @@ class FaultySource:
                 chunks.append(data.addresses)
         if not chunks:
             return IPSet.empty()
-        return IPSet.from_sorted_unique(np.unique(np.concatenate(chunks)))
+        return IPSet.from_sorted_unique(unique_addresses(np.concatenate(chunks)))
 
     def _quarter(self, q: int) -> IPSet:
         from repro.sources.base import _derive_seed, quarter_bounds

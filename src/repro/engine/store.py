@@ -23,12 +23,22 @@ next week's run.
 This is the only module that knows the on-disk entry format.  Layout
 (``token = f"{stage}-{digest[:16]}"``)::
 
-    <root>/v2/<stage>/<token>.npz    array payloads (IPSet, tables, ...)
-    <root>/v2/<stage>/<token>.pkl    everything else (crc-framed pickle)
+    <root>/v3/<stage>/<token>.arr    array payloads (IPSet, tables, ...)
+    <root>/v3/<stage>/<token>.pkl    everything else (crc-framed pickle)
 
-The ``v2`` segment is :data:`~repro._canonical.KEY_SCHEMA_VERSION`:
+Both kinds are one 8-byte frame header (a 4-byte magic, ``RARR`` or
+``RART``, and a crc32) followed by the body.  An ``.arr`` body is a
+zlib level-1 stream of a JSON manifest (name, dtype, shape per array)
+and the arrays' raw bytes; 1-D ``uint32`` arrays (sorted addresses)
+go in as first differences, which zlib packs far tighter than the
+addresses.  Its crc covers the *decoded* names, dtypes and bytes, so
+a decoding bug fails the check exactly as disk damage does.  A
+``.pkl`` crc covers the pickle bytes, checked before unpickling.
+
+The ``v3`` segment is :data:`~repro._canonical.KEY_SCHEMA_VERSION`:
 bumping the schema strands old entries in a directory the new code
-never looks at, so stale entries miss cleanly instead of colliding.
+never looks at, so stale entries miss cleanly instead of colliding
+(``stats`` and ``gc`` still see them, ``verify`` counts them stale).
 Writes are lock-free concurrency-safe (unique temp name +
 ``os.replace``); reads verify a crc32 before trusting any payload, and
 a corrupt entry is unlinked, surfaced as a ``cache.corrupt_spill``
@@ -38,8 +48,8 @@ event and degraded to a recomputing miss.
 from __future__ import annotations
 
 import abc
-import io
 import itertools
+import json
 import logging
 import os
 import pickle
@@ -67,9 +77,18 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-#: Frame header of ``.pkl`` store entries: magic + crc32 of the pickle.
+#: Frame header of every store entry: magic + crc32.
+_FRAME_HEADER = struct.Struct("<4sI")
+#: Magic of ``.pkl`` entries, whose crc32 covers the pickle bytes.
 PICKLE_MAGIC = b"RART"
-_PICKLE_HEADER = struct.Struct("<4sI")
+#: Magic of array entries, whose crc32 covers the decoded payload.
+ARRAY_MAGIC = b"RARR"
+ARRAY_SUFFIX = ".arr"
+#: Entry suffixes :meth:`LocalStore.entries` lists; ``.npz`` is the
+#: array format of key schema 2, kept visible so ``stats`` and ``gc``
+#: still count and reclaim pre-bump entries.
+ENTRY_SUFFIXES = (ARRAY_SUFFIX, ".pkl", ".npz")
+_MANIFEST_LEN = struct.Struct("<I")
 
 #: Temp files older than this are presumed orphaned by a killed writer
 #: and are swept during :meth:`LocalStore.gc`.
@@ -98,27 +117,74 @@ def _spill_payload(value: Any) -> dict[str, np.ndarray] | None:
 def _restore_payload(payload: Mapping[str, np.ndarray]) -> Any:
     """Inverse of :func:`_spill_payload`."""
     if "__ipset__" in payload:
-        return IPSet.from_sorted_unique(payload["__ipset__"].astype(np.uint32))
+        return IPSet.from_sorted_unique(payload["__ipset__"])
     if "__table_counts__" in payload:
-        counts = payload["__table_counts__"].astype(np.int64)
+        counts = payload["__table_counts__"]
         names = tuple(str(n) for n in payload["__table_names__"])
         num_sources = int(np.log2(counts.size))
         return ContingencyTable(num_sources, counts, names)
     return {
-        name[len("set:"):]: IPSet.from_sorted_unique(
-            payload[name].astype(np.uint32)
-        )
+        name[len("set:"):]: IPSet.from_sorted_unique(payload[name])
         for name in payload
         if name.startswith("set:")
     }
 
 
-#: Archive member holding the payload checksum (not part of the payload).
-CHECKSUM_KEY = "__checksum__"
+def _is_delta_coded(dtype: np.dtype, ndim: int) -> bool:
+    """Whether an array travels as first differences (1-D ``uint32``)."""
+    return dtype == np.uint32 and ndim == 1
+
+
+def _encode_arrays(payload: Mapping[str, np.ndarray]) -> bytes:
+    """One framed ``.arr`` entry: header, then the zlib level-1 body."""
+    manifest = []
+    arrays = []
+    for name, arr in payload.items():
+        arr = np.ascontiguousarray(arr)
+        manifest.append([name, arr.dtype.str, list(arr.shape)])
+        if _is_delta_coded(arr.dtype, arr.ndim):
+            deltas = np.empty_like(arr)
+            deltas[:1] = arr[:1]
+            np.subtract(arr[1:], arr[:-1], out=deltas[1:])
+            arr = deltas
+        arrays.append(arr)
+    head = json.dumps(manifest).encode("utf-8")
+    compressor = zlib.compressobj(1)
+    chunks = [
+        _FRAME_HEADER.pack(ARRAY_MAGIC, _payload_checksum(payload)),
+        compressor.compress(_MANIFEST_LEN.pack(len(head)) + head),
+    ]
+    chunks.extend(compressor.compress(arr) for arr in arrays)
+    chunks.append(compressor.flush())
+    return b"".join(chunks)
+
+
+def _decode_arrays(body: bytes) -> dict[str, np.ndarray]:
+    """Inverse of :func:`_encode_arrays` after the frame header.
+
+    Raises ``zlib.error``, ``ValueError``, ``TypeError`` or
+    ``struct.error`` on a body it cannot parse.
+    """
+    raw = zlib.decompress(body)
+    (size,) = _MANIFEST_LEN.unpack_from(raw)
+    offset = _MANIFEST_LEN.size + size
+    payload = {}
+    for name, dtype, shape in json.loads(raw[_MANIFEST_LEN.size:offset]):
+        dtype = np.dtype(dtype)
+        count = int(np.prod(shape, dtype=np.int64))
+        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
+        offset += arr.nbytes
+        if _is_delta_coded(dtype, len(shape)):
+            payload[name] = np.cumsum(arr, dtype=np.uint32)
+        else:
+            payload[name] = arr.reshape(shape).copy()
+    if offset != len(raw):
+        raise ValueError("trailing bytes after the last array")
+    return payload
 
 
 def _payload_checksum(payload: Mapping[str, np.ndarray]) -> int:
-    """crc32 over the payload's names and array bytes, order-independent."""
+    """crc32 over the payload's names, dtypes and array bytes, order-independent."""
     crc = 0
     for name in sorted(payload):
         crc = zlib.crc32(name.encode("utf-8"), crc)
@@ -266,7 +332,7 @@ class LocalStore(ArtifactStore):
 
     def _paths(self, key: ArtifactKey) -> tuple[Path, Path]:
         stem = self._version_dir / key.stage / key.token()
-        return stem.with_suffix(".npz"), stem.with_suffix(".pkl")
+        return stem.with_suffix(ARRAY_SUFFIX), stem.with_suffix(".pkl")
 
     def _find(self, key: ArtifactKey) -> Path | None:
         for path in self._paths(key):
@@ -304,7 +370,7 @@ class LocalStore(ArtifactStore):
 
     def put(self, key: ArtifactKey, value: Any) -> None:
         """Atomically persist ``value``; idempotent for existing keys."""
-        npz_path, pkl_path = self._paths(key)
+        arr_path, pkl_path = self._paths(key)
         existing = self._find(key)
         if existing is not None:
             # Content-addressed: same digest, same bytes.  Refresh the
@@ -317,15 +383,10 @@ class LocalStore(ArtifactStore):
             return
         payload = _spill_payload(value)
         if payload is not None:
-            checksum = np.array(_payload_checksum(payload), dtype=np.uint64)
-            buffer = io.BytesIO()
-            np.savez_compressed(
-                buffer, **payload, **{CHECKSUM_KEY: checksum}
-            )
-            data, path = buffer.getvalue(), npz_path
+            data, path = _encode_arrays(payload), arr_path
         else:
             body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            header = _PICKLE_HEADER.pack(PICKLE_MAGIC, zlib.crc32(body))
+            header = _FRAME_HEADER.pack(PICKLE_MAGIC, zlib.crc32(body))
             data, path = header + body, pkl_path
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(path, data)
@@ -339,36 +400,23 @@ class LocalStore(ArtifactStore):
     @staticmethod
     def _decode(path: Path, data: bytes) -> Any:
         """Decode + verify one entry's bytes (raises on any corruption)."""
-        if path.suffix == ".npz":
+        if len(data) < _FRAME_HEADER.size:
+            raise CorruptSpillError(f"truncated store entry {path.name}")
+        magic, stored = _FRAME_HEADER.unpack_from(data)
+        pickled = path.suffix == ".pkl"
+        if magic != (PICKLE_MAGIC if pickled else ARRAY_MAGIC):
+            raise CorruptSpillError(f"bad magic in store entry {path.name}")
+        body = data[_FRAME_HEADER.size :]
+        if pickled:
+            computed = zlib.crc32(body)
+        else:
             try:
-                with np.load(io.BytesIO(data)) as archive:
-                    payload = {name: archive[name] for name in archive.files}
-            except Exception as exc:  # truncated zip, bad header
+                payload = _decode_arrays(body)
+            except (zlib.error, ValueError, TypeError, struct.error) as exc:
                 raise CorruptSpillError(
                     f"unreadable store entry {path.name}"
                 ) from exc
-            checksum = payload.pop(CHECKSUM_KEY, None)
-            if checksum is None or not payload:
-                raise CorruptSpillError(
-                    f"store entry {path.name} has no checksum"
-                )
-            stored = int(checksum)
             computed = _payload_checksum(payload)
-            if stored != computed:
-                raise CorruptSpillError(
-                    f"checksum mismatch in {path.name}: "
-                    f"stored crc32 {stored:#010x} != computed {computed:#010x}",
-                    stored_crc=stored,
-                    computed_crc=computed,
-                )
-            return _restore_payload(payload)
-        if len(data) < _PICKLE_HEADER.size:
-            raise CorruptSpillError(f"truncated store entry {path.name}")
-        magic, stored = _PICKLE_HEADER.unpack_from(data)
-        if magic != PICKLE_MAGIC:
-            raise CorruptSpillError(f"bad magic in store entry {path.name}")
-        body = data[_PICKLE_HEADER.size :]
-        computed = zlib.crc32(body)
         if stored != computed:
             raise CorruptSpillError(
                 f"checksum mismatch in {path.name}: "
@@ -376,6 +424,8 @@ class LocalStore(ArtifactStore):
                 stored_crc=stored,
                 computed_crc=computed,
             )
+        if not pickled:
+            return _restore_payload(payload)
         try:
             return pickle.loads(body)
         except Exception as exc:
@@ -414,7 +464,7 @@ class LocalStore(ArtifactStore):
         if not self.root.is_dir():
             return
         for path in sorted(self.root.rglob("*")):
-            if path.is_file() and path.suffix in (".npz", ".pkl"):
+            if path.is_file() and path.suffix in ENTRY_SUFFIXES:
                 yield path
 
     def usage(self) -> dict[str, int]:
@@ -484,10 +534,17 @@ class LocalStore(ArtifactStore):
         }
 
     def verify(self, delete: bool = False) -> dict[str, Any]:
-        """Checksum-verify every entry; optionally delete the corrupt."""
-        checked = 0
+        """Checksum-verify every current entry; optionally delete the corrupt.
+
+        Entries of other key-schema versions are unreadable by design:
+        they are counted as ``stale``, never corrupt, and left to ``gc``.
+        """
+        checked = stale = 0
         corrupt: list[str] = []
         for path in self.entries():
+            if not path.is_relative_to(self._version_dir):
+                stale += 1
+                continue
             checked += 1
             try:
                 self._decode(path, path.read_bytes())
@@ -499,6 +556,7 @@ class LocalStore(ArtifactStore):
                 continue
         return {
             "checked": checked,
+            "stale": stale,
             "corrupt": len(corrupt),
             "corrupt_paths": corrupt,
             "deleted": len(corrupt) if delete else 0,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from repro.ipspace.addresses import last_octet, subnet24_of
+from repro.ipspace.addresses import last_octet, subnet24_of, unique_addresses
 from repro.ipspace.intervals import IntervalSet
 from repro.ipspace.ipset import IPSet
 from repro.ipspace.prefixes import Prefix
@@ -168,7 +168,7 @@ class SpoofFilter:
             sub24, return_inverse=True, return_counts=True
         )
         corroborated24 = np.zeros(len(unique24), dtype=bool)
-        ref_sub24 = np.unique(subnet24_of(self.references.addresses))
+        ref_sub24 = unique_addresses(subnet24_of(self.references.addresses))
         idx = np.searchsorted(ref_sub24, unique24)
         idx_ok = np.clip(idx, 0, max(len(ref_sub24) - 1, 0))
         if len(ref_sub24):

@@ -23,6 +23,7 @@ from repro.ipspace.addresses import (
     parse_addr,
     parse_addrs,
     subnet24_of,
+    unique_addresses,
 )
 from repro.ipspace.blocks import (
     allocation_matrix,
@@ -60,5 +61,6 @@ __all__ = [
     "public_space",
     "special_use_intervals",
     "subnet24_of",
+    "unique_addresses",
     "vacant_block_histogram",
 ]

@@ -75,6 +75,25 @@ def as_addr_array(addrs) -> np.ndarray:
     return arr.astype(np.uint32)
 
 
+def unique_addresses(arr: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of ``arr`` (flattened), like ``np.unique``.
+
+    One sort plus a neighbour mask.  ``np.unique`` on integers goes
+    through a hash table and then sorts its output, which costs tens of
+    times more on address arrays; the sort here is the whole cost, and
+    it is fast on concatenations of already-sorted runs too (the
+    unions every window builds).  Correctness never depends on the
+    input being sorted.
+    """
+    out = np.sort(np.ravel(arr))
+    if out.size < 2:
+        return out
+    keep = np.empty(out.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 def subnet24_of(addrs: np.ndarray) -> np.ndarray:
     """Zero the last octet: the paper's /24 dataset projection."""
     return np.asarray(addrs, dtype=np.uint32) & np.uint32(0xFFFFFF00)

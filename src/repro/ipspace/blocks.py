@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ipspace.addresses import unique_addresses
 from repro.ipspace.intervals import IntervalSet
 
 #: Prefix lengths tracked by the vacancy model (0..32 inclusive).
@@ -37,19 +38,19 @@ def count_occupied_blocks(addrs: np.ndarray, length: int) -> int:
         return 0
     if length == 0:
         return 1
-    return int(np.unique(arr >> np.uint32(32 - length)).size)
+    return int(unique_addresses(arr >> np.uint32(32 - length)).size)
 
 
 def occupied_block_histogram(addrs: np.ndarray) -> np.ndarray:
     """Occupied-block counts for every length 0..32 (index = length)."""
     counts = np.zeros(NUM_LEVELS, dtype=np.int64)
-    arr = np.unique(np.asarray(addrs, dtype=np.uint32))
+    arr = unique_addresses(np.asarray(addrs, dtype=np.uint32))
     if arr.size == 0:
         return counts
     counts[32] = arr.size
     blocks = arr
     for length in range(31, -1, -1):
-        blocks = np.unique(blocks >> np.uint32(1))
+        blocks = unique_addresses(blocks >> np.uint32(1))
         counts[length] = blocks.size
     return counts
 

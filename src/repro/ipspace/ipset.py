@@ -5,7 +5,10 @@ measurement source yields one, the capture-recapture tabulation
 consumes several, and the spoof filter transforms one into another.
 Internally it is a sorted, de-duplicated ``uint32`` numpy array, which
 makes union/intersection/difference and bulk membership O(n log n)
-numpy operations rather than Python-level loops.
+numpy operations rather than Python-level loops.  Construction and
+unions deduplicate through
+:func:`~repro.ipspace.addresses.unique_addresses` (one sort plus a
+neighbour mask), the same primitive every other address site uses.
 """
 
 from __future__ import annotations
@@ -14,7 +17,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.ipspace.addresses import as_addr_array, format_addr, subnet24_of
+from repro.ipspace.addresses import (
+    MAX_ADDRESS,
+    as_addr_array,
+    format_addr,
+    subnet24_of,
+    unique_addresses,
+)
 from repro.ipspace.intervals import IntervalSet
 
 
@@ -25,7 +34,7 @@ class IPSet:
 
     def __init__(self, addrs: Iterable = ()) -> None:
         arr = as_addr_array(list(addrs) if not isinstance(addrs, np.ndarray) else addrs)
-        self._addrs = np.unique(arr)
+        self._addrs = unique_addresses(arr)
 
     # -- constructors -----------------------------------------------------
 
@@ -82,13 +91,22 @@ class IPSet:
     # -- membership ---------------------------------------------------------
 
     def contains(self, addrs) -> np.ndarray:
-        """Vectorised membership test returning a bool array."""
-        arr = np.atleast_1d(np.asarray(addrs)).astype(np.uint32)
+        """Vectorised membership test returning a bool array.
+
+        A probe outside ``[0, 2**32 - 1]`` is never a member (it must
+        not wrap onto an address).
+        """
+        arr = np.atleast_1d(np.asarray(addrs))
+        in_range = None
+        if arr.dtype != np.uint32:
+            in_range = (arr >= 0) & (arr <= MAX_ADDRESS)
+            arr = np.where(in_range, arr, 0).astype(np.uint32)
         if not len(self):
             return np.zeros(arr.shape, dtype=bool)
         idx = np.searchsorted(self._addrs, arr)
         idx_clipped = np.clip(idx, 0, len(self) - 1)
-        return self._addrs[idx_clipped] == arr
+        found = self._addrs[idx_clipped] == arr
+        return found if in_range is None else found & in_range
 
     def __contains__(self, addr: int) -> bool:
         return bool(self.contains(np.asarray([addr]))[0])
@@ -98,9 +116,8 @@ class IPSet:
     def union(self, *others: "IPSet") -> "IPSet":
         """Union with any number of other sets in one pass."""
         arrays = [self._addrs] + [o._addrs for o in others]
-        return IPSet.from_sorted_unique(
-            np.unique(np.concatenate(arrays)) if len(arrays) > 1 else arrays[0]
-        )
+        merged = unique_addresses(np.concatenate(arrays)) if others else arrays[0]
+        return IPSet.from_sorted_unique(merged)
 
     def intersection(self, other: "IPSet") -> "IPSet":
         """Addresses present in both sets."""
@@ -146,7 +163,7 @@ class IPSet:
 
     def subnets24(self) -> "IPSet":
         """The paper's /24 dataset: last octet zeroed, duplicates removed."""
-        return IPSet.from_sorted_unique(np.unique(subnet24_of(self._addrs)))
+        return IPSet.from_sorted_unique(unique_addresses(subnet24_of(self._addrs)))
 
     def filter_mask(self, mask: np.ndarray) -> "IPSet":
         """Keep addresses where ``mask`` is true (aligned with ``addresses``)."""

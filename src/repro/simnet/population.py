@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ipspace.addresses import subnet24_of
+from repro.ipspace.addresses import subnet24_of, unique_addresses
 from repro.ipspace.ipset import IPSet
 from repro.registry.allocations import Allocation, AllocationRegistry
 from repro.registry.countries import country_growth_multiplier
@@ -79,7 +79,7 @@ class GroundTruthPopulation:
     def used_subnet24_count(self, start: float, end: float) -> int:
         """Ground-truth used /24 blocks during the window."""
         mask = self.used_in_window(start, end)
-        return int(np.unique(subnet24_of(self.addresses[mask])).size)
+        return int(unique_addresses(subnet24_of(self.addresses[mask])).size)
 
     # -- ground-truth network queries (Table 4) --------------------------------
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ipspace.addresses import unique_addresses
 from repro.ipspace.ipset import IPSet
 from repro.ipspace.prefixes import Prefix
 from repro.simnet.hosts import HostType
@@ -126,7 +127,7 @@ class CensusSource(MeasurementSource):
         if not times:
             return IPSet.empty()
         chunks = [self._run_census(self._census_index(t)) for t in times]
-        return IPSet.from_sorted_unique(np.unique(np.concatenate(chunks)))
+        return IPSet.from_sorted_unique(unique_addresses(np.concatenate(chunks)))
 
 
 def icmp_census(

@@ -16,6 +16,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro.ipspace.addresses import unique_addresses
 from repro.ipspace.ipset import IPSet
 from repro.simnet.population import GroundTruthPopulation
 
@@ -101,7 +102,7 @@ class QuarterlySource(MeasurementSource):
         """Cached sorted-unique addresses for one quarter."""
         if index not in self._quarter_cache:
             rng = self._quarter_rng(index)
-            self._quarter_cache[index] = np.unique(
+            self._quarter_cache[index] = unique_addresses(
                 self._observe_quarter(index, rng)
             )
         return self._quarter_cache[index]
@@ -118,7 +119,7 @@ class QuarterlySource(MeasurementSource):
         chunks = [c for c in chunks if c.size]
         if not chunks:
             return IPSet.empty()
-        return IPSet.from_sorted_unique(np.unique(np.concatenate(chunks)))
+        return IPSet.from_sorted_unique(unique_addresses(np.concatenate(chunks)))
 
     # -- helpers for subclasses ---------------------------------------------
 

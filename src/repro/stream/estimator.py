@@ -42,6 +42,7 @@ from repro.engine.artifacts import MISS, ArtifactCache, ArtifactKey
 from repro.engine.executor import ExecutionPolicy, Executor
 from repro.engine.report import RunReport
 from repro.engine.stages import PipelineOptions, WindowResult
+from repro.ipspace.addresses import unique_addresses
 from repro.ipspace.ipset import IPSet
 from repro.obs.observer import Observer
 from repro.sources.base import MeasurementSource, quarter_bounds, quarter_of
@@ -99,7 +100,7 @@ class JournalSource(MeasurementSource):
         chunks = [c for c in chunks if c.size]
         if not chunks:
             return IPSet.empty()
-        return IPSet.from_sorted_unique(np.unique(np.concatenate(chunks)))
+        return IPSet.from_sorted_unique(unique_addresses(np.concatenate(chunks)))
 
 
 class ClosedWindow:
@@ -206,8 +207,10 @@ class StreamEstimator:
         quarters = self._quarters[name]
         current = quarters.get(delta.quarter, _EMPTY)
         updated = np.setdiff1d(
-            np.union1d(current, delta.add), delta.remove, assume_unique=False
-        ).astype(np.uint32)
+            unique_addresses(np.concatenate([current, delta.add])),
+            delta.remove,
+            assume_unique=True,
+        )
         added = np.setdiff1d(updated, current, assume_unique=True)
         removed = np.setdiff1d(current, updated, assume_unique=True)
         self.observer.inc("stream_deltas_ingested_total")

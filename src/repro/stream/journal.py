@@ -36,6 +36,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from repro._canonical import canonical_digest
+from repro.ipspace.addresses import unique_addresses
 from repro.sources.base import (
     TIME_HORIZON,
     TIME_ORIGIN,
@@ -78,7 +79,7 @@ class ObservationDelta:
 
     def __post_init__(self) -> None:
         for name in ("add", "remove"):
-            arr = np.unique(np.asarray(getattr(self, name), dtype=np.uint32))
+            arr = unique_addresses(np.asarray(getattr(self, name), dtype=np.uint32))
             object.__setattr__(self, name, arr)
 
     @property
@@ -222,8 +223,8 @@ class DeltaJournal:
         remove: Iterable[int] | np.ndarray = (),
     ) -> ObservationDelta:
         """Append one delta batch and return it with its sequence number."""
-        add = np.unique(np.asarray(list(add) if not isinstance(add, np.ndarray) else add, dtype=np.uint32))
-        remove = np.unique(np.asarray(list(remove) if not isinstance(remove, np.ndarray) else remove, dtype=np.uint32))
+        add = unique_addresses(np.asarray(list(add) if not isinstance(add, np.ndarray) else add, dtype=np.uint32))
+        remove = unique_addresses(np.asarray(list(remove) if not isinstance(remove, np.ndarray) else remove, dtype=np.uint32))
         seq = self._append_record({
             "kind": "delta",
             "source": str(source),

@@ -11,8 +11,13 @@ concurrency contract (two processes hammering one store directory).
 import concurrent.futures
 import dataclasses
 import os
+import struct
+import tempfile
+import time
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro._canonical import (
     KEY_SCHEMA_VERSION,
@@ -25,11 +30,14 @@ from repro.core.histories import ContingencyTable
 from repro.engine import Executor
 from repro.engine.artifacts import MISS, ArtifactCache, ArtifactKey
 from repro.engine.store import (
-    CHECKSUM_KEY,
+    ARRAY_MAGIC,
+    ARRAY_SUFFIX,
     ArtifactStore,
     FitMemoStore,
     LocalStore,
     TieredStore,
+    _payload_checksum,
+    _spill_payload,
     open_store,
 )
 from repro.ipspace.ipset import IPSet
@@ -45,6 +53,23 @@ def ipset(n, start=0):
     return IPSet.from_sorted_unique(
         np.arange(start, start + n, dtype=np.uint32)
     )
+
+
+ADDRESS_SETS = st.lists(st.integers(0, 2**32 - 1), max_size=40).map(IPSet)
+TABLES = st.integers(1, 4).flatmap(
+    lambda t: st.lists(
+        st.integers(0, 2**40), min_size=2**t - 1, max_size=2**t - 1
+    ).map(
+        lambda cells: ContingencyTable(
+            t, np.array([0, *cells]), tuple(f"S{i}" for i in range(t))
+        )
+    )
+)
+ARRAY_VALUES = st.one_of(
+    ADDRESS_SETS,
+    st.dictionaries(st.text(max_size=6), ADDRESS_SETS, min_size=1, max_size=4),
+    TABLES,
+)
 
 
 class TestCanonicalEncoding:
@@ -157,6 +182,32 @@ class TestLocalStoreRoundTrip:
                 restored[name].addresses, sets[name].addresses
             )
 
+    @settings(max_examples=60, deadline=None)
+    @given(ARRAY_VALUES)
+    @example(IPSet([]))
+    @example(IPSet([0]))
+    @example(IPSet([0xFFFFFFFF]))
+    @example(IPSet([0, 0xFFFFFFFF]))
+    @example({"WEB": IPSet([]), "IPING": IPSet([0, 7, 0xFFFFFFFF])})
+    @example(ContingencyTable(2, np.array([0, 2**33, 1, 2**40 + 5]), ("x", "y")))
+    def test_array_codec_roundtrip(self, value):
+        with tempfile.TemporaryDirectory() as root:
+            LocalStore(root).put(key(i=0), value)
+            reader = LocalStore(root)
+            (path,) = reader.entries()
+            assert path.suffix == ARRAY_SUFFIX
+            restored = reader.get(key(i=0))
+        assert reader.corrupt_entries == 0
+        if isinstance(value, ContingencyTable):
+            assert restored.counts.dtype == np.int64
+            assert np.array_equal(restored.counts, value.counts)
+            assert restored.source_names == value.source_names
+        elif isinstance(value, IPSet):
+            assert restored.addresses.dtype == np.uint32
+            assert restored == value
+        else:
+            assert restored == value
+
     def test_generic_value_pickle_roundtrip(self, tmp_path):
         store = LocalStore(tmp_path)
         value = {"estimate": 1234.5, "arr": np.arange(4)}
@@ -192,7 +243,7 @@ class TestLocalStoreRoundTrip:
         leftovers = [
             p
             for p in tmp_path.rglob("*")
-            if p.is_file() and p.suffix not in (".npz", ".pkl")
+            if p.is_file() and p.suffix not in (ARRAY_SUFFIX, ".pkl")
         ]
         assert leftovers == []
 
@@ -210,18 +261,22 @@ class TestLocalStoreRoundTrip:
 class TestLocalStoreCorruption:
     """Corrupt entries degrade to recomputing misses, never bad data."""
 
-    def put_one(self, tmp_path, observer=None, kind="npz"):
+    def put_one(self, tmp_path, observer=None, kind="array"):
         store = LocalStore(tmp_path, observer=observer)
-        k = key(i=0) if kind == "npz" else key("estimate", i=0)
-        value = ipset(100) if kind == "npz" else {"x": 1.0}
+        k = key(i=0) if kind == "array" else key("estimate", i=0)
+        value = ipset(100) if kind == "array" else {"x": 1.0}
         store.put(k, value)
         (path,) = store.entries()
         return store, k, path
 
     def test_npz_entry_carries_checksum(self, tmp_path):
+        # Every array entry is framed by its magic and the crc32 of the
+        # payload it decodes to.
         store, k, path = self.put_one(tmp_path)
-        with np.load(path) as archive:
-            assert CHECKSUM_KEY in archive.files
+        assert path.suffix == ARRAY_SUFFIX
+        magic, crc = struct.unpack_from("<4sI", path.read_bytes())
+        assert magic == ARRAY_MAGIC
+        assert crc == _payload_checksum(_spill_payload(ipset(100)))
 
     def test_truncated_npz_degrades_to_miss(self, tmp_path):
         store, k, path = self.put_one(tmp_path)
@@ -361,8 +416,25 @@ class TestLocalStoreMaintenance:
         assert summary["deleted"] == 1
         assert not victim.exists()
         assert store.verify() == {
-            "checked": 3, "corrupt": 0, "corrupt_paths": [], "deleted": 0,
+            "checked": 3, "stale": 0, "corrupt": 0, "corrupt_paths": [],
+            "deleted": 0,
         }
+
+    def test_verify_counts_other_schema_entries_stale(self, tmp_path):
+        # An entry of another key schema is unreadable by design: verify
+        # must not call it corrupt (nor delete it), while gc reclaims it.
+        store = self.fill(tmp_path, n=1)
+        old = tmp_path / f"v{KEY_SCHEMA_VERSION - 1}" / "tabulate"
+        old.mkdir(parents=True)
+        legacy = old / "tabulate-0123456789abcdef.npz"
+        np.savez_compressed(legacy, __ipset__=np.arange(5, dtype=np.uint32))
+        summary = store.verify(delete=True)
+        assert (summary["checked"], summary["stale"]) == (1, 1)
+        assert summary["corrupt"] == summary["deleted"] == 0
+        assert legacy.exists()
+        assert store.usage()["entries"] == 2
+        assert store.gc(max_age=0.0, now=time.time() + 1.0)["removed"] == 2
+        assert list(store.entries()) == []
 
 
 class TestTieredStore:
@@ -498,7 +570,7 @@ class TestConcurrentStoreAccess:
         leftovers = [
             p
             for p in tmp_path.rglob("*")
-            if p.is_file() and p.suffix not in (".npz", ".pkl")
+            if p.is_file() and p.suffix not in (ARRAY_SUFFIX, ".pkl")
         ]
         assert leftovers == []
 

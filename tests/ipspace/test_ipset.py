@@ -54,6 +54,21 @@ class TestMembership:
     def test_empty_contains_nothing(self):
         assert not IPSet.empty().contains(np.array([1])).any()
 
+    def test_out_of_range_probes_never_members(self):
+        # A probe outside [0, 2**32 - 1] must not wrap onto an address.
+        s = IPSet([5, 10, 0xFFFFFFFF])
+        probes = [5, 2**32 + 5, -(2**32) + 5, -1, 10, 2**33 + 10, 2**64 + 5]
+        assert list(s.contains(probes)) == [
+            True, False, False, False, True, False, False,
+        ]
+        assert list(s.contains(np.array(probes[:6]))) == [
+            True, False, False, False, True, False,
+        ]
+        assert 2**32 + 5 not in s
+        assert -(2**32) + 5 not in s
+        assert -1 not in s
+        assert 0xFFFFFFFF in s
+
 
 class TestAlgebra:
     def test_union_matches_python_sets(self):

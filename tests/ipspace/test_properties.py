@@ -4,7 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ipspace.addresses import ADDRESS_SPACE_SIZE, format_addr, parse_addr
+from repro.ipspace.addresses import (
+    ADDRESS_SPACE_SIZE,
+    format_addr,
+    parse_addr,
+    unique_addresses,
+)
 from repro.ipspace.blocks import vacant_address_totals, vacant_block_histogram
 from repro.ipspace.intervals import IntervalSet
 from repro.ipspace.ipset import IPSet
@@ -38,6 +43,24 @@ def test_ipset_invariant_holds(a):
     s = IPSet(a)
     s.validate()
     assert len(s) == len(set(a))
+
+
+# Small values collide often, so the concatenated arrays share members;
+# the extremes pin the uint32 end points.
+shared_addresses = st.one_of(
+    st.integers(0, 64), st.sampled_from([0, ADDRESS_SPACE_SIZE - 1]), addresses
+)
+
+
+@given(st.lists(st.lists(shared_addresses, max_size=50), max_size=5), st.booleans())
+def test_unique_addresses_matches_np_unique(chunks, pre_sort):
+    arrays = [np.array(c, dtype=np.uint32) for c in chunks]
+    if pre_sort:  # the unions: concatenations of sorted-unique runs
+        arrays = [np.unique(a) for a in arrays]
+    arr = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.uint32)
+    out = unique_addresses(arr)
+    assert out.dtype == np.uint32
+    assert np.array_equal(out, np.unique(arr))
 
 
 @given(interval_lists, interval_lists)

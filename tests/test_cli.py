@@ -299,7 +299,7 @@ class TestArtifactStoreCli:
         store, _, _ = self.warm_store(tmp_path, capsys)
         assert main(["store", "verify", store]) == 0
         assert "corrupt: 0" in capsys.readouterr().out
-        victim = next(Path(store).rglob("*.npz"))
+        victim = next(Path(store).rglob("*.arr"))
         data = bytearray(victim.read_bytes())
         data[-20] ^= 0xFF
         victim.write_bytes(bytes(data))
