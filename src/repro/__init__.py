@@ -83,10 +83,8 @@ from repro.service import (
     CampaignScheduler,
     CampaignSpec,
     CampaignStatus,
-    InProcessBackend,
     LedgerSchemaError,
     QueryLedger,
-    SchedulerBackend,
 )
 from repro.session import Session
 from repro.simnet import SimulationConfig, SyntheticInternet
@@ -153,10 +151,8 @@ __all__ = [
     "CampaignScheduler",
     "CampaignSpec",
     "CampaignStatus",
-    "InProcessBackend",
     "LedgerSchemaError",
     "QueryLedger",
-    "SchedulerBackend",
     # streaming
     "DeltaJournal",
     "IncrementalTabulator",

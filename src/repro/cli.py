@@ -31,9 +31,9 @@ Commands that orchestrate repeated estimation accept ``--workers``;
 results are bit-identical whatever the worker count.
 
 Fault tolerance is configured globally: ``--retries`` bounds the extra
-attempts per stage or pool task, ``--task-timeout`` puts a wall-clock
-limit on pool tasks (hung workers are terminated and the task
-retried), and ``--inject-faults SPEC`` arms the deterministic fault
+attempts per stage or task (window, fold or campaign task),
+``--task-timeout`` puts a wall-clock limit on pool tasks (hung workers
+are terminated and the task retried), and ``--inject-faults SPEC`` arms the deterministic fault
 injector (``stage:kind[:index[:count[:seconds]]]``) to rehearse those
 paths.  Tasks that exhaust their retries are reported as degraded and
 dropped; surviving windows/folds still produce their estimates.
@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", parents=[workers_parent, service_parent,
                            *pipeline_parents],
         help="submit a campaign (windows x sensitivity grid) and run "
-        "it to completion on the in-process backend",
+        "it to completion through the task runner",
     )
     submit.add_argument("--window", action="append", type=_parse_window,
                         default=None, metavar="START:END",
@@ -1022,7 +1022,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_submit(args: argparse.Namespace) -> int:
-    """Submit a campaign and drain it on the in-process backend."""
+    """Submit a campaign and drain it through the executor's runner."""
     from repro.analysis.windows import standard_windows
     from repro.service.campaign import CampaignSpec
     from repro.service.scheduler import CampaignScheduler
@@ -1036,12 +1036,7 @@ def _cmd_campaign_submit(args: argparse.Namespace) -> int:
         options=executor.options,
         drop_sources=tuple(args.drop),
     )
-    scheduler = CampaignScheduler(
-        args.service,
-        observer=executor.observer,
-        faults=executor.faults,
-        retries=args.retries,
-    )
+    scheduler = CampaignScheduler(args.service)
     campaign_id = scheduler.submit(spec)
     status = scheduler.status(campaign_id)
     if status.finished:

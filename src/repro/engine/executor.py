@@ -1,27 +1,24 @@
-"""The engine executor: cache-checked stage resolution and fan-out.
+"""The engine executor: cache-checked stage resolution and one task runner.
 
 :class:`Executor` owns the shared state of a run (Internet, sources,
 options), resolves stage requests through the unified
 :class:`~repro.engine.artifacts.ArtifactCache`, and records one
 :class:`~repro.engine.report.StageRecord` per resolution.  Independent
-work fans out across workers:
+work — the windows of a sweep, cross-validation folds and drop-one
+re-fits (:func:`fan_out`), campaign tasks — runs through one task
+runner, :func:`_resilient_pool_map`: in this process for ``workers ==
+1``, otherwise on a ``ProcessPoolExecutor`` whose workers rebuild their
+state once from a payload published through shared memory.
 
-* **windows** (and anything else shipping the whole simulator) run on a
-  ``ProcessPoolExecutor`` whose workers rebuild an executor once from a
-  pickled payload;
-* **cross-validation folds** and other dataset-level tasks use the
-  generic :func:`fan_out` process-pool helper.
-
-Fault tolerance: every stage resolution and every pool task runs under
-an :class:`ExecutionPolicy` — bounded retries with exponential backoff
-and deterministic jitter, per-task wall-clock timeouts, and
+Fault tolerance: every stage resolution and every runner task runs
+under an :class:`ExecutionPolicy` — bounded retries with exponential
+backoff and deterministic jitter, per-task wall-clock timeouts, and
 ``BrokenProcessPool`` recovery (the pool is respawned, unfinished
-tasks are requeued, and a task that kills workers
-``pool_kill_limit`` times is pulled back into the parent process and
-run serially).  A task that exhausts its retries is *degraded* — it is
-recorded in the :class:`~repro.engine.report.RunReport` and dropped
-from the results instead of aborting the run — unless
-``policy.degrade`` is off, in which case the last error is re-raised.
+tasks are requeued, and a task that kills :data:`POOL_KILL_LIMIT`
+workers is pulled back into the parent process).  A task that exhausts
+its retries is *degraded*: it is recorded in the
+:class:`~repro.engine.report.RunReport` and dropped from the results
+instead of aborting the run.
 
 Determinism contract: every stage draws randomness only from seeds
 derived with stable digests of (options.seed, task identity), so a
@@ -35,17 +32,17 @@ from __future__ import annotations
 
 import os
 import pickle
-import threading
 import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.core import fitkernel
+from repro.core.fitkernel import FitCounters
 from repro.core.stratified import StratifiedEstimate, stratified_estimate
 from repro.engine.artifacts import MISS, ArtifactCache, ArtifactKey, artifact_nbytes
 from repro.engine.faults import FaultInjector, backoff_seconds
@@ -78,32 +75,31 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+#: Worker deaths charged to one task before the runner pulls it out of
+#: the pool and runs it in the parent process.
+POOL_KILL_LIMIT = 2
+#: Jitter fraction on top of the retry backoff (deterministic, seeded).
+BACKOFF_JITTER = 0.25
+
+
 @dataclass(frozen=True)
 class ExecutionPolicy:
     """How the executor treats failing, hanging or worker-killing tasks.
 
     The policy never changes *what* a run computes — stages are pure,
     so a retried task converges to the same artifact — only whether a
-    partial failure takes the whole run down with it.
+    partial failure takes the whole run down with it.  A task that
+    exhausts its retries is always degraded (recorded and dropped).
     """
 
-    #: Extra attempts after the first, per stage resolution / pool task.
+    #: Extra attempts after the first, per stage resolution / runner task.
     retries: int = 1
     #: First backoff sleep in seconds (doubles per attempt, capped).
     backoff_base: float = 0.05
     backoff_max: float = 2.0
-    #: Jitter fraction on top of the backoff (deterministic, seeded).
-    jitter: float = 0.25
     #: Wall-clock seconds to wait on a pool task before declaring it
     #: hung, killing the pool and retrying.  ``None`` waits forever.
     task_timeout: float | None = None
-    #: Worker deaths attributed to one task before it is pulled out of
-    #: the pool and run serially in the parent process.
-    pool_kill_limit: int = 2
-    serial_fallback: bool = True
-    #: Record-and-drop tasks that exhaust their retries instead of
-    #: re-raising (the surviving tasks still produce their estimates).
-    degrade: bool = True
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -113,16 +109,31 @@ class ExecutionPolicy:
                 f"task_timeout must be > 0 (or None), got {self.task_timeout}"
             )
 
+    def backoff(self, seed: int, stage: str, index: int, attempt: int) -> float:
+        """Seconds to sleep before retrying ``attempt`` of one task."""
+        return backoff_seconds(
+            self.backoff_base, self.backoff_max, BACKOFF_JITTER,
+            seed, stage, index, attempt,
+        )
+
 
 @dataclass
 class _TaskOutcome:
-    """Terminal state of one resilient pool task."""
+    """Terminal state of one runner task."""
 
-    payload: Any = None
+    value: Any = None
     status: str = "degraded"
     attempts: int = 0
     error: str | None = None
     seconds: float = 0.0
+    #: Fit-kernel delta of the accepted attempt.
+    fit: FitCounters | None = None
+    #: Stage records and telemetry a pool worker shipped home (an
+    #: in-process attempt wrote both straight into the parent's).
+    records: list[StageRecord] = field(default_factory=list)
+    delta: ObserverDelta | None = None
+    #: Whether the accepted attempt ran in this process.
+    local: bool = False
 
 
 def _shutdown_pool(pool: ProcessPoolExecutor, nuke: bool) -> None:
@@ -142,37 +153,62 @@ def _shutdown_pool(pool: ProcessPoolExecutor, nuke: bool) -> None:
     pool.shutdown(wait=not nuke, cancel_futures=True)
 
 
+def _attempt(
+    func: Callable[[Any, Any, Observer], Any],
+    context: Any,
+    task: Any,
+    observer: Observer,
+) -> tuple[Any, float, FitCounters | None]:
+    """One task attempt: its value, wall seconds and fit-kernel delta."""
+    start = perf_counter()
+    fit_before = fitkernel.snapshot()
+    value = func(context, task, observer)
+    return value, perf_counter() - start, (fitkernel.snapshot() - fit_before) or None
+
+
 def _resilient_pool_map(
     tasks: Sequence[Any],
+    func: Callable[[Any, Any, Observer], Any],
+    context: Any,
     *,
     stage: str,
     workers: int,
-    make_pool: Callable[[int], ProcessPoolExecutor],
-    submit: Callable[[ProcessPoolExecutor, int, int, Any], Any],
-    serial_run: Callable[[int, int, Any], Any],
     policy: ExecutionPolicy,
     seed: int,
+    faults: FaultInjector | None,
+    observer: Observer,
+    on_settle: Callable[[int, _TaskOutcome], None] | None = None,
 ) -> list[_TaskOutcome]:
-    """Run tasks on a process pool, surviving crashes, hangs and kills.
+    """Run ``func(context, task, observer)`` per task, surviving crashes,
+    hangs and worker kills.  The only code that decides retries.
 
-    Tasks are submitted in order and collected in order.  A task that
-    raises is retried (with backoff) up to ``policy.retries`` times; a
-    task whose worker dies breaks the pool, so the pool is rebuilt and
-    every unfinished task requeued — completed futures are harvested
-    first, and only the task being waited on is charged the failure.
-    A task charged ``pool_kill_limit`` worker deaths runs serially in
-    the parent via ``serial_run``.  Exhausted tasks degrade (or
-    re-raise when ``policy.degrade`` is off).
+    With ``workers == 1`` (or a single task) every attempt runs in this
+    process against ``context`` and ``observer``; no payload is
+    published and no pool starts.  Otherwise tasks run on a process
+    pool whose workers rebuild ``context`` once from a shared-memory
+    payload (an :class:`Executor` ships as its
+    :class:`_ExecutorPayload`; anything else is pickled as is).
+
+    Every attempt first fires ``faults`` keyed by ``(stage, task index,
+    attempt)``.  A task that raises is retried (with backoff) up to
+    ``policy.retries`` times; a task whose worker dies breaks the pool,
+    so the pool is rebuilt and every unfinished task requeued —
+    completed futures are harvested first, and only the task being
+    waited on is charged the failure.  A task charged
+    :data:`POOL_KILL_LIMIT` worker deaths runs in this process, with
+    one final attempt.  Exhausted tasks degrade.  ``on_settle(i,
+    outcome)`` is called as each task reaches its terminal state.
+    Outcomes come back in task order.
     """
     n = len(tasks)
     outcomes: list[_TaskOutcome | None] = [None] * n
     attempts = [0] * n
     kills = [0] * n
-    forced_serial = [False] * n
+    local = [workers <= 1 or n <= 1] * n
     errors: list[str | None] = [None] * n
-    last_exc: list[BaseException | None] = [None] * n
     pending = list(range(n))
     pool: ProcessPoolExecutor | None = None
+    shipment: _PayloadShipment | None = None
 
     def close_pool(nuke: bool = False) -> None:
         nonlocal pool
@@ -180,64 +216,91 @@ def _resilient_pool_map(
             _shutdown_pool(pool, nuke=nuke)
             pool = None
 
+    def make_pool(size: int) -> ProcessPoolExecutor:
+        nonlocal shipment
+        if shipment is None:
+            # Published once, on the first pool: the segment outlives
+            # every respawn (fresh pools re-attach it) and is unlinked
+            # exactly once, below.
+            shipped = (
+                _ExecutorPayload.of(context)
+                if isinstance(context, Executor)
+                else context
+            )
+            shipment = publish_payload(
+                (func, shipped, faults, stage, observer.enabled),
+                observer=observer,
+            )
+        return ProcessPoolExecutor(
+            max_workers=size,
+            initializer=_worker_init,
+            initargs=(shipment.spec,),
+        )
+
+    def settle(i: int, outcome: _TaskOutcome) -> None:
+        outcomes[i] = outcome
+        if on_settle is not None:
+            on_settle(i, outcome)
+
     def fail(i: int, exc: BaseException, started: float) -> bool:
         """Charge one failed attempt; True if the task should retry."""
         attempts[i] += 1
         errors[i] = _describe(exc)
-        last_exc[i] = exc
-        if attempts[i] <= policy.retries or (
-            forced_serial[i] and attempts[i] <= policy.retries + 1
-        ):
+        # A task pulled out of the pool for killing workers gets one
+        # attempt in this process on top of its budget.
+        if attempts[i] <= policy.retries + (kills[i] >= POOL_KILL_LIMIT):
             return True
-        if not policy.degrade:
-            close_pool(nuke=True)
-            raise exc
-        outcomes[i] = _TaskOutcome(
+        settle(i, _TaskOutcome(
             status="degraded",
             attempts=attempts[i],
             error=errors[i],
             seconds=perf_counter() - started,
-        )
+            local=local[i],
+        ))
         return False
 
-    def succeed(i: int, payload: Any, started: float) -> None:
-        outcomes[i] = _TaskOutcome(
-            payload=payload,
+    def succeed(i: int, result: tuple) -> None:
+        value, seconds, fit, records, delta = result
+        settle(i, _TaskOutcome(
+            value=value,
             status="retried" if attempts[i] else "ok",
             attempts=attempts[i] + 1,
             error=errors[i],
-            seconds=perf_counter() - started,
-        )
+            seconds=seconds,
+            fit=fit,
+            records=records,
+            delta=delta,
+            local=local[i],
+        ))
 
     try:
         while pending:
             sleep_for = 0.0
             next_pending: list[int] = []
-            parallel = [i for i in pending if not forced_serial[i]]
-            for i in (i for i in pending if forced_serial[i]):
+            for i in (i for i in pending if local[i]):
                 started = perf_counter()
                 try:
-                    payload = serial_run(i, attempts[i], tasks[i])
+                    if faults is not None:
+                        faults.fire(stage, i, attempts[i])
+                    result = _attempt(func, context, tasks[i], observer)
                 except Exception as exc:
                     if fail(i, exc, started):
                         next_pending.append(i)
                         sleep_for = max(
-                            sleep_for,
-                            backoff_seconds(
-                                policy.backoff_base, policy.backoff_max,
-                                policy.jitter, seed, stage, i, attempts[i],
-                            ),
+                            sleep_for, policy.backoff(seed, stage, i, attempts[i])
                         )
                 else:
-                    succeed(i, payload, started)
-            if parallel:
+                    succeed(i, (*result, [], None))
+            remote = [i for i in pending if not local[i]]
+            if remote:
                 if pool is None:
-                    pool = make_pool(min(workers, len(parallel)))
+                    pool = make_pool(min(workers, len(remote)))
                 futures = {
-                    i: submit(pool, i, attempts[i], tasks[i]) for i in parallel
+                    i: pool.submit(_worker_run, (i, attempts[i], tasks[i]))
+                    for i in remote
                 }
                 broken = False
-                for i in parallel:
+                for i in remote:
                     future = futures[i]
                     if broken:
                         # The pool just died under us: keep results that
@@ -245,21 +308,21 @@ def _resilient_pool_map(
                         # without charging them an attempt.
                         if future.done():
                             try:
-                                payload = future.result()
+                                result = future.result()
                             except (BrokenProcessPool, CancelledError):
                                 next_pending.append(i)
                             except Exception as exc:
                                 if fail(i, exc, perf_counter()):
                                     next_pending.append(i)
                             else:
-                                succeed(i, payload, perf_counter())
+                                succeed(i, result)
                         else:
                             future.cancel()
                             next_pending.append(i)
                         continue
                     started = perf_counter()
                     try:
-                        payload = future.result(timeout=policy.task_timeout)
+                        result = future.result(timeout=policy.task_timeout)
                     except (FutureTimeoutError, TimeoutError) as exc:
                         hung = TimeoutError(
                             f"task exceeded {policy.task_timeout}s wall clock"
@@ -273,11 +336,7 @@ def _resilient_pool_map(
                         kills[i] += 1
                         broken = True
                         close_pool(nuke=True)
-                        if (
-                            policy.serial_fallback
-                            and kills[i] >= policy.pool_kill_limit
-                        ):
-                            forced_serial[i] = True
+                        local[i] = kills[i] >= POOL_KILL_LIMIT
                         if fail(i, exc, started):
                             next_pending.append(i)
                     except Exception as exc:
@@ -285,19 +344,57 @@ def _resilient_pool_map(
                             next_pending.append(i)
                             sleep_for = max(
                                 sleep_for,
-                                backoff_seconds(
-                                    policy.backoff_base, policy.backoff_max,
-                                    policy.jitter, seed, stage, i, attempts[i],
-                                ),
+                                policy.backoff(seed, stage, i, attempts[i]),
                             )
                     else:
-                        succeed(i, payload, started)
+                        succeed(i, result)
             pending = next_pending
             if pending and sleep_for > 0.0:
                 time.sleep(sleep_for)
     finally:
         close_pool()
+        if shipment is not None:
+            shipment.dispose()
     return [o if o is not None else _TaskOutcome() for o in outcomes]
+
+
+def _absorb_outcomes(
+    outcomes: Sequence[_TaskOutcome],
+    keys: Sequence[str],
+    *,
+    stage: str,
+    report: RunReport,
+    observer: Observer,
+    each: bool = False,
+) -> list[Any]:
+    """Turn runner outcomes into values (``None`` for a degraded task).
+
+    Merges the stage records and telemetry pool workers shipped home —
+    only accepted attempts ship any, so nothing is counted twice — and
+    records one :class:`StageRecord` per task that was retried or
+    degraded, or per task when ``each`` is set (fold tasks, which
+    resolve no stages of their own and so carry their fit delta here).
+    """
+    values = []
+    for key, outcome in zip(keys, outcomes):
+        report.records.extend(outcome.records)
+        observer.absorb(outcome.delta)
+        if each or outcome.status != "ok":
+            report.record(
+                StageRecord(
+                    stage=stage,
+                    key=key,
+                    seconds=outcome.seconds,
+                    cache_hit=False,
+                    worker=_worker_tag() if outcome.local else "pool",
+                    fit=outcome.fit if each else None,
+                    status=outcome.status,
+                    attempts=outcome.attempts,
+                    error=outcome.error,
+                )
+            )
+        values.append(outcome.value)
+    return values
 
 
 class Executor:
@@ -341,21 +438,26 @@ class Executor:
         #: Per-stage resolution counter: the task index stage-level
         #: faults key on (counts cache misses, stable under retries).
         self._stage_sequence: dict[str, int] = {}
-        self._fire_stage_faults = True
-        #: Per-thread accumulator of the stage resolution in progress:
-        #: the output bytes of the resolutions it makes (see
-        #: :meth:`_collect_inputs`).
-        self._inputs = threading.local()
+        #: The stage a runner task is resolving, whose faults the runner
+        #: fires per task instead (see :meth:`_task_faults`).
+        self._task_stage: str | None = None
+        #: Accumulator of the stage resolution in progress: the output
+        #: bytes of the resolutions it makes (see :meth:`_collect_inputs`).
+        self._inputs: list[int] | None = None
 
     @contextmanager
-    def _stage_faults_suppressed(self):
-        """Silence stage-level fault firing (serial-fallback reruns)."""
-        previous = self._fire_stage_faults
-        self._fire_stage_faults = False
+    def _task_faults(self, stage: str):
+        """Resolve ``stage`` as a runner task.
+
+        The runner already fired the task's faults, keyed by task index,
+        so :meth:`run` must not fire that stage's faults a second time
+        under its own resolution index.
+        """
+        previous, self._task_stage = self._task_stage, stage
         try:
             yield
         finally:
-            self._fire_stage_faults = previous
+            self._task_stage = previous
 
     # -- stage resolution -------------------------------------------------
 
@@ -364,22 +466,21 @@ class Executor:
         """Sum the output bytes of the stage resolutions made inside.
 
         Every :meth:`run` adds its artifact's size to the innermost open
-        accumulator of its thread, so a stage's ``input_bytes`` counts
-        exactly its direct dependency resolutions — with their real
-        params — without touching the store.
+        accumulator, so a stage's ``input_bytes`` counts exactly its
+        direct dependency resolutions — with their real params —
+        without touching the store.
         """
-        caller = getattr(self._inputs, "acc", None)
-        acc = self._inputs.acc = [0]
+        caller, acc = self._inputs, [0]
+        self._inputs = acc
         try:
             yield acc
         finally:
-            self._inputs.acc = caller
+            self._inputs = caller
 
     def _resolved(self, nbytes: int) -> int:
         """Credit a resolution's output bytes to the resolving caller."""
-        acc = getattr(self._inputs, "acc", None)
-        if acc is not None:
-            acc[0] += nbytes
+        if self._inputs is not None:
+            self._inputs[0] += nbytes
         return nbytes
 
     def key_for(
@@ -438,7 +539,7 @@ class Executor:
                 records_before = len(self.report.records)
                 fit_before = fitkernel.snapshot()
                 try:
-                    if self.faults is not None and self._fire_stage_faults:
+                    if self.faults is not None and stage != self._task_stage:
                         self.faults.fire(stage, index, attempt)
                     with self._collect_inputs() as inputs:
                         value = spec.fn(self.context, window, **params)
@@ -460,11 +561,7 @@ class Executor:
                         )
                         raise
                     time.sleep(
-                        backoff_seconds(
-                            self.policy.backoff_base, self.policy.backoff_max,
-                            self.policy.jitter, self.options.seed,
-                            stage, index, attempt,
-                        )
+                        self.policy.backoff(self.options.seed, stage, index, attempt)
                     )
             fit_delta = fitkernel.snapshot() - fit_before
             # Keep the delta exclusive: nested stage resolutions already
@@ -544,22 +641,21 @@ class Executor:
         windows: "Sequence[TimeWindow] | None" = None,
         workers: int = 1,
     ) -> list[WindowResult]:
-        """Run every window, fanning out across a process pool.
+        """Run every window through the task runner.
 
         With ``workers > 1`` each worker process rebuilds this executor
-        from a pickled (internet, sources, options) payload once, then
-        computes whole windows.  Results come back in window order and
-        are inserted into this executor's cache, and the workers' stage
-        records are merged into :attr:`report` — so a parallel sweep
-        leaves the parent in the same queryable state as a serial one.
+        once — Internet, sources, options, policy and store spec, never
+        the cache — then computes whole windows.  Results come back in
+        window order and are inserted into this executor's cache, and
+        the workers' stage records are merged into :attr:`report` — so
+        a parallel sweep leaves the parent in the same queryable state
+        as a serial one.
 
         Under the executor's :class:`ExecutionPolicy` a window whose
         task crashes, hangs past ``task_timeout`` or kills its worker
-        is retried (respawning the pool when needed, falling back to
-        in-parent serial execution for repeat worker-killers); a window
-        that exhausts its retries is recorded as ``degraded`` in the
-        report and omitted from the returned list, so every surviving
-        window still gets its estimate.
+        is retried; a window that exhausts its retries is recorded as
+        ``degraded`` in the report and omitted from the returned list,
+        so every surviving window still gets its estimate.
         """
         from repro.analysis.windows import standard_windows
 
@@ -572,135 +668,39 @@ class Executor:
         with self.observer.span(
             "sweep:windows", windows=len(windows), workers=workers
         ):
-            return self._run_windows(windows, workers)
-
-    def _run_windows(
-        self, windows: "Sequence[TimeWindow]", workers: int
-    ) -> list[WindowResult]:
-        pending = [
-            w for w in windows if self.key_for("window_result", w) not in self.cache
-        ]
-        if workers <= 1 or len(pending) <= 1:
-            out = []
-            for w in windows:
-                try:
-                    out.append(self.window_result(w))
-                except Exception as exc:
-                    if not self.policy.degrade:
-                        raise
-                    self.report.record(
-                        StageRecord(
-                            stage="window_result",
-                            key=self.key_for("window_result", w).token(),
-                            seconds=0.0,
-                            cache_hit=False,
-                            worker=_worker_tag(),
-                            status="degraded",
-                            attempts=self.policy.retries + 1,
-                            error=_describe(exc),
-                        )
-                    )
-            return out
-        # Ship the store spec so workers share the persistent tier:
-        # a window computed by one worker is a store hit for every
-        # other worker (and for the next run).
-        store_spec = (
-            self.cache.spec() if hasattr(self.cache, "spec") else None
-        )
-        # Publish the big read-only payload (internet + sources) once
-        # through shared memory; each worker attaches instead of
-        # receiving its own pickled copy through the pool pipe.
-        shipment = publish_payload(
-            (self.internet, self.sources, self.options, self.faults,
-             self.observer.enabled, store_spec),
-            observer=self.observer,
-        )
-
-        def make_pool(n: int) -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=n,
-                initializer=_window_worker_init,
-                initargs=(shipment.spec,),
-            )
-
-        def submit(pool, index, attempt, window):
-            return pool.submit(
-                _window_worker_run, ((window.start, window.end), index, attempt)
-            )
-
-        def serial_run(index, attempt, window):
-            # Runs in the parent: spans land on self.observer directly,
-            # so no delta ships back (the third slot stays None).
-            if self.faults is not None:
-                self.faults.fire("window_result", index, attempt)
-            with self._stage_faults_suppressed():
-                return self.window_result(window), None, None
-
-        try:
+            keys = {w: self.key_for("window_result", w) for w in windows}
+            pending = [w for w in windows if keys[w] not in self.cache]
             outcomes = _resilient_pool_map(
-                pending,
+                pending, _window_task, self,
                 stage="window_result",
                 workers=workers,
-                make_pool=make_pool,
-                submit=submit,
-                serial_run=serial_run,
                 policy=self.policy,
                 seed=self.options.seed,
+                faults=self.faults,
+                observer=self.observer,
             )
-        finally:
-            # The segment outlives every pool respawn (killed workers
-            # requeue onto fresh pools that re-attach it) and is
-            # unlinked exactly once, here.
-            shipment.dispose()
-        computed: dict[TimeWindow, WindowResult] = {}
-        for window, outcome in zip(pending, outcomes):
-            key = self.key_for("window_result", window)
-            if outcome.status == "degraded":
-                self.report.record(
-                    StageRecord(
-                        stage="window_result",
-                        key=key.token(),
-                        seconds=outcome.seconds,
-                        cache_hit=False,
-                        worker="pool",
-                        status="degraded",
-                        attempts=outcome.attempts,
-                        error=outcome.error,
-                    )
-                )
-                continue
-            result, records, obs_delta = outcome.payload
-            if records:
-                self.report.merge(RunReport(records=records))
-            # Absorb telemetry only from the accepted outcome: a killed
-            # and requeued attempt never ships a delta, so task spans
-            # are counted exactly once.
-            self.observer.absorb(obs_delta)
-            self.cache.put(key, result)
-            computed[window] = result
-            if outcome.status == "retried":
-                self.report.record(
-                    StageRecord(
-                        stage="window_result",
-                        key=key.token(),
-                        seconds=outcome.seconds,
-                        cache_hit=False,
-                        worker="pool",
-                        status="retried",
-                        attempts=outcome.attempts,
-                        error=outcome.error,
-                    )
-                )
-        # Return the computed objects directly: presence in the cache is
-        # not a proxy for success (a tiny budget can evict a fresh
-        # WindowResult).
-        out = []
-        for w in windows:
-            if w in computed:
-                out.append(computed[w])
-            elif self.key_for("window_result", w) in self.cache:
-                out.append(self.window_result(w))
-        return out
+            _absorb_outcomes(
+                outcomes, [keys[w].token() for w in pending],
+                stage="window_result", report=self.report,
+                observer=self.observer,
+            )
+            computed: dict[TimeWindow, WindowResult] = {}
+            for window, outcome in zip(pending, outcomes):
+                if outcome.status == "degraded":
+                    continue
+                if not outcome.local:
+                    self.cache.put(keys[window], outcome.value)
+                computed[window] = outcome.value
+            # Return the computed objects directly: presence in the
+            # cache is not a proxy for success (a tiny budget can evict
+            # a fresh WindowResult).  A window cached before the sweep
+            # resolves as a hit.
+            degraded = set(pending) - set(computed)
+            return [
+                computed[w] if w in computed else self.window_result(w)
+                for w in windows
+                if w not in degraded
+            ]
 
     def stratified(
         self, window: TimeWindow, kind: str, level: str = "addresses"
@@ -923,80 +923,96 @@ def load_payload(spec: dict) -> Any:
 
 # -- process-pool plumbing --------------------------------------------------
 
-#: Worker-process executor and injector, built once by the initializer.
-_WORKER_EXECUTOR: Executor | None = None
-_WORKER_FAULTS: FaultInjector | None = None
+
+@dataclass(frozen=True)
+class _ExecutorPayload:
+    """The picklable state a pool worker rebuilds an executor from.
+
+    The cache never travels: workers reopen a persistent store by its
+    spec, so a window one worker computed is a store hit for every
+    other worker (and for the next run).
+    """
+
+    internet: SyntheticInternet
+    sources: Mapping[str, MeasurementSource]
+    options: PipelineOptions
+    policy: ExecutionPolicy
+    store_spec: dict | None
+
+    @classmethod
+    def of(cls, executor: Executor) -> "_ExecutorPayload":
+        cache = executor.cache
+        return cls(
+            executor.internet, executor.sources, executor.options,
+            executor.policy, cache.spec() if hasattr(cache, "spec") else None,
+        )
+
+    def build(self, observer: Observer) -> Executor:
+        # The worker executor carries no injector: the runner fires task
+        # faults keyed by task index, which stays deterministic however
+        # tasks land on workers.
+        cache = (
+            open_store(**self.store_spec) if self.store_spec is not None else None
+        )
+        return Executor(
+            self.internet, self.sources, self.options,
+            cache=cache, policy=self.policy, observer=observer,
+        )
 
 
-def _window_worker_init(payload: dict) -> None:
-    global _WORKER_EXECUTOR, _WORKER_FAULTS
-    internet, sources, options, faults, observe, store_spec = load_payload(
-        payload
-    )
-    # The worker executor itself carries no injector: task-level faults
-    # are fired by the wrapper below, keyed by sweep task index, which
-    # stays deterministic however tasks land on workers.
-    cache = open_store(**store_spec) if store_spec is not None else None
-    _WORKER_EXECUTOR = Executor(
-        internet, sources, options,
-        cache=cache,
-        observer=Observer() if observe else None,
-    )
-    _WORKER_FAULTS = faults
+#: This worker process's task function, context, injector and stage
+#: label, set once by the pool initializer.
+_WORKER: tuple[Callable, Any, FaultInjector | None, str] | None = None
+#: This worker's observer (enabled iff the parent's is); its spans and
+#: counters ship home with each accepted task.
+_WORKER_OBSERVER: Observer | None = None
 
 
-def _window_worker_run(
-    job: tuple[tuple[float, float], int, int]
-) -> tuple[WindowResult, list, ObserverDelta | None]:
-    from repro.analysis.windows import TimeWindow
-
-    bounds, index, attempt = job
-    assert _WORKER_EXECUTOR is not None, "worker initializer did not run"
-    if _WORKER_FAULTS is not None:
-        _WORKER_FAULTS.fire("window_result", index, attempt)
-    observer = _WORKER_EXECUTOR.observer
-    mark = observer.delta_mark()
-    before = len(_WORKER_EXECUTOR.report.records)
-    result = _WORKER_EXECUTOR.window_result(TimeWindow(*bounds))
-    records = _WORKER_EXECUTOR.report.records[before:]
-    return result, records, observer.collect_delta(mark)
+def _worker_init(spec: dict) -> None:
+    global _WORKER, _WORKER_OBSERVER
+    func, context, faults, stage, observe = load_payload(spec)
+    _WORKER_OBSERVER = Observer() if observe else Observer.disabled()
+    if isinstance(context, _ExecutorPayload):
+        context = context.build(_WORKER_OBSERVER)
+    _WORKER = (func, context, faults, stage)
 
 
-#: Generic fold-task payload/function/injector, one tuple per worker.
-_TASK_STATE: tuple[
-    Any, Callable[[Any, Any], Any], FaultInjector | None, str, bool
-] | None = None
-#: Worker-process observer for fold tasks (enabled iff the parent's is).
-_TASK_OBSERVER: Observer | None = None
-
-
-def _task_worker_init(spec: dict) -> None:
-    global _TASK_STATE, _TASK_OBSERVER
-    _TASK_STATE = load_payload(spec)
-    _TASK_OBSERVER = Observer() if _TASK_STATE[4] else Observer.disabled()
-
-
-def _task_worker_run(
+def _worker_run(
     job: tuple[int, int, Any]
-) -> tuple[Any, float, Any, ObserverDelta | None]:
-    index, attempt, item = job
-    assert _TASK_STATE is not None, "worker initializer did not run"
-    payload, func, faults, stage, _ = _TASK_STATE
-    observer = _TASK_OBSERVER if _TASK_OBSERVER is not None else Observer.disabled()
-    start = perf_counter()
+) -> tuple[Any, float, FitCounters | None, list[StageRecord], ObserverDelta | None]:
+    index, attempt, task = job
+    assert _WORKER is not None and _WORKER_OBSERVER is not None, (
+        "worker initializer did not run"
+    )
+    func, context, faults, stage = _WORKER
     if faults is not None:
         faults.fire(stage, index, attempt)
-    fit_before = fitkernel.snapshot()
-    mark = observer.delta_mark()
-    with observer.span(f"task:{stage}", stage=stage, index=index):
-        value = func(payload, item)
-    fit_delta = fitkernel.snapshot() - fit_before
+    records = context.report.records if isinstance(context, Executor) else []
+    before = len(records)
+    mark = _WORKER_OBSERVER.delta_mark()
+    value, seconds, fit = _attempt(func, context, task, _WORKER_OBSERVER)
     return (
-        value,
-        perf_counter() - start,
-        fit_delta or None,
-        observer.collect_delta(mark),
+        value, seconds, fit, records[before:],
+        _WORKER_OBSERVER.collect_delta(mark),
     )
+
+
+def _window_task(
+    executor: Executor, window: "TimeWindow", observer: Observer
+) -> WindowResult:
+    with executor._task_faults("window_result"):
+        return executor.window_result(window)
+
+
+def _fold_task(
+    fold: tuple[Callable[[Any, Any], Any], Any, str],
+    job: tuple[int, Any],
+    observer: Observer,
+) -> Any:
+    func, payload, stage = fold
+    index, item = job
+    with observer.span(f"task:{stage}", stage=stage, index=index):
+        return func(payload, item)
 
 
 def fan_out(
@@ -1021,147 +1037,33 @@ def fan_out(
     order regardless of completion order, and each task contributes one
     record to ``report``.
 
-    Failures follow ``policy``: tasks retry with backoff, hung tasks
-    time out (the pool is respawned), worker-killing tasks requeue and
-    eventually fall back to serial in-parent execution, and a task that
-    exhausts its retries yields ``None`` in the result list with a
-    ``degraded`` record — callers recompute their aggregate from the
-    surviving tasks.
+    Failures follow ``policy`` through the task runner: tasks retry
+    with backoff, hung tasks time out (the pool is respawned),
+    worker-killing tasks requeue and eventually run in this process,
+    and a task that exhausts its retries yields ``None`` in the result
+    list with a ``degraded`` record — callers recompute their aggregate
+    from the surviving tasks.
     """
     if workers < 1:
         raise ValueError(
             f"workers must be >= 1, got {workers} "
             "(an empty pool would make no progress)"
         )
-    policy = policy or ExecutionPolicy()
     obs = observer if observer is not None else Observer.disabled()
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        out = []
-        for index, item in enumerate(items):
-            start = perf_counter()
-            attempt = 0
-            error = None
-            value = None
-            status = "ok"
-            fit_delta = None
-            while True:
-                fit_before = fitkernel.snapshot()
-                try:
-                    if faults is not None:
-                        faults.fire(stage, index, attempt)
-                    with obs.span(f"task:{stage}", stage=stage, index=index):
-                        value = func(payload, item)
-                    fit_delta = fitkernel.snapshot() - fit_before
-                    status = "retried" if attempt else "ok"
-                    attempt += 1
-                    break
-                except Exception as exc:
-                    attempt += 1
-                    error = _describe(exc)
-                    if attempt > policy.retries:
-                        if not policy.degrade:
-                            raise
-                        status = "degraded"
-                        break
-                    time.sleep(
-                        backoff_seconds(
-                            policy.backoff_base, policy.backoff_max,
-                            policy.jitter, seed, stage, index, attempt,
-                        )
-                    )
-            if report is not None:
-                report.record(
-                    StageRecord(
-                        stage=stage,
-                        key=repr(item),
-                        seconds=perf_counter() - start,
-                        cache_hit=False,
-                        worker=_worker_tag(),
-                        fit=fit_delta or None,
-                        status=status,
-                        attempts=attempt,
-                        error=error,
-                    )
-                )
-            out.append(value if status != "degraded" else None)
-        return out
-    shipment = publish_payload(
-        (payload, func, faults, stage, obs.enabled),
-        observer=observer,
+    outcomes = _resilient_pool_map(
+        list(enumerate(items)), _fold_task, (func, payload, stage),
+        stage=stage,
+        workers=workers,
+        policy=policy or ExecutionPolicy(),
+        seed=seed,
+        faults=faults,
+        observer=obs,
     )
-
-    def make_pool(n: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=n,
-            initializer=_task_worker_init,
-            initargs=(shipment.spec,),
-        )
-
-    def submit(pool, index, attempt, item):
-        return pool.submit(_task_worker_run, (index, attempt, item))
-
-    def serial_run(index, attempt, item):
-        # Runs in the parent: the span lands on `obs` directly, so the
-        # delta slot stays None (nothing to ship).
-        if faults is not None:
-            faults.fire(stage, index, attempt)
-        start = perf_counter()
-        fit_before = fitkernel.snapshot()
-        with obs.span(f"task:{stage}", stage=stage, index=index):
-            value = func(payload, item)
-        fit_delta = fitkernel.snapshot() - fit_before
-        return value, perf_counter() - start, fit_delta or None, None
-
-    try:
-        outcomes = _resilient_pool_map(
-            items,
-            stage=stage,
-            workers=workers,
-            make_pool=make_pool,
-            submit=submit,
-            serial_run=serial_run,
-            policy=policy,
-            seed=seed,
-        )
-    finally:
-        shipment.dispose()
-    out = []
-    for item, outcome in zip(items, outcomes):
-        if outcome.status == "degraded":
-            out.append(None)
-            if report is not None:
-                report.record(
-                    StageRecord(
-                        stage=stage,
-                        key=repr(item),
-                        seconds=outcome.seconds,
-                        cache_hit=False,
-                        worker="pool",
-                        status="degraded",
-                        attempts=outcome.attempts,
-                        error=outcome.error,
-                    )
-                )
-            continue
-        value, seconds, fit_delta, obs_delta = outcome.payload
-        # Only accepted outcomes contribute telemetry: requeued or
-        # degraded attempts never reach this branch, so no task span is
-        # double-counted or lost.
-        obs.absorb(obs_delta)
-        out.append(value)
-        if report is not None:
-            report.record(
-                StageRecord(
-                    stage=stage,
-                    key=repr(item),
-                    seconds=seconds,
-                    cache_hit=False,
-                    worker="pool",
-                    fit=fit_delta,
-                    status=outcome.status,
-                    attempts=outcome.attempts,
-                    error=outcome.error,
-                )
-            )
-    return out
+    return _absorb_outcomes(
+        outcomes, [repr(item) for item in items],
+        stage=stage,
+        report=report if report is not None else RunReport(),
+        observer=obs,
+        each=True,
+    )

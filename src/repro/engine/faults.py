@@ -17,9 +17,9 @@ then stays quiet, which is what makes retry-then-succeed scenarios
 expressible without any cross-process shared state: the attempt number
 travels with the task, and the decision is a pure function of the
 spec.  A ``kill`` spec calls ``os._exit`` only when it fires inside a
-pool worker; fired in the parent process (serial execution or the
-serial fallback) it degrades to an injected exception, so an injector
-can never take down the run it is testing.
+pool worker; fired in the parent process (one worker, or a task pulled
+back out of the pool) it degrades to an injected exception, so an
+injector can never take down the run it is testing.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ class FaultSpec:
     """One injectable fault.
 
     ``stage`` names the task family the fault targets — a stage name
-    for engine resolutions, the fan-out stage label (``"crossval"``,
-    ``"sweep"``, ``"sensitivity"``, ``"window_result"``) for pool
-    tasks, or ``"*"`` for any.  ``index`` selects the task within the
+    for engine resolutions, the task runner's label (``"crossval"``,
+    ``"sweep"``, ``"sensitivity"``, ``"window_result"``,
+    ``"campaign"``) for its tasks, or ``"*"`` for any.  ``index`` selects the task within the
     family (submission order, 0-based) and ``count`` bounds how many
     attempts of that task the fault fires on, so ``count=1`` exercises
     retry-then-succeed and a large ``count`` forces degradation.

@@ -19,8 +19,8 @@ from repro.core.fitkernel import FitCounters
 #: Terminal statuses a record can carry.  ``ok`` is a clean first-try
 #: execution; ``retried`` succeeded after at least one failed attempt;
 #: ``degraded`` exhausted its retries and was dropped from the run's
-#: results (survivors carry the estimate); ``failed`` is a stage that
-#: exhausted retries in a context where degradation is disabled.
+#: results (survivors carry the estimate); ``failed`` is a stage
+#: resolution that exhausted its retries and raised to its caller.
 TASK_STATUSES = ("ok", "retried", "degraded", "failed")
 
 

@@ -1,4 +1,4 @@
-"""Estimation-as-a-service: campaign scheduling over pluggable backends.
+"""Estimation-as-a-service: campaign scheduling and ledger serving.
 
 The service layer turns the library-call-only engine into a submit /
 poll / fetch service:
@@ -7,10 +7,9 @@ poll / fetch service:
   (windows x levels x sensitivity grid x quarantine policy) and
   content-addresses it;
 * :class:`~repro.service.scheduler.CampaignScheduler` decomposes it
-  into tasks, drains them through a
-  :class:`~repro.service.backend.SchedulerBackend` (in-process pool
-  today; the lease/ack/fail contract admits a queue + worker fleet)
-  and persists per-campaign state under a service directory;
+  into tasks, drains them through the engine's task runner (in-process
+  or on a process pool, under the executor's ``ExecutionPolicy``) and
+  persists per-campaign state under a service directory;
 * :class:`~repro.service.queryledger.QueryLedger` serves the repeated
   queries — totals, growth curves, per-window and sensitivity
   estimates — from the completed campaign's precomputed answers,
@@ -19,7 +18,6 @@ poll / fetch service:
 CLI: ``repro campaign submit|status|results`` and ``repro query``.
 """
 
-from repro.service.backend import InProcessBackend, Lease, SchedulerBackend
 from repro.service.campaign import (
     CampaignSpec,
     CampaignStatus,
@@ -43,11 +41,8 @@ __all__ = [
     "CampaignSpec",
     "CampaignStatus",
     "CampaignTask",
-    "InProcessBackend",
-    "Lease",
     "LedgerSchemaError",
     "QueryLedger",
-    "SchedulerBackend",
     "build_ledger",
     "decompose",
     "default_executor_factory",

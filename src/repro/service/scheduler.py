@@ -1,4 +1,4 @@
-"""The campaign scheduler: submit / status / results over a backend.
+"""The campaign scheduler: submit / status / results over a service directory.
 
 :class:`CampaignScheduler` is the service facade the ROADMAP's
 "estimation-as-a-service" item asks for.  It owns a *service
@@ -7,10 +7,11 @@ content digest — and three verbs:
 
 * :meth:`~CampaignScheduler.submit` registers a campaign (idempotent:
   resubmitting an already-completed spec is a no-op lookup);
-* :meth:`~CampaignScheduler.run` decomposes it into tasks, feeds them
-  through a :class:`~repro.service.backend.SchedulerBackend`
-  (lease → execute → ack, failures requeued under the retry budget)
-  and, on completion, distils the results into a query ledger;
+* :meth:`~CampaignScheduler.run` decomposes it into tasks, drains them
+  through the engine's task runner under the executor's
+  :class:`~repro.engine.executor.ExecutionPolicy` (in-process for one
+  worker, a process pool for more) and, on completion, distils the
+  results into a query ledger;
 * :meth:`~CampaignScheduler.status` / :meth:`~CampaignScheduler.results`
   / :meth:`~CampaignScheduler.ledger` answer from the persisted state,
   so any process — a CLI invocation, a web worker — can poll a
@@ -34,15 +35,18 @@ Campaign directory layout::
 from __future__ import annotations
 
 import json
-import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any
 
-from repro.engine.executor import Executor
+from repro.engine.executor import (
+    Executor,
+    _absorb_outcomes,
+    _resilient_pool_map,
+    _TaskOutcome,
+)
 from repro.engine.faults import FaultInjector
 from repro.obs.observer import Observer
-from repro.service.backend import InProcessBackend, SchedulerBackend
 from repro.service.campaign import (
     CampaignSpec,
     CampaignStatus,
@@ -55,11 +59,10 @@ from repro.service.queryledger import (
     write_ledger,
 )
 
-#: Metric counting settled campaign task outcomes, labelled by state.
+#: Metric counting campaign task outcomes, labelled by state: each
+#: failed attempt that is retried counts once as ``requeued``, and each
+#: task counts once as ``done`` or ``degraded``.
 CAMPAIGN_TASKS_METRIC = "campaign_tasks_total"
-
-#: Idle sleep while a worker waits for requeues from its siblings.
-_IDLE_WAIT = 0.005
 
 
 def default_executor_factory(
@@ -138,34 +141,25 @@ def execute_task(executor: Executor, task: CampaignTask) -> dict[str, Any]:
     raise ValueError(f"unknown campaign task kind {task.kind!r}")
 
 
-class CampaignScheduler:
-    """Campaign lifecycle over a service directory and a backend."""
+def _campaign_task(
+    executor: Executor, task: CampaignTask, observer: Observer
+) -> dict[str, Any]:
+    """One campaign task as the runner executes it.
 
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        executor_factory: Callable[..., Executor] | None = None,
-        backend_factory: Callable[[], SchedulerBackend] | None = None,
-        observer: Observer | None = None,
-        faults: FaultInjector | None = None,
-        retries: int = 1,
-        heartbeat_timeout: float | None = None,
-    ) -> None:
+    ``execute_task`` is looked up on this module at call time, so a
+    caller may swap it (perfbench times tasks that way).
+    """
+    with observer.span(
+        "campaign-task", kind=task.kind, index=task.index, task=task.label()
+    ):
+        return execute_task(executor, task)
+
+
+class CampaignScheduler:
+    """Campaign lifecycle over a service directory."""
+
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.executor_factory = executor_factory or default_executor_factory
-        self.backend_factory = backend_factory or (
-            lambda: InProcessBackend(
-                retries=retries, heartbeat_timeout=heartbeat_timeout
-            )
-        )
-        self.observer = observer if observer is not None else Observer.disabled()
-        self.faults = faults
-        self.retries = retries
-        #: The executor the last ``run`` resolved tasks through (exposed
-        #: so callers can absorb its report into a run ledger).
-        self.last_executor: Executor | None = None
-        self._status_lock = threading.Lock()
 
     # -- paths -------------------------------------------------------------
 
@@ -251,13 +245,16 @@ class CampaignScheduler:
         *,
         executor: Executor | None = None,
     ) -> CampaignStatus:
-        """Drain the campaign through the backend until every task settles.
+        """Drain the campaign through the task runner until every task settles.
 
-        ``workers`` threads lease, execute and ack concurrently (the
-        in-process analogue of a worker fleet); results are keyed by
-        task identity and assembled in spec order, so the outcome is
-        independent of scheduling.  A campaign that already completed
-        returns its status untouched — zero fits.
+        Tasks resolve through ``executor`` (by default one built from
+        the spec by :func:`default_executor_factory`) under its
+        :class:`~repro.engine.executor.ExecutionPolicy`, fault injector
+        and observer: in this process for ``workers == 1``, otherwise on
+        a process pool of ``workers`` whose workers rebuild the
+        executor once.  Results are assembled in spec order, so the
+        outcome is independent of scheduling.  A campaign that already
+        completed returns its status untouched — zero fits.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -266,127 +263,91 @@ class CampaignScheduler:
             return status
         spec = self.spec(campaign_id)
         tasks = decompose(spec)
-        by_id = {task.task_id: task for task in tasks}
         if executor is None:
-            executor = self.executor_factory(spec, observer=self.observer)
-        self.last_executor = executor
-        backend = self.backend_factory()
-        for task in tasks:
-            backend.enqueue(task.task_id, task)
+            executor = default_executor_factory(spec)
+        observer = executor.observer
+        settled = {"done": 0, "degraded": 0}
+
+        def on_settle(i: int, outcome: _TaskOutcome) -> None:
+            state = "degraded" if outcome.status == "degraded" else "done"
+            settled[state] += 1
+            if outcome.attempts > 1:
+                observer.inc(
+                    CAMPAIGN_TASKS_METRIC, outcome.attempts - 1, state="requeued"
+                )
+            observer.inc(CAMPAIGN_TASKS_METRIC, state=state)
+            if state == "degraded":
+                observer.event(
+                    "campaign.task_degraded",
+                    level="warning",
+                    campaign=campaign_id,
+                    task=tasks[i].label(),
+                    error=outcome.error,
+                )
+            # The runner keeps up to `workers` tasks in flight.
+            unsettled = len(tasks) - settled["done"] - settled["degraded"]
+            running = min(workers, unsettled)
+            self._publish_status(
+                campaign_id,
+                {"pending": unsettled - running, "running": running, **settled},
+            )
+
         started = time.time()
-        with self.observer.span(
+        with observer.span(
             f"campaign:{campaign_id}", tasks=len(tasks), workers=workers
         ):
-            if workers == 1:
-                self._drain(campaign_id, backend, executor, "w0")
-            else:
-                threads = [
-                    threading.Thread(
-                        target=self._drain,
-                        args=(campaign_id, backend, executor, f"w{n}"),
-                        name=f"campaign-{campaign_id}-w{n}",
-                        daemon=True,
-                    )
-                    for n in range(workers)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
+            outcomes = _resilient_pool_map(
+                tasks, _campaign_task, executor,
+                stage="campaign",
+                workers=workers,
+                policy=executor.policy,
+                seed=executor.options.seed,
+                faults=executor.faults,
+                observer=observer,
+                on_settle=on_settle,
+            )
+            _absorb_outcomes(
+                outcomes, [task.task_id for task in tasks],
+                stage="campaign", report=executor.report, observer=observer,
+            )
         return self._finalize(
-            campaign_id, spec, tasks, by_id, backend,
+            campaign_id, spec, tasks, outcomes,
             wall_seconds=time.time() - started,
         )
 
     # -- internals ---------------------------------------------------------
 
-    def _drain(
-        self,
-        campaign_id: str,
-        backend: SchedulerBackend,
-        executor: Executor,
-        worker: str,
-    ) -> None:
-        """One worker loop: lease → execute → ack/fail until settled."""
-        while True:
-            backend.requeue_expired()
-            lease = backend.lease(worker)
-            if lease is None:
-                if backend.done():
-                    return
-                # Another worker holds the remaining leases; wait for
-                # them to settle (or expire back into the queue).
-                time.sleep(_IDLE_WAIT)
-                continue
-            task: CampaignTask = lease.payload
-            attempt = backend.attempts(task.task_id) - 1
-            try:
-                with self.observer.span(
-                    "campaign-task",
-                    kind=task.kind,
-                    index=task.index,
-                    task=task.label(),
-                ):
-                    if self.faults is not None:
-                        self.faults.fire("campaign", task.index, attempt)
-                    backend.heartbeat(lease)
-                    row = execute_task(executor, task)
-            except Exception as exc:
-                outcome = backend.fail(lease, f"{type(exc).__name__}: {exc}")
-                if outcome != "stale":
-                    self.observer.inc(CAMPAIGN_TASKS_METRIC, state=outcome)
-                if outcome == "degraded":
-                    self.observer.event(
-                        "campaign.task_degraded",
-                        level="warning",
-                        campaign=campaign_id,
-                        task=task.label(),
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                self._publish_status(campaign_id, backend)
-                continue
-            if backend.ack(lease, row):
-                self.observer.inc(CAMPAIGN_TASKS_METRIC, state="done")
-            self._publish_status(campaign_id, backend)
-
-    def _publish_status(
-        self, campaign_id: str, backend: SchedulerBackend
-    ) -> None:
+    def _publish_status(self, campaign_id: str, counts: dict[str, int]) -> None:
         """Persist live task accounting so other processes can poll."""
-        counts = backend.counts()
-        total = sum(counts.values())
-        state = "completed" if backend.done() else "running"
-        with self._status_lock:
-            self._write_json(
-                campaign_id,
-                "status.json",
-                CampaignStatus(
-                    campaign_id=campaign_id,
-                    state=state,
-                    counts=counts,
-                    total=total,
-                ).to_json(),
-            )
+        unsettled = counts["pending"] + counts["running"]
+        self._write_json(
+            campaign_id,
+            "status.json",
+            CampaignStatus(
+                campaign_id=campaign_id,
+                state="running" if unsettled else "completed",
+                counts=counts,
+                total=sum(counts.values()),
+            ).to_json(),
+        )
 
     def _finalize(
         self,
         campaign_id: str,
         spec: CampaignSpec,
         tasks: list[CampaignTask],
-        by_id: Mapping[str, CampaignTask],
-        backend: SchedulerBackend,
+        outcomes: list[_TaskOutcome],
         *,
         wall_seconds: float,
     ) -> CampaignStatus:
         """Assemble results in spec order and write the query ledger."""
+        from repro.analysis.windows import TimeWindow
+
         window_rows: list[dict[str, Any]] = []
         missing: list[dict[str, Any]] = []
         sensitivity_rows: list[dict[str, Any]] = []
-        counts = backend.counts()
-        for task in tasks:
-            if backend.error(task.task_id) and backend.result(task.task_id) is None:
-                from repro.analysis.windows import TimeWindow
-
+        for task, outcome in zip(tasks, outcomes):
+            if outcome.status == "degraded":
                 missing.append(
                     {
                         "start": task.bounds[0],
@@ -394,16 +355,20 @@ class CampaignScheduler:
                         "label": TimeWindow(*task.bounds).label(),
                         "kind": task.kind,
                         "exclude": list(task.exclude),
-                        "error": backend.error(task.task_id),
-                        "attempts": backend.attempts(task.task_id),
+                        "error": outcome.error,
+                        "attempts": outcome.attempts,
                     }
                 )
-                continue
-            row = backend.result(task.task_id)
-            if task.kind == "window":
-                window_rows.append(row)
+            elif task.kind == "window":
+                window_rows.append(outcome.value)
             else:
-                sensitivity_rows.append(row)
+                sensitivity_rows.append(outcome.value)
+        counts = {
+            "pending": 0,
+            "running": 0,
+            "done": len(tasks) - len(missing),
+            "degraded": len(missing),
+        }
         results = {
             "campaign_id": campaign_id,
             "windows": window_rows,
@@ -421,5 +386,5 @@ class CampaignScheduler:
             wall_seconds=wall_seconds,
         )
         write_ledger(ledger, self.campaign_dir(campaign_id))
-        self._publish_status(campaign_id, backend)
+        self._publish_status(campaign_id, counts)
         return self.status(campaign_id)

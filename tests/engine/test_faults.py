@@ -7,6 +7,8 @@ recovery (results identical to a clean run) and the accounting
 (``retried`` / ``degraded`` records in the :class:`RunReport`).
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from repro.engine.faults import backoff_seconds
 from repro.engine.report import RunReport
 from repro.engine.store import LocalStore, open_store
 from repro.simnet.internet import SimulationConfig, SyntheticInternet
+from repro.sources.catalog import build_standard_sources
 
 WINDOWS = [TimeWindow(2011.0, 2012.0), TimeWindow(2013.5, 2014.5)]
 
@@ -129,12 +132,6 @@ class TestFanOutSerial:
         assert len(degraded) == 1
         assert degraded[0].stage == "demo"
         assert "injected error" in degraded[0].error
-
-    def test_degrade_off_raises(self):
-        faults = FaultInjector([FaultSpec("demo", "error", index=0, count=5)])
-        policy = ExecutionPolicy(retries=1, backoff_base=0.001, degrade=False)
-        with pytest.raises(FaultInjected):
-            fan_out(2, _double, [1, 2], stage="demo", policy=policy, faults=faults)
 
     def test_report_dict_and_summary_expose_fault_tolerance(self):
         report = RunReport()
@@ -258,6 +255,61 @@ class TestExecutorStageFaults:
         assert [r.window for r in results] == [WINDOWS[1]]
         assert engine.report.degraded_count == 1
         assert missing_windows(WINDOWS, results) == [WINDOWS[0]]
+
+
+class FlakyFirstRead:
+    """A source whose first read of each whole window raises.
+
+    "First" holds across processes: the read creates a marker file with
+    ``O_EXCL``, so whichever process — the parent or any pool worker —
+    reads the window again finds the marker and reads through.
+    """
+
+    def __init__(self, base, marker_dir, windows):
+        self.base = base
+        self.name = base.name
+        self.available_from = base.available_from
+        self.available_to = base.available_to
+        self.marker_dir = str(marker_dir)
+        self.bounds = {(w.start, w.end) for w in windows}
+
+    def available_in(self, start, end):
+        return self.base.available_in(start, end)
+
+    def collect(self, start, end):
+        if (start, end) in self.bounds:
+            marker = os.path.join(self.marker_dir, f"{start}-{end}")
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                raise OSError(f"transient read failure, {self.name} {start}-{end}")
+        return self.base.collect(start, end)
+
+
+class TestWorkersKeepThePolicy:
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_serial_and_pool_sweeps_agree(self, small_internet, tmp_path, retries):
+        def sweep(workers):
+            markers = tmp_path / f"markers-{workers}"
+            markers.mkdir()
+            sources = build_standard_sources(small_internet)
+            sources["MLAB"] = FlakyFirstRead(sources["MLAB"], markers, WINDOWS)
+            engine = Executor(
+                small_internet, sources,
+                policy=ExecutionPolicy(
+                    retries=retries, backoff_base=0.001, backoff_max=0.002
+                ),
+            )
+            results = engine.run_windows(WINDOWS, workers=workers)
+            return [r.window for r in results], engine.report.degraded_count
+
+        serial = sweep(1)
+        assert sweep(2) == serial
+        # A stage retry absorbs the one failed read; without retries
+        # both windows degrade, in a pool worker as in the parent.
+        assert serial == ((WINDOWS, 0) if retries else ([], len(WINDOWS)))
 
 
 class TestAnalysisDegradation:

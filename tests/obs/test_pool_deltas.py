@@ -26,7 +26,7 @@ def _observed_double(payload, item):
     """Increment the worker observer's counter, then do the work."""
     from repro.engine import executor
 
-    obs = executor._TASK_OBSERVER
+    obs = executor._WORKER_OBSERVER
     if obs is not None:
         obs.inc("work_done_total")
     return payload * item

@@ -6,10 +6,13 @@ content-addressed (resubmission is a lookup), and once the query
 ledger exists, answers are served with zero GLM fits.
 """
 
+import time
+
 import pytest
 
 from repro.analysis.windows import TimeWindow
 from repro.core import fitkernel
+from repro.engine.executor import ExecutionPolicy
 from repro.engine.faults import FaultInjector
 from repro.service.campaign import (
     CampaignSpec,
@@ -184,13 +187,22 @@ class TestQueryLedger:
         assert fitkernel.snapshot().fits == before
 
 
+def drain(root, spec, workers=1, **executor_knobs):
+    """Submit and drain ``spec`` through an executor built with the knobs."""
+    executor = default_executor_factory(spec, **executor_knobs)
+    scheduler = CampaignScheduler(root)
+    campaign_id = scheduler.submit(spec)
+    status = scheduler.run(campaign_id, workers=workers, executor=executor)
+    return scheduler, campaign_id, status, executor
+
+
 class TestFaultSemantics:
     def test_transient_fault_retried_to_success(self, tmp_path):
-        faults = FaultInjector(["campaign:error:0:1"])
-        scheduler = CampaignScheduler(tmp_path, faults=faults, retries=1)
-        spec = small_spec(drop_sources=())
-        campaign_id = scheduler.submit(spec)
-        status = scheduler.run(campaign_id)
+        scheduler, campaign_id, status, _ = drain(
+            tmp_path, small_spec(drop_sources=()),
+            faults=FaultInjector(["campaign:error:0:1"]),
+            policy=ExecutionPolicy(retries=1),
+        )
         assert status.finished
         assert status.counts["done"] == 2
         assert status.counts["degraded"] == 0
@@ -198,11 +210,11 @@ class TestFaultSemantics:
         assert len(rows) == 2
 
     def test_persistent_fault_degrades_and_is_listed_missing(self, tmp_path):
-        faults = FaultInjector(["campaign:error:0:99"])
-        scheduler = CampaignScheduler(tmp_path, faults=faults, retries=1)
-        spec = small_spec(drop_sources=())
-        campaign_id = scheduler.submit(spec)
-        status = scheduler.run(campaign_id)
+        scheduler, campaign_id, status, _ = drain(
+            tmp_path, small_spec(drop_sources=()),
+            faults=FaultInjector(["campaign:error:0:99"]),
+            policy=ExecutionPolicy(retries=1),
+        )
         assert status.finished
         assert status.counts["degraded"] == 1
         assert status.counts["done"] == 1
@@ -216,16 +228,38 @@ class TestFaultSemantics:
         assert len(ledger.windows()) == 1
 
     def test_degraded_campaign_results_equal_surviving_direct(self, tmp_path):
-        faults = FaultInjector(["campaign:error:0:99"])
-        scheduler = CampaignScheduler(tmp_path, faults=faults, retries=0)
         spec = small_spec(drop_sources=())
-        campaign_id = scheduler.submit(spec)
-        scheduler.run(campaign_id)
+        scheduler, campaign_id, _, _ = drain(
+            tmp_path, spec,
+            faults=FaultInjector(["campaign:error:0:99"]),
+            policy=ExecutionPolicy(retries=0),
+        )
         row = scheduler.ledger(campaign_id).window(WINDOWS[1])
         direct = default_executor_factory(spec).run(
             "window_result", TimeWindow(*WINDOWS[1])
         )
         assert row["estimated_addresses"] == float(direct.estimated_addresses)
+
+    def test_task_timeout_bounds_a_hung_task(self, tmp_path):
+        started = time.monotonic()
+        _, _, status, executor = drain(
+            tmp_path, small_spec(drop_sources=()), workers=2,
+            faults=FaultInjector(["campaign:delay:0:1:120"]),
+            policy=ExecutionPolicy(task_timeout=10),
+        )
+        assert time.monotonic() - started < 60
+        assert status.finished
+        assert status.counts["done"] == status.total == 2
+        (record,) = [r for r in executor.report.records if r.stage == "campaign"]
+        assert record.status == "retried"
+        assert "exceeded" in record.error
+
+
+#: Stages that run no GLM fits, so their records must carry none.
+FIT_FREE_STAGES = {
+    "collect", "preprocess", "spoof_filter", "source_health", "tabulate",
+    "window_result",
+}
 
 
 class TestParallelDrain:
@@ -241,6 +275,23 @@ class TestParallelDrain:
         assert parallel["windows"] == serial["windows"]
         assert parallel["sensitivity"] == serial["sensitivity"]
         assert parallel["series"] == serial["series"]
+
+    def test_fit_counts_attributed_to_their_stage(self, tmp_path):
+        def misses(workers):
+            *_, executor = drain(tmp_path / f"w{workers}", small_spec(), workers)
+            return [r for r in executor.report.records if not r.cache_hit]
+
+        def counts(record):
+            fit = record.fit
+            return (fit.fits, fit.irls_iterations) if fit else (0, 0)
+
+        serial = {(r.stage, r.key): counts(r) for r in misses(1)}
+        parallel = misses(2)
+        assert parallel
+        for record in parallel:
+            assert counts(record) == serial[(record.stage, record.key)], record
+            if record.stage in FIT_FREE_STAGES:
+                assert record.fit is None, record
 
 
 class TestStatusModel:
