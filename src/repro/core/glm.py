@@ -129,7 +129,9 @@ class _State(NamedTuple):
     """One IRLS iterate: the objective ``L`` and the working moments of
     the next step (``mean`` and ``weight`` are both ``mu`` for the plain
     Poisson; the truncated mean and floored variance otherwise, with the
-    truncated log-partition)."""
+    truncated log-partition).  ``shift`` is what the overflow guard
+    added to ``X beta`` to get ``eta`` (``None`` when nothing was
+    clipped)."""
 
     eta: np.ndarray
     mu: np.ndarray
@@ -137,6 +139,7 @@ class _State(NamedTuple):
     mean: np.ndarray
     weight: np.ndarray
     partition: LogPartition | None
+    shift: np.ndarray | None = None
 
 
 def _gain(y, old: _State, new: _State, limit) -> float:
@@ -199,14 +202,14 @@ def fit_poisson(
     # deviance costs nothing beyond the objective itself.
     sat_part, loglik_norm = _y_constants(y)
 
-    def moments(eta: np.ndarray, mu: np.ndarray) -> _State:
+    def moments(eta: np.ndarray, mu: np.ndarray, shift=None) -> _State:
         if limit is None:
             L = float(y @ eta) - float(mu.sum())
-            return _State(eta, mu, L, mu, mu, None)
+            return _State(eta, mu, L, mu, mu, None, shift)
         partition, mean, variance = truncation_terms(eta, mu, limit)
         L = float(y @ eta) - partition.total()
         return _State(
-            eta, mu, L, mean, np.maximum(variance, _MU_MIN), partition
+            eta, mu, L, mean, np.maximum(variance, _MU_MIN), partition, shift
         )
 
     def eval_state(eta: np.ndarray) -> _State:
@@ -218,7 +221,8 @@ def fit_poisson(
         range) costs only the two bound checks.
         """
         if eta.max() > _ETA_MAX or eta.min() < _ETA_MIN:
-            eta = np.clip(eta, _ETA_MIN, _ETA_MAX)
+            clipped = np.clip(eta, _ETA_MIN, _ETA_MAX)
+            return moments(clipped, np.exp(clipped), clipped - eta)
         return moments(eta, np.exp(eta))
 
     warm = fitkernel.usable_warm_start(beta0, X.shape[1])
@@ -241,20 +245,28 @@ def fit_poisson(
     converged = False
     prev_improvement = 0.0
     for iterations in range(1, max(max_iter, 1) + 1):
-        # Working response z = eta + (y - mean) / weight, built in place.
+        # Working residual (y - mean) / weight, built in place.
         np.subtract(y, current.mean, out=z)
         np.divide(z, current.weight, out=z)
-        np.add(z, current.eta, out=z)
-        beta_new = solver.solve(current.weight, z)
         if not have_beta:
             # First cold step: the starting deviance is near-saturated
             # (not model-feasible), so monotone step halving would
-            # reject everything — accept the projection outright.
-            beta = beta_new
+            # reject everything — accept the projection of the working
+            # response eta + residual outright.
+            np.add(z, current.eta, out=z)
+            beta = solver.solve(current.weight, z)
             current = eval_state(beta @ XT)
             dev = 2.0 * (sat_part - current.L)
             have_beta = True
             continue
+        # Solve for the Newton step, not for the next coefficients: the
+        # solve's rounding then shrinks with the step instead of
+        # standing at ~cond * eps * |beta|, where each start would stop
+        # at its own point.  Clipped cells step from where the guard put
+        # them, as the working response eta + residual does.
+        if current.shift is not None:
+            np.add(z, current.shift, out=z)
+        beta_new = beta + solver.solve(current.weight, z)
         # Step-halving line search on the deviance (twice the gain).  A
         # NaN gain fails the acceptance comparison, so bad steps shrink
         # away.
@@ -504,8 +516,14 @@ def fit_poisson_batch(
     it = 0
     for it in range(1, max(max_iter, 1) + 1):
         total_iterations += members.size
-        z = eta + (y - mu) / mu
-        target = solver.solve(mu, z)
+        # Newton steps solved as steps, as in fit_poisson.  Where eta is
+        # not X beta — a cold first step, whose beta is 0, or a cell the
+        # overflow guard clipped — the step also carries the difference,
+        # as the working response eta + residual does.
+        z = (y - mu) / mu
+        if fresh is not None or eta.min() <= _ETA_MIN or eta.max() >= _ETA_MAX:
+            z += eta - solver.linear_predictor(beta)
+        target = beta + solver.solve(mu, z)
         floor = -1e-12 * (1.0 + np.abs(dev))
         beta, eta, mu, L, improvement, full = _line_search_batch(
             solver, y, beta, eta, mu, L, floor, target, fresh
