@@ -327,12 +327,11 @@ def warm_gate(
         return 1
     verdict = "FAIL" if rate < min_rate else "ok"
     print(f"{verdict:4s} warm-store hit rate: {rate:.1%} (floor {min_rate:.0%})")
-    tier_note = []
-    for name in ("cache_persistent_hits_total", "cache_fitmemo_hits_total"):
-        if name in candidate:
-            tier_note.append(f"{name.removeprefix('cache_')}={candidate[name]:.0f}")
-    if tier_note:
-        print("     " + "  ".join(tier_note))
+    if "cache_persistent_hits_total" in candidate:
+        print(
+            "     persistent_hits_total="
+            f"{candidate['cache_persistent_hits_total']:.0f}"
+        )
     baseline_path = baseline_path or HERE / METRICS_BASELINE
     if baseline_path.exists():
         _, warm_baseline = load_metrics_baseline(baseline_path)

@@ -19,7 +19,6 @@ from repro.core.closed_models import (
     fit_mt,
 )
 from repro.core.bootstrap import BootstrapResult, bootstrap_population
-from repro.core.coverage import CoverageEstimate, ace_estimate
 from repro.core.diagnostics import FitDiagnostics, diagnose_fit
 from repro.core.private import (
     blind_source,
@@ -51,10 +50,8 @@ __all__ = [
     "CaptureRecapture",
     "ClosedModelEstimate",
     "ContingencyTable",
-    "CoverageEstimate",
     "FitCounters",
     "FitDiagnostics",
-    "ace_estimate",
     "bootstrap_population",
     "diagnose_fit",
     "blind_source",

@@ -12,16 +12,13 @@ layer observable:
   all — whenever the factorisation fails or produces a non-finite
   solution (rank-deficient or otherwise degenerate designs).
 * :class:`BatchedIrlsSolver` runs the same solve over a stack of
-  same-shape designs at once: one batched normal-equations build, one
-  batched Cholesky of the ``(G, p, p)`` stack, and a per-member
-  ``dposv``/``lstsq`` fallback for degenerate members only.  Stacks of
-  capture-history indicator designs — every stepwise candidate — are
-  solved on the history lattice itself: each member is just its
-  columns' bitmasks, the normal equations are lookups into a zeta
-  transform of the weights computed as two small gemms against
-  constant 0/1 factors, and a member's dense design is built only if
-  it falls back to ``lstsq``.  Stepwise selection and the profile
-  scans group their candidate fits through it (see
+  capture-history indicator designs — every stepwise candidate — on
+  the history lattice itself: each member is just its columns'
+  bitmasks, the normal equations are lookups into a zeta transform of
+  the weights computed as two small gemms against constant 0/1
+  factors, one batched Cholesky checks the ``(G, p, p)`` stack, and a
+  member's dense design is built only if it falls back to ``lstsq``.
+  Stepwise selection groups its candidate fits through it (see
   :func:`repro.core.glm.fit_poisson_batch`).
 * :class:`FitCounters` and the module-level totals record fits, IRLS
   iterations run and saved, warm-start hits, memoisation hits, Cholesky
@@ -35,9 +32,6 @@ Counter semantics:
   truncated) and their total iteration count.
 * ``warm_start_hits`` — fits that started from caller-provided
   coefficients instead of the cold least-squares initialiser.
-* ``warm_store_hits`` — final refits seeded from a persistent
-  :class:`~repro.engine.store.FitMemoStore` entry written by an
-  earlier run (see :func:`set_warm_store`).
 * ``memo_hits`` / ``iterations_saved`` — fits avoided entirely because
   an identical ``(terms -> fit)`` was memoised; ``iterations_saved``
   accumulates the iteration count the memoised fit originally needed
@@ -53,7 +47,7 @@ the parent inside stage records, exactly like wall-time instrumentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 from scipy.linalg.lapack import dposv
@@ -69,7 +63,6 @@ class FitCounters:
     irls_iterations: int = 0
     iterations_saved: int = 0
     warm_start_hits: int = 0
-    warm_store_hits: int = 0
     memo_hits: int = 0
     cholesky_fallbacks: int = 0
     design_cache_hits: int = 0
@@ -143,15 +136,39 @@ def reset_counters() -> None:
 _PIVOT_RTOL = 1e-7
 
 
+def _solve_normal(normal, rhs, weights, target, design) -> np.ndarray:
+    """One member's ``argmin_b || sqrt(w) (X b - target) ||``.
+
+    Solves the weighted normal equations ``normal b = rhs`` with one
+    LAPACK ``dposv`` (Cholesky factor-and-solve) — the raw routine,
+    because at contingency-table sizes (a few hundred cells, a few
+    dozen parameters) wrapper overhead, not flops, dominates the fit.
+    Falls back to the pseudo-inverse solve, ``np.linalg.lstsq`` on the
+    sqrt-weighted design, whenever ``dposv`` reports a
+    non-positive-definite system or the factor's pivot ratio betrays
+    near-singularity (rank-deficient or otherwise degenerate designs —
+    float Cholesky can slip past an exactly collinear design on a tiny
+    positive pivot; NaNs fail the pivot comparison too).  ``design()`` returns the dense ``(n, p)``
+    design and is called only on that fallback, which is counted in
+    :class:`FitCounters`.
+    """
+    factor, solution, info = dposv(normal, rhs, lower=1)
+    if info == 0:
+        pivots = factor.diagonal()
+        if pivots.min() > _PIVOT_RTOL * pivots.max():
+            return solution
+    record(cholesky_fallbacks=1)
+    w = np.sqrt(np.maximum(weights, 1e-12))
+    solution, *_ = np.linalg.lstsq(design() * w[:, None], target * w, rcond=None)
+    return solution
+
+
 class IrlsSolver:
     """Weighted least-squares solves bound to one design matrix.
 
     One instance serves every IRLS step of one fit: the weighted design
-    buffer is allocated once, and each :meth:`solve` is three BLAS
-    calls plus one LAPACK ``dposv`` (Cholesky factor-and-solve of the
-    normal equations) — the raw routine, because at contingency-table
-    sizes (a few hundred cells, a few dozen parameters) wrapper
-    overhead, not flops, dominates the fit.
+    buffer is allocated once, and each :meth:`solve` is two BLAS calls
+    plus the shared Cholesky-or-``lstsq`` solve.
     """
 
     __slots__ = ("_X", "_XT", "_XwT")
@@ -164,41 +181,19 @@ class IrlsSolver:
         self._XT = np.ascontiguousarray(X.T)
         self._XwT = np.empty_like(self._XT)
 
-    @property
-    def design_t(self) -> np.ndarray:
-        """The contiguous transposed design (for caller-side gemvs)."""
-        return self._XT
+    def linear_predictor(self, beta: np.ndarray) -> np.ndarray:
+        """``eta = X beta`` (one gemv against the contiguous transpose)."""
+        return beta @ self._XT
 
     def solve(self, weights: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """``argmin_b || sqrt(w) (X b - target) ||`` for this design.
-
-        The fast path forms the weighted normal equations without ever
-        taking square roots (``X' W X b = X' W target``) and factorises
-        them with Cholesky; it falls back to ``np.linalg.lstsq`` on the
-        sqrt-weighted design — the same pseudo-inverse solve the IRLS
-        loop used before this kernel existed — whenever ``dposv``
-        reports a non-positive-definite system or the factor's pivot
-        ratio betrays near-singularity (rank-deficient or otherwise
-        degenerate designs — float Cholesky can slip past an exactly
-        collinear design on a tiny positive pivot; NaNs fail the pivot
-        comparison too).  Fallbacks are counted in :class:`FitCounters`.
-        """
-        XT = self._XT
+        """``argmin_b || sqrt(w) (X b - target) ||`` for this design: the
+        weighted normal equations ``X' W X b = X' W target``, formed
+        without square roots, through :func:`_solve_normal`."""
         XwT = self._XwT
-        np.multiply(XT, weights, out=XwT)
-        normal = XwT @ self._X
-        rhs = XwT @ target
-        factor, solution, info = dposv(normal, rhs, lower=1)
-        if info == 0:
-            pivots = factor.diagonal()
-            if pivots.min() > _PIVOT_RTOL * pivots.max():
-                return solution
-        record(cholesky_fallbacks=1)
-        w = np.sqrt(np.maximum(weights, 1e-12))
-        solution, *_ = np.linalg.lstsq(
-            self._X * w[:, None], target * w, rcond=None
+        np.multiply(self._XT, weights, out=XwT)
+        return _solve_normal(
+            XwT @ self._X, XwT @ target, weights, target, lambda: self._X
         )
-        return solution
 
 
 @cache
@@ -243,21 +238,14 @@ def _subset_sums(table: np.ndarray, t: int) -> np.ndarray:
     return summed.reshape(rows, 1 << t)
 
 
-def _lattice_shape(n: int) -> tuple[int, int] | None:
-    """``(t, offset)`` when ``n`` rows cover a ``t``-bit history lattice
-    (with or without the all-zero history), else ``None``."""
+def _lattice_shape(n: int) -> tuple[int, int]:
+    """``(t, offset)`` for ``n`` rows covering a ``t``-bit history
+    lattice, without (``offset`` 1) or with (0) the all-zero history."""
     if n >= 2 and n & (n + 1) == 0:  # n = 2**t - 1: histories 1 .. 2**t-1
         return (n + 1).bit_length() - 1, 1
     if n >= 2 and n & (n - 1) == 0:  # n = 2**t: history 0 included
         return n.bit_length() - 1, 0
-    return None
-
-
-def _checked_lattice_shape(n: int) -> tuple[int, int]:
-    shape = _lattice_shape(n)
-    if shape is None:
-        raise ValueError(f"{n} design rows do not cover a history lattice")
-    return shape
+    raise ValueError(f"{n} design rows do not cover a history lattice")
 
 
 def lattice_design(masks, rows: int) -> np.ndarray:
@@ -270,20 +258,22 @@ def lattice_design(masks, rows: int) -> np.ndarray:
     :func:`~repro.core.design.design_matrix` builds, without or with
     the unobserved row.
     """
-    _, offset = _checked_lattice_shape(rows)
+    _, offset = _lattice_shape(rows)
     histories = np.arange(offset, offset + rows, dtype=np.int64)[:, None]
     masks = np.asarray(masks, dtype=np.int64)[None, :]
     return ((histories & masks) == masks).astype(np.float64)
 
 
-class _LatticeStructure:
-    """Subset-lattice view of a stack of log-linear indicator designs.
+class BatchedIrlsSolver:
+    """Weighted least-squares solves for a stack of history-indicator designs.
 
-    When every column of every member is the superset indicator of a
-    bitmask over ``t`` sources (exactly what :func:`design_matrix`
-    builds, rows being capture histories in bitmask order), the normal
-    equations collapse to table lookups into one superset-sum (zeta)
-    transform of the weights:
+    The batched analogue of :class:`IrlsSolver`, bound to a stack of
+    ``G`` designs given by their column masks alone: ``masks`` is
+    ``(G, p)``, each member's column bitmasks (the intercept's 0 first)
+    over the ``rows`` capture histories — see :func:`lattice_design`
+    for the implied designs.  Every column is the superset indicator of
+    its mask, so the normal equations collapse to table lookups into one
+    superset-sum (zeta) transform of the weights:
 
     ``(X'WX)[j,k] = sum_{h >= mask_j | mask_k} w_h = Z(w)[mask_j | mask_k]``
 
@@ -295,13 +285,25 @@ class _LatticeStructure:
     once per stack: ``normal_idx`` and ``rhs_idx`` read a ``(G, 2,
     2**t)`` table of transformed weights and weighted targets,
     ``coef_idx`` writes coefficients into a ``(G, 2**t)`` table.
+
+    Each :meth:`solve` factorises the ``(G, p, p)`` stack with one
+    batched Cholesky; members whose factor fails (non-PD) or whose pivot
+    ratio betrays near-singularity are re-solved one at a time through
+    :func:`_solve_normal` — ``dposv`` then the ``lstsq`` fallback on a
+    dense design built from the member's masks — so degenerate members
+    cost what they always did and healthy members share the batched
+    flops.
     """
 
     __slots__ = (
         "t", "offset", "masks", "duplicates", "normal_idx", "rhs_idx", "coef_idx"
     )
 
-    def __init__(self, t: int, offset: int, masks: np.ndarray):
+    def __init__(self, masks, rows: int):
+        masks = np.ascontiguousarray(masks, dtype=np.int64)
+        if masks.ndim != 2:
+            raise ValueError(f"masks must be (G, p), got shape {masks.shape}")
+        t, offset = _lattice_shape(rows)
         if masks.size and (masks.min() < 0 or masks.max() >= 1 << t):
             raise ValueError(f"masks must be {t}-bit history bitmasks")
         G, p = masks.shape
@@ -309,11 +311,11 @@ class _LatticeStructure:
         self.t = t
         self.offset = offset
         self.masks = masks
-        rows = np.arange(G, dtype=np.int64)[:, None] * size
-        self.coef_idx = masks + rows
+        stride = np.arange(G, dtype=np.int64)[:, None] * size
+        self.coef_idx = masks + stride
         union = (masks[:, :, None] | masks[:, None, :]).reshape(G, p * p)
-        self.normal_idx = union + 2 * rows
-        self.rhs_idx = masks + 2 * rows + size
+        self.normal_idx = union + 2 * stride
+        self.rhs_idx = masks + 2 * stride + size
         # Distinct columns can share a mask only in degenerate designs
         # (duplicate columns); those need the accumulate-scatter.
         sorted_masks = np.sort(masks, axis=1)
@@ -325,156 +327,44 @@ class _LatticeStructure:
     def rows(self) -> int:
         return (1 << self.t) - self.offset
 
-    def subset(self, keep: np.ndarray) -> "_LatticeStructure":
-        return _LatticeStructure(self.t, self.offset, self.masks[keep])
-
-
-def _detect_lattice(X: np.ndarray) -> _LatticeStructure | None:
-    """Exact structure check: ``X`` as a stack of history-indicator
-    designs, or ``None`` (integer comparisons, no tolerance)."""
-    G, n, p = X.shape
-    shape = _lattice_shape(n)
-    if shape is None or p > n:
-        return None
-    t, offset = shape
-    if not ((X == 0.0) | (X == 1.0)).all():
-        return None
-    ones = X != 0.0
-    histories = np.arange(offset, offset + n, dtype=np.int64)
-    full = (1 << t) - 1
-    # A column's mask is the AND of the histories it flags; the column
-    # is lattice-structured iff it then equals that mask's indicator.
-    selected = np.where(ones, histories[None, :, None], full)
-    masks = np.bitwise_and.reduce(selected, axis=1)
-    indicator = (histories[None, :, None] & masks[:, None, :]) == masks[:, None, :]
-    if (indicator != ones).any():
-        return None
-    return _LatticeStructure(t, offset, masks)
-
-
-class BatchedIrlsSolver:
-    """Weighted least-squares solves for a stack of same-shape designs.
-
-    The batched analogue of :class:`IrlsSolver`: bound to a ``(G, n, p)``
-    stack of designs, each :meth:`solve` forms every member's normal
-    equations at once, factorises the ``(G, p, p)`` stack with one
-    batched Cholesky, and solves the stack in one batched call.  The
-    normal equations build recognises the capture-history indicator
-    structure of :func:`design_matrix` stacks (see
-    :class:`_LatticeStructure`) and then costs one superset-sum
-    transform of the weights; arbitrary designs fall back to two
-    batched gemms.  :meth:`from_masks` binds a lattice stack by its
-    column masks alone instead, with no dense designs at all.  Members
-    whose factor fails (non-PD) or whose pivot ratio betrays
-    near-singularity are re-solved one at a time through the exact
-    :class:`IrlsSolver` path — ``dposv`` then the ``lstsq`` fallback, on
-    a dense design built from the masks if the stack has none — so
-    degenerate members cost what they always did and healthy members
-    share the batched flops.
-    """
-
-    __slots__ = ("_X", "_XT", "_lattice")
-
-    def __init__(self, X: np.ndarray):
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 3:
-            raise ValueError(
-                f"batched design stack must be (G, n, p), got shape {X.shape}"
-            )
-        self._X = np.ascontiguousarray(X)
-        self._XT: np.ndarray | None = None
-        self._lattice = _detect_lattice(self._X)
-
-    @classmethod
-    def _bind(cls, X, lattice) -> "BatchedIrlsSolver":
-        solver = cls.__new__(cls)
-        solver._X = X
-        solver._XT = None
-        solver._lattice = lattice
-        return solver
-
-    @classmethod
-    def from_masks(cls, masks, rows: int) -> "BatchedIrlsSolver":
-        """A lattice solver described by column masks alone.
-
-        ``masks`` is ``(G, p)``: each member's column bitmasks (the
-        intercept's 0 first) over the ``rows`` capture histories — see
-        :func:`lattice_design` for the implied designs.
-        """
-        masks = np.ascontiguousarray(masks, dtype=np.int64)
-        if masks.ndim != 2:
-            raise ValueError(f"masks must be (G, p), got shape {masks.shape}")
-        t, offset = _checked_lattice_shape(rows)
-        return cls._bind(None, _LatticeStructure(t, offset, masks))
-
     def subset(self, keep: np.ndarray) -> "BatchedIrlsSolver":
         """The solver over the members a boolean ``keep`` selects."""
-        X = None if self._X is None else self._X[keep]
-        lattice = None if self._lattice is None else self._lattice.subset(keep)
-        return self._bind(X, lattice)
-
-    @property
-    def design_t(self) -> np.ndarray:
-        """The contiguous ``(G, p, n)`` transposed stack (dense stacks)."""
-        if self._XT is None:
-            self._XT = np.ascontiguousarray(self._X.transpose(0, 2, 1))
-        return self._XT
-
-    def _member_design(self, a: int) -> np.ndarray:
-        """Member ``a``'s dense ``(n, p)`` design (built from its masks
-        when the stack has no dense designs)."""
-        if self._X is not None:
-            return self._X[a]
-        return lattice_design(self._lattice.masks[a], self._lattice.rows)
+        return BatchedIrlsSolver(self.masks[keep], self.rows)
 
     def linear_predictor(
         self, beta: np.ndarray, members: np.ndarray | None = None
     ) -> np.ndarray:
         """Per-member ``eta_g = X_g beta_g`` for ``(A, p)`` coefficients
         of all members, or of the ones ``members`` indexes."""
-        lattice = self._lattice
-        if lattice is None:
-            XT = self.design_t
-            if members is not None:
-                XT = XT[members]
-            return np.matmul(beta[:, None, :], XT)[:, 0, :]
-        size = 1 << lattice.t
+        size = 1 << self.t
         table = np.zeros((beta.shape[0], size))
         if members is None:
-            index = lattice.coef_idx
+            index = self.coef_idx
         else:
-            index = lattice.masks[members] + size * np.arange(
+            index = self.masks[members] + size * np.arange(
                 beta.shape[0], dtype=np.int64
             )[:, None]
-        if lattice.duplicates:
+        if self.duplicates:
             # Accumulate-scatter: a degenerate member may carry duplicate
             # columns, whose contributions must sum into one mask slot.
             np.add.at(table.reshape(-1), index, beta)
         else:
             table.reshape(-1)[index] = beta
-        return _subset_sums(table, lattice.t)[:, lattice.offset:]
+        return _subset_sums(table, self.t)[:, self.offset:]
 
     def solve(self, weights: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Per-member ``argmin_b || sqrt(w_g) (X_g b - target_g) ||``.
 
         ``weights`` and ``target`` are ``(G, n)``; returns ``(G, p)``.
         """
-        G = weights.shape[0]
-        lattice = self._lattice
-        if lattice is not None:
-            p = lattice.masks.shape[1]
-            size = 1 << lattice.t
-            table = np.zeros((G, 2, size))
-            table[:, 0, lattice.offset:] = weights
-            np.multiply(weights, target, out=table[:, 1, lattice.offset:])
-            sums = _superset_sums(table.reshape(2 * G, size), lattice.t)
-            normal = sums.take(lattice.normal_idx).reshape(G, p, p)
-            rhs = sums.take(lattice.rhs_idx)
-        else:
-            p = self._X.shape[2]
-            XwT = self.design_t * weights[:, None, :]
-            normal = XwT @ self._X
-            rhs = np.matmul(XwT, target[..., None])[..., 0]
+        G, p = self.masks.shape
+        size = 1 << self.t
+        table = np.zeros((G, 2, size))
+        table[:, 0, self.offset:] = weights
+        np.multiply(weights, target, out=table[:, 1, self.offset:])
+        sums = _superset_sums(table.reshape(2 * G, size), self.t)
+        normal = sums.take(self.normal_idx).reshape(G, p, p)
+        rhs = sums.take(self.rhs_idx)
         try:
             factor = np.linalg.cholesky(normal)
             pivots = np.diagonal(factor, axis1=1, axis2=2)
@@ -491,43 +381,11 @@ class BatchedIrlsSolver:
             healthy = np.zeros(G, dtype=bool)
             solution = np.empty((G, p))
         for a in np.nonzero(~healthy)[0]:
-            solution[a] = self._solve_one(
-                int(a), normal[a], rhs[a], weights[a], target[a]
+            solution[a] = _solve_normal(
+                normal[a], rhs[a], weights[a], target[a],
+                partial(lattice_design, self.masks[a], self.rows),
             )
         return solution
-
-    def _solve_one(self, a, normal, rhs, weights, target) -> np.ndarray:
-        """Single-member retry: ``dposv`` with the ``lstsq`` fallback."""
-        factor, solution, info = dposv(normal, rhs, lower=1)
-        if info == 0:
-            pivots = factor.diagonal()
-            if pivots.min() > _PIVOT_RTOL * pivots.max():
-                return solution
-        record(cholesky_fallbacks=1)
-        X = self._member_design(a)
-        w = np.sqrt(np.maximum(weights, 1e-12))
-        solution, *_ = np.linalg.lstsq(X * w[:, None], target * w, rcond=None)
-        return solution
-
-
-#: Process-wide persistent warm-start store (a
-#: :class:`repro.engine.store.FitMemoStore`, duck typed — the core
-#: layer must not import the engine).  The Executor installs its
-#: store's fit-memo tier here and *always* sets it — including to
-#: ``None`` for store-less executors — so no run inherits a stale
-#: store from a previous Executor in the same process.
-_WARM_STORE = None
-
-
-def set_warm_store(store) -> None:
-    """Install (or clear, with ``None``) the persistent warm-start store."""
-    global _WARM_STORE
-    _WARM_STORE = store
-
-
-def get_warm_store():
-    """The installed persistent warm-start store, or ``None``."""
-    return _WARM_STORE
 
 
 def usable_warm_start(beta0: np.ndarray | None, num_params: int) -> bool:

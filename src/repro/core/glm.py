@@ -76,8 +76,8 @@ _MU_MIN = 1e-10
 #: _MU_MIN while keeping log(mu) == eta exact — one guard, both ends.
 _ETA_MIN = float(np.log(_MU_MIN))
 #: Smallest stack worth the batched IRLS loop; below this the fixed
-#: per-iteration overhead beats the shared flops (measured crossover on
-#: the t=9 profile scan, whose lockstep batches are pairs).
+#: per-iteration overhead beats the shared flops (at t = 9 one member
+#: takes the batched loop 2-3x what :func:`fit_poisson` takes).
 _MIN_BATCH = 4
 
 
@@ -196,7 +196,7 @@ def fit_poisson(
         limit = float(np.floor(limit))
 
     solver = fitkernel.IrlsSolver(X)
-    XT = solver.design_t  # contiguous transpose: beta @ XT == X @ beta
+    predict = solver.linear_predictor
     # Per-fit constants: deviance = 2 * (sat_part - L) with
     # L = y . log(mu) - sum(mu) (less the truncated log F), so the
     # deviance costs nothing beyond the objective itself.
@@ -228,7 +228,7 @@ def fit_poisson(
     warm = fitkernel.usable_warm_start(beta0, X.shape[1])
     if warm:
         beta = np.asarray(beta0, dtype=np.float64).copy()
-        current = eval_state(beta @ XT)
+        current = eval_state(predict(beta))
         have_beta = True
     else:
         # Cold start from the saturated-ish state mu = y + 0.5: cheap,
@@ -255,7 +255,7 @@ def fit_poisson(
             # response eta + residual outright.
             np.add(z, current.eta, out=z)
             beta = solver.solve(current.weight, z)
-            current = eval_state(beta @ XT)
+            current = eval_state(predict(beta))
             dev = 2.0 * (sat_part - current.L)
             have_beta = True
             continue
@@ -276,7 +276,7 @@ def fit_poisson(
             candidate = (
                 beta_new if step == 1.0 else beta + step * (beta_new - beta)
             )
-            state = eval_state(candidate @ XT)
+            state = eval_state(predict(candidate))
             improvement = 2.0 * _gain(y, current, state, limit)
             if improvement >= floor:
                 break
@@ -389,40 +389,34 @@ def _line_search_batch(solver, y, beta, eta, mu, L, floor, target, force):
 
 
 def fit_poisson_batch(
-    designs: np.ndarray | None,
+    masks,
     counts: np.ndarray,
     max_iter: int = 200,
     tol: float = 1e-9,
     beta0=None,
-    masks=None,
 ) -> list[GlmFit]:
-    """Fit a stack of same-shape Poisson GLMs with one batched IRLS loop.
+    """Fit a stack of capture-history Poisson GLMs with one batched IRLS loop.
 
-    ``designs`` is (G, n, p) — G models over the same cell count ``n``
-    and parameter count ``p`` (stepwise candidates of one round, strata
-    with equal source counts, profile-scan evaluation points).
-    ``counts`` is (G, n), or (n,) to share one count vector across the
-    stack.  ``beta0`` warm-starts members individually: ``None``, a
-    (G, p) array, or a sequence of per-member vectors where ``None``
-    entries fall back to the cold initialiser.
-
-    A stack of capture-history indicator designs can instead be passed
-    as ``designs=None`` with ``masks``, each design column's history
-    bitmask (``(G, p)`` ints, the intercept's 0 first) over the ``n``
-    histories of ``counts`` (see
-    :func:`~repro.core.fitkernel.lattice_design`): no dense design is
-    built unless a member falls back to ``lstsq`` or the stack is
-    small.  Dense stacks have their lattice structure detected — see
-    :class:`~repro.core.fitkernel.BatchedIrlsSolver`.
+    ``masks`` is (G, p) ints: each of G models' design columns as the
+    history bitmask its indicator flags supersets of, the intercept's 0
+    first (stepwise candidates of one round, across every table of the
+    same source count) — see
+    :func:`~repro.core.fitkernel.lattice_design` for the implied
+    designs over the ``n`` histories of ``counts``.  ``counts`` is
+    (G, n), or (n,) to share one count vector across the stack.
+    ``beta0`` warm-starts members individually: ``None``, a (G, p)
+    array, or a sequence of per-member vectors where ``None`` entries
+    fall back to the cold initialiser.
 
     Each member follows the exact :func:`fit_poisson` iteration —
     identical cold start, first-step acceptance, step-halving
     thresholds, and convergence tests.  The working state covers the
     members still moving: a member is gathered out once, when it
     converges, so every weighted solve and line search touches only
-    active rows.  Degenerate members fall back per-member inside the
-    solver.  Results match the sequential kernel to float round-off
-    (well inside rtol 1e-8).
+    active rows.  No dense design is built unless a member falls back
+    to ``lstsq`` inside the solver (see
+    :class:`~repro.core.fitkernel.BatchedIrlsSolver`).  Results match
+    the sequential kernel to float round-off (well inside rtol 1e-8).
 
     Stacks below ``_MIN_BATCH`` members run through :func:`fit_poisson`
     one by one: the batched loop's fixed per-iteration overhead (index
@@ -430,19 +424,10 @@ def fit_poisson_batch(
     for a handful of members, and the per-member path is bitwise what
     the sequential kernel computes anyway.
     """
-    if (designs is None) == (masks is None):
-        raise GlmError("fit_poisson_batch takes either designs or column masks")
-    if designs is None:
-        masks = np.asarray(masks, dtype=np.int64)
-        if masks.ndim != 2:
-            raise GlmError(f"masks must be (G, p), got {masks.shape}")
-        X = None
-        (G, p), n = masks.shape, np.shape(counts)[-1]
-    else:
-        X = np.asarray(designs, dtype=np.float64)
-        if X.ndim != 3:
-            raise GlmError(f"design stack must be (G, n, p), got {X.shape}")
-        G, n, p = X.shape
+    masks = np.asarray(masks, dtype=np.int64)
+    if masks.ndim != 2:
+        raise GlmError(f"masks must be (G, p), got {masks.shape}")
+    (G, p), n = masks.shape, np.shape(counts)[-1]
     if G == 0:
         return []
     if n == 0:
@@ -458,7 +443,7 @@ def fit_poisson_batch(
     if G < _MIN_BATCH:
         return [
             fit_poisson(
-                X[g] if X is not None else fitkernel.lattice_design(masks[g], n),
+                fitkernel.lattice_design(masks[g], n),
                 y[g],
                 max_iter=max_iter,
                 tol=tol,
@@ -467,11 +452,7 @@ def fit_poisson_batch(
             for g in range(G)
         ]
     y = np.ascontiguousarray(y)
-    solver = (
-        fitkernel.BatchedIrlsSolver.from_masks(masks, n)
-        if X is None
-        else fitkernel.BatchedIrlsSolver(X)
-    )
+    solver = fitkernel.BatchedIrlsSolver(masks, n)
     consts = [_y_constants(y[g]) for g in range(G)]
     sat = np.array([c[0] for c in consts])
 

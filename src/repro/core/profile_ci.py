@@ -21,7 +21,7 @@ import numpy as np
 from scipy import stats
 
 from repro.core.design import design_matrix
-from repro.core.glm import fit_poisson, fit_poisson_batch
+from repro.core.glm import fit_poisson
 from repro.core.histories import ContingencyTable
 
 #: The paper's deliberately tiny alpha for wide heuristic ranges.
@@ -66,51 +66,26 @@ class _ProfileLoglik:
         self._cache: dict[float, float] = {}
 
     def __call__(self, unseen: float) -> float:
-        unseen = max(float(unseen), 0.0)
-        cached = self._cache.get(unseen)
-        if cached is not None:
-            return cached
-        counts = np.concatenate([[unseen], self._observed])
-        fit = fit_poisson(self._design, counts, beta0=self._coef)
-        self._coef = fit.coef
-        # fit.loglik continues the factorial via gammaln on the
-        # fractional n_0, exactly as the profile needs.
-        value = fit.loglik
-        self._cache[unseen] = value
-        return value
+        return self.many([unseen])[0]
 
     def many(self, values) -> list[float]:
-        """Evaluate several ``n_0`` points, batching the uncached fits.
+        """Evaluate several ``n_0`` points, refitting only the uncached.
 
-        All members share the profile's design, so the uncached points
-        stack into one :func:`~repro.core.glm.fit_poisson_batch` call —
-        every point warm-started from the last known coefficients.  Each
-        fit converges to its own ML optimum regardless of the seed, so
-        values match one-at-a-time evaluation to float round-off.
+        Every uncached point is one :func:`~repro.core.glm.fit_poisson`
+        call seeded with the last known coefficients, so no point's
+        value depends on its order in the request.  (The scan asks for
+        pairs: too few members for the batched kernel to pay.)
         """
         values = [max(float(v), 0.0) for v in values]
-        missing: list[float] = []
-        for v in values:
-            if v not in self._cache and v not in missing:
-                missing.append(v)
-        if len(missing) >= 2:
-            counts = np.stack(
-                [np.concatenate([[v], self._observed]) for v in missing]
-            )
-            designs = np.broadcast_to(
-                self._design, (len(missing), *self._design.shape)
-            )
-            beta0 = (
-                None
-                if self._coef is None
-                else [self._coef] * len(missing)
-            )
-            fits = fit_poisson_batch(designs, counts, beta0=beta0)
-            for v, fit in zip(missing, fits):
+        seed = self._coef
+        for v in dict.fromkeys(values):
+            if v not in self._cache:
+                counts = np.concatenate([[v], self._observed])
+                fit = fit_poisson(self._design, counts, beta0=seed)
+                # fit.loglik continues the factorial via gammaln on the
+                # fractional n_0, exactly as the profile needs.
                 self._cache[v] = fit.loglik
-            self._coef = fits[-1].coef
-        elif missing:
-            self(missing[0])
+                self._coef = fit.coef
         return [self._cache[v] for v in values]
 
 
@@ -122,11 +97,9 @@ def profile_likelihood_interval(
 ) -> ProfileInterval:
     """Profile-likelihood interval for ``N`` under the given model terms.
 
-    The scan runs on the batched fit kernel: the bracket-expansion
-    pairs, the golden-section seed pair, and the two root bisections
-    (run in lockstep) each become one small
-    :func:`~repro.core.glm.fit_poisson_batch` call instead of separate
-    scalar fits.
+    The bracket-expansion pairs, the golden-section seed pair, and the
+    two root bisections (run in lockstep) each evaluate their points
+    from one shared warm start (see :meth:`_ProfileLoglik.many`).
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -177,8 +150,8 @@ def _golden_max(func, lo: float, hi: float, tol: float = 1e-3) -> float:
     """Golden-section maximisation of a :class:`_ProfileLoglik` on
     [lo, hi].
 
-    The two seed points are evaluated in one batched call; iterations
-    place one new point each, so they stay scalar.
+    The two seed points are evaluated in one call from one warm start;
+    iterations place one new point each.
     """
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -243,9 +216,9 @@ def _lockstep(searches, evaluate_many) -> list[float]:
     """Drive several point-request generators in lockstep.
 
     Each round collects one pending point per live search and evaluates
-    them with a single ``evaluate_many`` call (one batched fit), so the
-    low and high root searches advance together instead of issuing
-    hundreds of scalar fits back to back.
+    them with a single ``evaluate_many`` call, so the low and high root
+    searches advance together, each point warm-started from the last
+    round's fit.
     """
     results: list[float] = [0.0] * len(searches)
     pending: dict[int, float] = {}

@@ -150,7 +150,6 @@ def _resolve_scaled(
 def _finalise(state: "_SearchState", criterion: str) -> ModelSelection:
     """Parsimony rule + full-count refit of one table's search."""
     table, resolved, path = state.table, state.resolved, state.path
-    distribution, limit = state.distribution, state.limit
     # Parsimony rule: simplest visited model m with no n: IC_n < IC_m - 7.
     best_ic = min(score.ic for score in path)
     eligible = [score for score in path if score.ic <= best_ic + IC_MARGIN]
@@ -161,34 +160,10 @@ def _finalise(state: "_SearchState", criterion: str) -> ModelSelection:
     # the log scale) sit about log(d) higher on the unscaled table.
     beta0 = state.fetch(chosen.terms).coef.copy()
     beta0[0] += float(np.log(resolved))
-    # A persistent warm-start store (installed by an Executor running
-    # against an artifact store) may hold this exact fit's converged
-    # coefficients from an earlier run; an exact digest match seeds the
-    # solver at the answer.  The fit still runs to its own convergence.
-    warm_store = fitkernel.get_warm_store()
-    warm_spec = (
-        dict(
-            num_sources=table.num_sources,
-            terms=chosen.terms,
-            counts=table.counts,
-            distribution=distribution,
-            limit=limit,
-            divisor=resolved,
-        )
-        if warm_store is not None
-        else None
-    )
-    if warm_store is not None:
-        stored = warm_store.lookup(**warm_spec)
-        if fitkernel.usable_warm_start(stored, beta0.shape[0]):
-            beta0 = stored
-            fitkernel.record(warm_store_hits=1)
     final_model = LoglinearModel(table.num_sources, chosen.terms, validate=False)
     final_fit = final_model.fit(
-        table, distribution=distribution, limit=limit, beta0=beta0
+        table, distribution=state.distribution, limit=state.limit, beta0=beta0
     )
-    if warm_store is not None and final_fit.converged:
-        warm_store.store(final_fit.coef, **warm_spec)
     return ModelSelection(
         fit=final_fit,
         divisor=resolved,
@@ -330,7 +305,7 @@ def _run_batch_jobs(jobs: list[_BatchJob]) -> None:
         counts = np.stack([job.state.counts for job in group])
         seeds = [job.beta0 for job in group]
         masks = np.array([job.masks for job in group], dtype=np.int64)
-        fits = fit_poisson_batch(None, counts, beta0=seeds, masks=masks)
+        fits = fit_poisson_batch(masks, counts, beta0=seeds)
         for job, fit in zip(group, fits):
             job.state.memo[job.terms] = FittedLoglinear(
                 table=job.state.scaled,
@@ -372,8 +347,7 @@ def select_models_batched(
     in different batch groups.  ``distributions``/``limits`` give the
     final-refit settings per table (a single string broadcasts).  The
     final full-count refits run one table at a time, each warm-started
-    individually from the persistent fit-memo store when one is
-    installed.
+    from its chosen candidate's coefficients.
     """
     tables = list(tables)
     if not tables:

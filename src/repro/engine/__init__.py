@@ -46,7 +46,6 @@ from repro.engine.faults import (
 from repro.engine.report import RunReport, StageRecord
 from repro.engine.store import (
     ArtifactStore,
-    FitMemoStore,
     LocalStore,
     TieredStore,
     open_store,
@@ -67,7 +66,6 @@ __all__ = [
     "ArtifactCache",
     "ArtifactKey",
     "ArtifactStore",
-    "FitMemoStore",
     "LocalStore",
     "TieredStore",
     "open_store",

@@ -14,8 +14,9 @@ Fault tolerance: every stage resolution and every runner task runs
 under an :class:`ExecutionPolicy` — bounded retries with exponential
 backoff and deterministic jitter, per-task wall-clock timeouts, and
 ``BrokenProcessPool`` recovery (the pool is respawned, unfinished
-tasks are requeued, and a task that kills :data:`POOL_KILL_LIMIT`
-workers is pulled back into the parent process).  A task that exhausts
+tasks are requeued, a worker death is charged only to the task whose
+worker died, and a task that kills :data:`POOL_KILL_LIMIT` workers is
+pulled back into the parent process).  A task that exhausts
 its retries is *degraded*: it is recorded in the
 :class:`~repro.engine.report.RunReport` and dropped from the results
 instead of aborting the run.
@@ -191,14 +192,16 @@ def _resilient_pool_map(
 
     Every attempt first fires ``faults`` keyed by ``(stage, task index,
     attempt)``.  A task that raises is retried (with backoff) up to
-    ``policy.retries`` times; a task whose worker dies breaks the pool,
-    so the pool is rebuilt and every unfinished task requeued —
-    completed futures are harvested first, and only the task being
-    waited on is charged the failure.  A task charged
-    :data:`POOL_KILL_LIMIT` worker deaths runs in this process, with
-    one final attempt.  Exhausted tasks degrade.  ``on_settle(i,
-    outcome)`` is called as each task reaches its terminal state.
-    Outcomes come back in task order.
+    ``policy.retries`` times.  A task whose worker dies breaks the pool:
+    completed futures are harvested, the pool is rebuilt and every
+    unfinished task requeued.  A pool of several workers cannot say
+    whose worker died, so its breakage charges no task; the runner then
+    finishes on a one-worker pool, which runs its tasks in submission
+    order — there the death is the awaited task's, and only that task
+    is charged.  A task charged :data:`POOL_KILL_LIMIT` worker deaths
+    runs in this process, with one final attempt.  Exhausted tasks
+    degrade.  ``on_settle(i, outcome)`` is called as each task reaches
+    its terminal state.  Outcomes come back in task order.
     """
     n = len(tasks)
     outcomes: list[_TaskOutcome | None] = [None] * n
@@ -208,6 +211,7 @@ def _resilient_pool_map(
     errors: list[str | None] = [None] * n
     pending = list(range(n))
     pool: ProcessPoolExecutor | None = None
+    width = workers  # pool size; 1 once a breakage named no task
     shipment: _PayloadShipment | None = None
 
     def close_pool(nuke: bool = False) -> None:
@@ -294,7 +298,11 @@ def _resilient_pool_map(
             remote = [i for i in pending if not local[i]]
             if remote:
                 if pool is None:
-                    pool = make_pool(min(workers, len(remote)))
+                    size = min(width, len(remote))
+                    pool = make_pool(size)
+                    # One worker runs its tasks in submission order, so
+                    # a death there is the awaited task's.
+                    blame = size == 1
                 futures = {
                     i: pool.submit(_worker_run, (i, attempts[i], tasks[i]))
                     for i in remote
@@ -333,9 +341,15 @@ def _resilient_pool_map(
                         if fail(i, hung, started):
                             next_pending.append(i)
                     except BrokenProcessPool as exc:
-                        kills[i] += 1
                         broken = True
                         close_pool(nuke=True)
+                        if not blame:
+                            # Any worker may have died: charge nobody
+                            # and go on one worker at a time.
+                            width = 1
+                            next_pending.append(i)
+                            continue
+                        kills[i] += 1
                         local[i] = kills[i] >= POOL_KILL_LIMIT
                         if fail(i, exc, started):
                             next_pending.append(i)
@@ -431,9 +445,6 @@ class Executor:
         # entries to this run's (a bare memory cache has no events).
         if hasattr(self.cache, "observer") and self.cache.observer is None:
             self.cache.observer = self.observer
-        # Always set — including to None: a store-less executor must not
-        # inherit the persistent warm-start store of a previous one.
-        fitkernel.set_warm_store(getattr(self.cache, "fitmemo", None))
         self.context = RunContext(self)
         #: Per-stage resolution counter: the task index stage-level
         #: faults key on (counts cache misses, stable under retries).
@@ -501,11 +512,6 @@ class Executor:
         exhausted failure is recorded as ``failed`` and re-raised for
         the surrounding sweep to degrade or propagate.
         """
-        # The kernel's warm store is process-wide and a different
-        # Executor (e.g. a streaming one) may have installed its own
-        # since this one was constructed; re-assert ours so interleaved
-        # executors never seed each other's fits.
-        fitkernel.set_warm_store(getattr(self.cache, "fitmemo", None))
         spec = STAGES[stage]
         key = self.key_for(stage, window, **params)
         # Non-cacheable stages (e.g. the fit_batch plan, whose per-level
@@ -546,7 +552,7 @@ class Executor:
                     break
                 except Exception as exc:
                     attempt += 1
-                    if not spec.retryable or attempt > self.policy.retries:
+                    if attempt > self.policy.retries:
                         self.report.record(
                             StageRecord(
                                 stage=stage,

@@ -526,11 +526,6 @@ class Stage:
     #: A non-cacheable stage still memoises within the run's memory
     #: tier but never lands in the persistent store.
     cacheable: bool = True
-    #: Whether a failed execution may be retried under the executor's
-    #: :class:`~repro.engine.executor.ExecutionPolicy`.  Stage functions
-    #: are pure, so retrying is safe by default; a stage with external
-    #: side effects would opt out here.
-    retryable: bool = True
 
 
 #: The dataflow graph, in topological order.

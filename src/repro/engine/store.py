@@ -563,83 +563,6 @@ class LocalStore(ArtifactStore):
         }
 
 
-class FitMemoStore:
-    """Persistent warm-start coefficients for the final full-count refit.
-
-    :func:`repro.core.selection.select_model` ends every window in one
-    expensive fit: the chosen model refit on the unscaled table.  This
-    store keys that fit's *converged coefficients* by the canonical
-    digest of everything that determines them — source count, term set,
-    the full table counts, distribution, truncation limit and the
-    resolved divisor — so a later run of the same window starts IRLS at
-    the answer.  Only an exact digest match is consulted, and the
-    coefficients only seed the solver (the fit still runs to its own
-    convergence), so estimates stay within the same float tolerance as
-    PR 2's in-run warm starts.
-    """
-
-    STAGE = "fitmemo"
-
-    def __init__(
-        self, root: str | Path, observer: "Observer | None" = None
-    ) -> None:
-        # A dedicated LocalStore instance keeps fit-memo traffic in its
-        # own counters (reported under the ``fitmemo_`` prefix).
-        self._store = LocalStore(root, observer=observer)
-
-    @property
-    def observer(self) -> "Observer | None":
-        """Observer of the underlying store (corrupt-entry events)."""
-        return self._store.observer
-
-    @observer.setter
-    def observer(self, value: "Observer | None") -> None:
-        self._store.observer = value
-
-    def key_for(
-        self,
-        *,
-        num_sources: int,
-        terms: frozenset,
-        counts: np.ndarray,
-        distribution: str,
-        limit: float | None,
-        divisor: int,
-    ) -> ArtifactKey:
-        """The canonical key of one final-refit coefficient vector."""
-        return ArtifactKey(
-            self.STAGE,
-            params=(
-                int(num_sources),
-                terms,
-                np.asarray(counts),
-                str(distribution),
-                limit,
-                int(divisor),
-            ),
-        )
-
-    def lookup(self, **spec: Any) -> np.ndarray | None:
-        """Stored coefficients for this exact fit, or ``None``."""
-        value = self._store.get(self.key_for(**spec))
-        if value is MISS:
-            return None
-        try:
-            return np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError):
-            return None
-
-    def store(self, coef: np.ndarray, **spec: Any) -> None:
-        """Persist converged coefficients under this fit's exact digest."""
-        self._store.put(
-            self.key_for(**spec), np.asarray(coef, dtype=np.float64)
-        )
-
-    def stats(self) -> dict[str, int]:
-        """Counters of the dedicated fit-memo store instance."""
-        return self._store.stats()
-
-
 class TieredStore(ArtifactStore):
     """Write-through composition: in-memory LRU over a persistent store.
 
@@ -653,24 +576,20 @@ class TieredStore(ArtifactStore):
     def __init__(self, memory: ArtifactCache, persistent: LocalStore) -> None:
         self.memory = memory
         self.persistent = persistent
-        self.fitmemo = FitMemoStore(
-            persistent.root, observer=persistent.observer
-        )
         self.hits = 0
         self.misses = 0
         self.last_hit_tier: str | None = None
 
     # The engine adopts its observer onto an unclaimed store; only the
-    # persistent tiers report events (corrupt entries).
+    # persistent tier reports events (corrupt entries).
     @property
     def observer(self) -> "Observer | None":
-        """Observer of the persistent tiers; assignment sets both."""
+        """Observer of the persistent tier."""
         return self.persistent.observer
 
     @observer.setter
     def observer(self, value: "Observer | None") -> None:
         self.persistent.observer = value
-        self.fitmemo.observer = value
 
     def __contains__(self, key: ArtifactKey) -> bool:
         return key in self.memory or key in self.persistent
@@ -698,7 +617,7 @@ class TieredStore(ArtifactStore):
         self.persistent.put(key, value)
 
     def stats(self) -> dict[str, int]:
-        """Memory counters + ``persistent_``/``fitmemo_``-prefixed tiers."""
+        """Memory counters + the ``persistent_``-prefixed tier's."""
         merged = dict(self.memory.stats())
         # The memory tier's hit/miss counters see every tiered lookup;
         # the tier-spanning truth is this store's own counters.
@@ -706,8 +625,6 @@ class TieredStore(ArtifactStore):
         merged["misses"] = self.misses
         for name, value in self.persistent.stats().items():
             merged[f"persistent_{name}"] = value
-        for name, value in self.fitmemo.stats().items():
-            merged[f"fitmemo_{name}"] = value
         return merged
 
     def describe(self) -> dict[str, Any]:

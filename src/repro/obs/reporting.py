@@ -161,12 +161,6 @@ def render_run_report(run_dir: str | Path, top: int = 10) -> str:
             f"{int(counters.get('cache_persistent_corrupt_entries_total', 0))} "
             f"corrupt"
         )
-    memo_hits = counters.get("cache_fitmemo_hits_total", 0.0)
-    memo_puts = counters.get("cache_fitmemo_puts_total", 0.0)
-    if memo_hits or memo_puts:
-        lines.append(
-            f"  fit memo store: {int(memo_hits)} hits, {int(memo_puts)} puts"
-        )
 
     # worker payload transport
     payload_bytes = counters.get("pool_payload_bytes_total", 0.0)
@@ -350,7 +344,6 @@ def render_run_diff(run_dir: str | Path, other_dir: str | Path) -> str:
     for name, label in (
         ("cache_persistent_hits_total", "store hits"),
         ("cache_persistent_puts_total", "store puts"),
-        ("cache_fitmemo_hits_total", "fit-memo hits"),
         ("tasks_retried_total", "retried attempts"),
         ("tasks_degraded_total", "degraded tasks"),
     ):

@@ -27,9 +27,7 @@ Correctness note on caching: artifact keys are content-addressed in
 sources are immutable for a run.  Journaled data mutates, so the
 stream uses a fresh per-version :class:`~repro.engine.artifacts.ArtifactCache`
 — never the persistent artifact tier — for window closes; only
-snapshots and fit-memo coefficients (which seed solvers without
-changing their optimum: the fits are concave, so the result does not
-depend on the start) touch the persistent store.
+snapshots touch the persistent store.
 """
 
 from __future__ import annotations
@@ -306,18 +304,13 @@ class StreamEstimator:
         The artifact cache is rebuilt whenever the data version moved —
         stage keys carry no data dependence, so serving a stale
         artifact after a late event would silently corrupt a revision.
-        Like a batch executor, it seeds final refits from the store's
-        fit memos: coefficients only seed solvers, never short-circuit
-        them.
         """
         if self._executor is None or self._executor_version != self._version:
-            cache = ArtifactCache()
-            cache.fitmemo = getattr(self.store, "fitmemo", None)
             self._executor = Executor(
                 self.internet,
                 sources=self.sources(),
                 options=self.options,
-                cache=cache,
+                cache=ArtifactCache(),
                 report=self.report,
                 policy=self.policy,
                 faults=self.faults,

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import fitkernel
 from repro.core.design import design_matrix, main_effect_terms, pairwise_terms
-from repro.core.glm import GlmError, fit_poisson, fit_poisson_batch, poisson_loglik
+from repro.core.glm import fit_poisson, fit_poisson_batch, poisson_loglik
 from repro.core.histories import ContingencyTable
 from repro.core.loglinear import LoglinearModel
 from repro.core.selection import information_criterion, select_model
@@ -203,120 +203,93 @@ class TestCounters:
         assert b.as_dict()["memo_hits"] == 3
 
 
+def _mask(term) -> int:
+    return sum(1 << source for source in term)
+
+
+def _design_masks(num_sources: int, terms, members: int):
+    """``(X, masks)``: one design_matrix design and its ``(members, p)``
+    column-mask stack, the intercept's 0 first."""
+    X, ordered = design_matrix(num_sources, terms)
+    masks = np.array(
+        [[0] + [_mask(term) for term in ordered]] * members, dtype=np.int64
+    )
+    return X, masks
+
+
 class TestBatchedSolver:
     """The batched kernel is a pure reorganisation of the arithmetic:
-    every member must agree with its own sequential fit at rtol 1e-8,
+    every member must agree with its own sequential solve at rtol 1e-8,
     degenerate members included."""
-
-    def _lattice_stack(self, num_sources=4, members=3, seed=21):
-        """(G, n, p) stack of real capture-history designs with varied
-        weights/targets per member."""
-        X, _ = design_matrix(num_sources, main_effect_terms(num_sources))
-        return np.repeat(X[None, :, :], members, axis=0)
-
-    def test_lattice_detected_on_design_matrix_stacks(self):
-        stack = self._lattice_stack()
-        solver = fitkernel.BatchedIrlsSolver(stack)
-        assert solver._lattice is not None
-
-    def test_random_stacks_fall_back_to_dense(self):
-        rng = np.random.default_rng(5)
-        stack = rng.normal(size=(3, 15, 4))
-        solver = fitkernel.BatchedIrlsSolver(stack)
-        assert solver._lattice is None
 
     def test_lattice_and_dense_solves_agree(self):
         rng = np.random.default_rng(6)
-        stack = self._lattice_stack()
-        G, n, p = stack.shape
-        solver = fitkernel.BatchedIrlsSolver(stack)
-        assert solver._lattice is not None
-        w = rng.uniform(0.5, 3.0, size=(G, n))
-        z = rng.normal(size=(G, n))
+        X, masks = _design_masks(4, main_effect_terms(4), members=3)
+        solver = fitkernel.BatchedIrlsSolver(masks, X.shape[0])
+        w = rng.uniform(0.5, 3.0, size=(3, X.shape[0]))
+        z = rng.normal(size=(3, X.shape[0]))
         fast = solver.solve(w, z)
-        for g in range(G):
+        for g in range(3):
             sw = np.sqrt(w[g])
-            slow, *_ = np.linalg.lstsq(
-                stack[g] * sw[:, None], z[g] * sw, rcond=None
-            )
+            slow, *_ = np.linalg.lstsq(X * sw[:, None], z[g] * sw, rcond=None)
             np.testing.assert_allclose(fast[g], slow, rtol=1e-8, atol=1e-10)
 
     def test_linear_predictor_matches_matmul(self):
         rng = np.random.default_rng(7)
-        stack = self._lattice_stack()
-        G, n, p = stack.shape
-        solver = fitkernel.BatchedIrlsSolver(stack)
-        beta = rng.normal(size=(G, p))
+        X, masks = _design_masks(4, main_effect_terms(4), members=3)
+        solver = fitkernel.BatchedIrlsSolver(masks, X.shape[0])
+        beta = rng.normal(size=masks.shape)
         eta = solver.linear_predictor(beta)
-        for g in range(G):
+        for g in range(3):
             np.testing.assert_allclose(
-                eta[g], stack[g] @ beta[g], rtol=1e-12, atol=1e-12
+                eta[g], X @ beta[g], rtol=1e-12, atol=1e-12
             )
         members = np.array([2, 0])
         np.testing.assert_allclose(
             solver.linear_predictor(beta[members], members), eta[members]
         )
 
-    def test_trusted_masks_match_detection(self):
-        rng = np.random.default_rng(8)
-        num_sources = 4
-        X, ordered = design_matrix(num_sources, main_effect_terms(num_sources))
-        stack = np.repeat(X[None, :, :], 2, axis=0)
-        masks = np.array(
-            [[0] + [sum(1 << s for s in term) for term in ordered]] * 2,
-            dtype=np.int64,
-        )
-        trusted = fitkernel.BatchedIrlsSolver.from_masks(masks, X.shape[0])
-        detected = fitkernel.BatchedIrlsSolver(stack)
-        np.testing.assert_array_equal(trusted._lattice.masks, masks)
-        np.testing.assert_array_equal(detected._lattice.masks, masks)
-        w = rng.uniform(0.5, 2.0, size=(2, stack.shape[1]))
-        z = rng.normal(size=(2, stack.shape[1]))
-        np.testing.assert_array_equal(
-            trusted.solve(w, z), detected.solve(w, z)
-        )
-
     def test_wrong_masks_rejected(self):
         # A mask with a bit beyond the lattice's t sources.
         with pytest.raises(ValueError):
-            fitkernel.BatchedIrlsSolver.from_masks(np.array([[0, 1, 16]]), 15)
+            fitkernel.BatchedIrlsSolver(np.array([[0, 1, 16]]), 15)
         # Rows that do not cover a history lattice.
         with pytest.raises(ValueError):
-            fitkernel.BatchedIrlsSolver.from_masks(np.array([[0, 1, 2]]), 12)
+            fitkernel.BatchedIrlsSolver(np.array([[0, 1, 2]]), 12)
         # One member's masks instead of a (G, p) stack.
         with pytest.raises(ValueError):
-            fitkernel.BatchedIrlsSolver.from_masks(np.array([0, 1, 2]), 15)
+            fitkernel.BatchedIrlsSolver(np.array([0, 1, 2]), 15)
 
     def test_degenerate_member_falls_back_per_member(self):
+        # Member 1 puts no weight on any history holding both sources 0
+        # and 1, so its pair column is unidentified and its normal
+        # equations singular; only it may reach lstsq.
         rng = np.random.default_rng(9)
-        base = np.column_stack([np.ones(20), rng.normal(size=(20, 3))])
-        broken = base.copy()
-        broken[:, 3] = broken[:, 2]  # exact duplicate column
-        stack = np.stack([base, broken])
-        solver = fitkernel.BatchedIrlsSolver(stack)
-        w = rng.uniform(0.5, 2.0, size=(2, 20))
-        z = rng.normal(size=(2, 20))
+        terms = main_effect_terms(4) | {frozenset({0, 1})}
+        X, masks = _design_masks(4, terms, members=2)
+        w = rng.uniform(0.5, 2.0, size=(2, X.shape[0]))
+        histories = np.arange(1, 16)
+        w[1, (histories & 3) == 3] = 0.0
+        z = rng.normal(size=(2, X.shape[0]))
         before = fitkernel.snapshot()
-        out = solver.solve(w, z)
+        out = fitkernel.BatchedIrlsSolver(masks, X.shape[0]).solve(w, z)
         delta = fitkernel.snapshot() - before
         assert delta.cholesky_fallbacks == 1
         assert np.all(np.isfinite(out))
-        sw = np.sqrt(w[0])
-        healthy, *_ = np.linalg.lstsq(
-            base * sw[:, None], z[0] * sw, rcond=None
-        )
-        np.testing.assert_allclose(out[0], healthy, rtol=1e-8, atol=1e-10)
+        for g in range(2):
+            sw = np.sqrt(np.maximum(w[g], 1e-12))
+            expected, *_ = np.linalg.lstsq(
+                X * sw[:, None], z[g] * sw, rcond=None
+            )
+            np.testing.assert_allclose(out[g], expected, rtol=1e-8, atol=1e-10)
 
 
 class TestBatchedPoissonFits:
     def test_stack_matches_sequential_fits(self):
-        from repro.core.glm import fit_poisson_batch
-
-        tables = [_table(num_sources=4, seed=s) for s in (1, 2, 3)]
-        X, _ = design_matrix(4, main_effect_terms(4))
-        stack = np.repeat(X[None, :, :], len(tables), axis=0)
+        tables = [_table(num_sources=4, seed=s) for s in (1, 2, 3, 4)]
+        X, masks = _design_masks(4, main_effect_terms(4), len(tables))
         counts = np.stack([t.counts[1:].astype(np.float64) for t in tables])
-        batch = fit_poisson_batch(stack, counts)
+        batch = fit_poisson_batch(masks, counts)
         for fit, table in zip(batch, tables):
             solo = fit_poisson(X, table.counts[1:].astype(np.float64))
             np.testing.assert_allclose(fit.coef, solo.coef, rtol=1e-8)
@@ -325,15 +298,12 @@ class TestBatchedPoissonFits:
             assert fit.converged and solo.converged
 
     def test_warm_started_members_match_sequential(self):
-        from repro.core.glm import fit_poisson_batch
-
         table = _table(num_sources=4, seed=13)
-        X, _ = design_matrix(4, main_effect_terms(4))
+        X, masks = _design_masks(4, main_effect_terms(4), members=2)
         y = table.counts[1:].astype(np.float64)
         optimum = fit_poisson(X, y).coef
-        stack = np.repeat(X[None, :, :], 2, axis=0)
         counts = np.stack([y, y])
-        batch = fit_poisson_batch(stack, counts, beta0=[optimum, None])
+        batch = fit_poisson_batch(masks, counts, beta0=[optimum, None])
         solo_warm = fit_poisson(X, y, beta0=optimum)
         solo_cold = fit_poisson(X, y)
         np.testing.assert_allclose(batch[0].coef, solo_warm.coef, rtol=1e-8)
@@ -355,56 +325,56 @@ class TestWarmStartValidation:
 
 
 class TestBatchedEquivalenceProperty:
-    """Property: for *any* group of same-shape Poisson designs — sizes,
-    warm starts, and rank-deficient members drawn at random — the
-    batched kernel reproduces each member's sequential fit."""
+    """Property: for *any* group of same-shape capture-history models —
+    source counts, term sets, stack sizes either side of ``_MIN_BATCH``,
+    warm starts, and members with a duplicated column drawn at random —
+    the batched kernel reproduces each member's sequential fit."""
 
     def test_random_design_groups_match_sequential(self):
         from hypothesis import given, settings, strategies as st
 
-        from repro.core.glm import fit_poisson_batch
-
         @settings(max_examples=25, deadline=None)
         @given(
             seed=st.integers(0, 2**32 - 1),
-            members=st.integers(1, 4),
-            n=st.integers(8, 32),
-            p=st.integers(2, 5),
+            num_sources=st.integers(3, 5),
+            members=st.integers(1, 6),
+            extra=st.integers(0, 3),
             degenerate=st.booleans(),
             warm=st.booleans(),
         )
-        def check(seed, members, n, p, degenerate, warm):
+        def check(seed, num_sources, members, extra, degenerate, warm):
             rng = np.random.default_rng(seed)
-            stack = np.empty((members, n, p))
+            n = 2**num_sources - 1
+            mains = [1 << s for s in range(num_sources)]
+            pairs = [_mask(term) for term in pairwise_terms(num_sources)]
+            masks = np.array([
+                [0] + mains + list(rng.choice(pairs, size=extra, replace=False))
+                for _ in range(members)
+            ], dtype=np.int64)
+            if degenerate and extra:
+                masks[-1, -1] = masks[-1, 1]  # force the per-member path
             counts = np.empty((members, n))
             for g in range(members):
-                X = np.column_stack(
-                    [np.ones(n), rng.normal(scale=0.8, size=(n, p - 1))]
-                )
-                if degenerate and g == members - 1 and p >= 3:
-                    X[:, p - 1] = X[:, p - 2]  # force the per-member path
-                mu = np.exp(
-                    np.clip(X @ rng.normal(scale=0.3, size=p), -4.0, 4.0)
-                )
-                stack[g] = X
-                counts[g] = rng.poisson(mu * 5.0)
+                X = fitkernel.lattice_design(masks[g], n)
+                beta = rng.normal(scale=0.3, size=masks.shape[1])
+                counts[g] = rng.poisson(np.exp(X @ beta) * 20.0) + 1
             beta0 = None
             if warm:
                 beta0 = [
-                    rng.normal(scale=0.1, size=p) if g % 2 == 0 else None
+                    rng.normal(scale=0.1, size=masks.shape[1]) if g % 2 == 0 else None
                     for g in range(members)
                 ]
-            batch = fit_poisson_batch(stack, counts, beta0=beta0)
+            batch = fit_poisson_batch(masks, counts, beta0=beta0)
             for g, fit in enumerate(batch):
                 solo = fit_poisson(
-                    stack[g],
+                    fitkernel.lattice_design(masks[g], n),
                     counts[g],
                     beta0=None if beta0 is None else beta0[g],
                 )
                 assert fit.converged == solo.converged
                 assert fit.iterations == solo.iterations
                 np.testing.assert_allclose(
-                    fit.coef, solo.coef, rtol=1e-8, atol=1e-10
+                    fit.fitted, solo.fitted, rtol=1e-8, atol=1e-10
                 )
                 assert fit.loglik == pytest.approx(solo.loglik, rel=1e-8)
 
@@ -426,10 +396,6 @@ def _bitwise_subset_sums(table: np.ndarray, t: int) -> None:
     for bit in range(t):
         view = table.reshape(rows, -1, 2, 1 << bit)
         view[:, :, 1, :] += view[:, :, 0, :]
-
-
-def _mask(term) -> int:
-    return sum(1 << source for source in term)
 
 
 class TestLatticeTransforms:
@@ -490,7 +456,7 @@ class TestMaskOnlyStacks:
         broken = healthy[:-1] + [healthy[1]]  # two columns flag source 0
         masks = np.array([healthy, broken, healthy])
         n = 2**num_sources - 1
-        solver = fitkernel.BatchedIrlsSolver.from_masks(masks, n)
+        solver = fitkernel.BatchedIrlsSolver(masks, n)
         w = rng.uniform(0.5, 3.0, size=(3, n))
         z = rng.normal(size=(3, n))
         before = fitkernel.snapshot()
@@ -509,29 +475,10 @@ class TestMaskOnlyStacks:
             X = fitkernel.lattice_design(masks[g], n)
             np.testing.assert_allclose(eta[g], X @ beta[g], rtol=1e-12, atol=1e-12)
 
-    def test_mask_only_stack_matches_dense_stack(self):
-        num_sources = 5
-        table = _capture_table(num_sources, seed=3)
-        designs, counts, seeds, masks = _candidate_stack(table)
-        dense = fit_poisson_batch(designs, counts, beta0=seeds)
-        lean = fit_poisson_batch(None, counts, beta0=seeds, masks=masks)
-        for a, b in zip(dense, lean):
-            np.testing.assert_array_equal(a.coef, b.coef)
-            np.testing.assert_array_equal(a.fitted, b.fitted)
-            assert a.iterations == b.iterations
-
-    def test_designs_and_masks_are_exclusive(self):
-        table = _capture_table(4, seed=5)
-        designs, counts, _, masks = _candidate_stack(table)
-        with pytest.raises(GlmError):
-            fit_poisson_batch(designs, counts, masks=masks)
-        with pytest.raises(GlmError):
-            fit_poisson_batch(None, counts)
-
     def test_small_mask_only_stacks_fit_sequentially(self):
         table = _capture_table(4, seed=5)
         designs, counts, seeds, masks = _candidate_stack(table)
-        lean = fit_poisson_batch(None, counts[:2], beta0=seeds[:2], masks=masks[:2])
+        lean = fit_poisson_batch(masks[:2], counts[:2], beta0=seeds[:2])
         for g, fit in enumerate(lean):
             solo = fit_poisson(designs[g], counts[g], beta0=seeds[g])
             np.testing.assert_array_equal(fit.coef, solo.coef)
@@ -597,7 +544,7 @@ class TestLatticeBatchParity:
             seeds = [s + rng.normal(size=s.size) for s in seeds]
         elif start == "mixed":  # cold members take their first step unchecked
             seeds = [s if g % 2 else None for g, s in enumerate(seeds)]
-        batch = fit_poisson_batch(None, counts, beta0=seeds, masks=masks)
+        batch = fit_poisson_batch(masks, counts, beta0=seeds)
         for g, fit in enumerate(batch):
             solo = fit_poisson(designs[g], counts[g], beta0=seeds[g])
             assert fit.iterations == solo.iterations
@@ -612,7 +559,7 @@ class TestBatchedLineSearch:
 
         table = _capture_table(4, seed=5)
         _, counts, seeds, masks = _candidate_stack(table)
-        solver = fitkernel.BatchedIrlsSolver.from_masks(masks, counts.shape[1])
+        solver = fitkernel.BatchedIrlsSolver(masks, counts.shape[1])
         beta = np.array(seeds)
         eta, mu, L = glm._eval_state_batch(beta, counts, solver)
         sat = np.array([glm._y_constants(row)[0] for row in counts])

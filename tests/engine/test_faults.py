@@ -8,6 +8,7 @@ recovery (results identical to a clean run) and the accounting
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -43,6 +44,14 @@ def small_internet():
 
 def _double(payload, item):
     return payload * item
+
+
+def _slow_first(payload, item):
+    """Task 0 outlasts a sibling's worker death, so the parent is still
+    waiting on it when the pool breaks."""
+    if item == 0:
+        time.sleep(0.3)
+    return item
 
 
 class TestFaultSpec:
@@ -189,6 +198,36 @@ class TestFanOutPool:
         record = next(r for r in report.records if r.key == repr(1))
         assert record.status == "retried"
         assert "exceeded" in (record.error or "")
+
+    def test_pool_death_charges_only_the_killed_task(self):
+        def run(workers):
+            report = RunReport()
+            out = fan_out(
+                None, _slow_first, [0, 1],
+                workers=workers, report=report, stage="demo",
+                policy=ExecutionPolicy(retries=0, backoff_base=0.001),
+                faults=FaultInjector([FaultSpec("demo", "kill", index=1, count=1)]),
+            )
+            return out, [(r.key, r.status, r.attempts) for r in report.records]
+
+        serial = run(1)
+        assert serial == ([0, None], [("0", "ok", 1), ("1", "degraded", 1)])
+        assert run(2) == serial
+
+    def test_innocent_task_is_not_charged_for_a_sibling_death(self):
+        report = RunReport()
+        out = fan_out(
+            None, _slow_first, [0, 1, 2, 3],
+            workers=2, report=report, stage="demo",
+            policy=ExecutionPolicy(retries=1, backoff_base=0.001),
+            faults=FaultInjector([FaultSpec("demo", "kill", index=1, count=1)]),
+        )
+        assert out == [0, 1, 2, 3]
+        statuses = [(r.key, r.status, r.attempts) for r in report.records]
+        assert statuses == [
+            ("0", "ok", 1), ("1", "retried", 2), ("2", "ok", 1), ("3", "ok", 1)
+        ]
+        assert report.retry_count == 1
 
     def test_pool_matches_serial_under_faults(self):
         def run(workers):
@@ -393,6 +432,22 @@ class TestFaultySweepAcceptance:
         _assert_same_windows(results, clean_results)
         assert engine.report.retried_records()
         assert engine.report.degraded_count == 0
+
+    def test_only_the_killed_window_degrades_without_retries(
+        self, small_internet
+    ):
+        faults = FaultInjector([
+            FaultSpec("window_result", "kill", index=1, count=1),
+        ])
+        engine = Executor(
+            small_internet,
+            policy=ExecutionPolicy(retries=0, backoff_base=0.001),
+            faults=faults,
+        )
+        results = engine.run_windows(WINDOWS, workers=2)
+        assert [r.window for r in results] == [WINDOWS[0]]
+        assert engine.report.degraded_count == 1
+        assert missing_windows(WINDOWS, results) == [WINDOWS[1]]
 
     def test_corrupt_entry_recomputed_on_reread(
         self, small_internet, clean_results, tmp_path

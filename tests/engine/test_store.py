@@ -4,8 +4,8 @@ Covers the storage-layer refactor end to end: the canonical type-tagged
 key encoding (stable digests replacing the repr()-based token), the
 persistent content-addressed :class:`LocalStore` (round-trips, corrupt
 entries degrading to misses, gc, verify), the write-through
-:class:`TieredStore`, the persistent fit-memo warm starts, and the
-concurrency contract (two processes hammering one store directory).
+:class:`TieredStore`, entries left by stages that no longer exist, and
+the concurrency contract (two processes hammering one store directory).
 """
 
 import concurrent.futures
@@ -33,7 +33,6 @@ from repro.engine.store import (
     ARRAY_MAGIC,
     ARRAY_SUFFIX,
     ArtifactStore,
-    FitMemoStore,
     LocalStore,
     TieredStore,
     _payload_checksum,
@@ -469,7 +468,6 @@ class TestTieredStore:
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["persistent_puts"] == 1
         assert stats["persistent_misses"] == 1  # the key(i=1) fall-through
-        assert "fitmemo_puts" in stats
 
     def test_spec_rebuilds_equivalent_store(self, tmp_path):
         store = open_store(tmp_path, memory_bytes=12345)
@@ -487,42 +485,11 @@ class TestTieredStore:
         store.observer = obs
         assert store.observer is obs
         assert store.persistent.observer is obs
-        assert store.fitmemo.observer is obs
 
     def test_describe_nests_backends(self, tmp_path):
         desc = open_store(tmp_path).describe()
         assert desc["backend"] == "tiered"
         assert desc["persistent"]["path"] == str(tmp_path)
-
-
-class TestFitMemoStore:
-    SPEC = dict(
-        num_sources=3,
-        terms=frozenset({frozenset({0}), frozenset({1}), frozenset({2})}),
-        counts=np.arange(8, dtype=np.int64),
-        distribution="poisson",
-        limit=None,
-        divisor=4,
-    )
-
-    def test_roundtrip(self, tmp_path):
-        memo = FitMemoStore(tmp_path)
-        coef = np.array([1.0, -0.5, 0.25, 0.125])
-        assert memo.lookup(**self.SPEC) is None
-        memo.store(coef, **self.SPEC)
-        restored = memo.lookup(**self.SPEC)
-        assert np.array_equal(restored, coef)
-
-    def test_exact_digest_match_only(self, tmp_path):
-        memo = FitMemoStore(tmp_path)
-        memo.store(np.ones(4), **self.SPEC)
-        for change in (
-            {"divisor": 8},
-            {"distribution": "truncated"},
-            {"limit": 100.0},
-            {"counts": np.arange(8, dtype=np.int64) + 1},
-        ):
-            assert memo.lookup(**{**self.SPEC, **change}) is None
 
 
 # -- two-process hammer -------------------------------------------------------
@@ -599,42 +566,80 @@ class TestWarmRunIntegration:
         (record,) = warm_ex.report.records
         assert record.tier == "persistent"
 
-    def test_fitmemo_seeds_final_refit(
+
+class TestLegacyFitMemoEntries:
+    """Stores written before the fit-memo tier was removed hold
+    ``fitmemo`` entries: converged final-refit coefficients keyed by
+    (sources, terms, counts, distribution, limit, divisor).  Nothing
+    reads them any more; they must verify, list and collect like any
+    other entry and never move an estimate."""
+
+    @staticmethod
+    def _write_legacy_entries(root, selections, shift=0.0):
+        store = LocalStore(root)
+        for selection in selections:
+            fit = selection.fit
+            store.put(
+                ArtifactKey(
+                    "fitmemo",
+                    params=(
+                        fit.table.num_sources,
+                        selection.terms,
+                        np.asarray(fit.table.counts),
+                        fit.distribution,
+                        fit.limit,
+                        selection.divisor,
+                    ),
+                ),
+                np.asarray(fit.coef + shift, dtype=np.float64),
+            )
+        # Coefficient vectors are plain arrays: pickled ``.pkl`` entries.
+        return sorted((root / f"v{KEY_SCHEMA_VERSION}" / "fitmemo").iterdir())
+
+    def test_store_commands_verify_list_and_collect_them(
+        self, tiny_internet, tiny_sources, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        selections = Executor(tiny_internet, tiny_sources).run(
+            "fit_batch", WINDOW
+        ).values()
+        root = tmp_path / "store"
+        entries = self._write_legacy_entries(root, selections)
+        assert entries
+        assert main(["store", "verify", str(root)]) == 0
+        assert "corrupt: 0" in capsys.readouterr().out
+        assert main(["store", "stats", str(root)]) == 0
+        assert "fitmemo" in capsys.readouterr().out
+        assert main(["store", "gc", str(root), "--max-age", "0s"]) == 0
+        capsys.readouterr()
+        assert not any(path.exists() for path in entries)
+
+    def test_executor_answers_as_over_a_clean_store(
         self, tiny_internet, tiny_sources, tmp_path
     ):
-        store_dir = tmp_path / "store"
-        cold_ex = Executor(
-            tiny_internet, tiny_sources, cache=open_store(store_dir)
-        )
-        cold_fit = cold_ex.run("fit", WINDOW)
-        assert cold_ex.cache.stats()["fitmemo_puts"] >= 1
+        def window_result(root):
+            executor = Executor(tiny_internet, tiny_sources, cache=open_store(root))
+            before = fitkernel.snapshot()
+            result = executor.window_result(WINDOW)
+            work = fitkernel.snapshot() - before
+            return executor, result, (
+                work.fits, work.irls_iterations, work.warm_start_hits
+            )
 
-        # Drop the fit artifact (keeping the fit-memo entries) so the
-        # second run actually refits — now seeded at the answer.
-        warm_ex = Executor(
-            tiny_internet, tiny_sources, cache=open_store(store_dir)
+        clean_ex, clean, clean_work = window_result(tmp_path / "clean")
+        # Off-the-answer coefficients under this window's exact keys: a
+        # reader that still seeded refits from them would change the
+        # iteration counts.
+        assert self._write_legacy_entries(
+            tmp_path / "legacy",
+            clean_ex.run("fit_batch", WINDOW).values(),
+            shift=1.0,
         )
-        for path in (store_dir / f"v{KEY_SCHEMA_VERSION}" / "fit").iterdir():
-            path.unlink()
-        before = fitkernel.snapshot().warm_store_hits
-        warm_fit = warm_ex.run("fit", WINDOW)
-        assert fitkernel.snapshot().warm_store_hits > before
-        # Seeded-at-the-answer IRLS still runs to convergence, so the
-        # coefficients agree to float tolerance rather than bitwise
-        # (same contract as the in-process warm starts).
-        assert np.allclose(
-            warm_fit.fit.coef, cold_fit.fit.coef, rtol=1e-8, atol=1e-10
-        )
-
-    def test_storeless_executor_clears_warm_store(
-        self, tiny_internet, tiny_sources, tmp_path
-    ):
-        Executor(
-            tiny_internet, tiny_sources, cache=open_store(tmp_path / "store")
-        )
-        assert fitkernel.get_warm_store() is not None
-        Executor(tiny_internet, tiny_sources)
-        assert fitkernel.get_warm_store() is None
+        _, legacy, legacy_work = window_result(tmp_path / "legacy")
+        assert legacy.estimate_addresses == clean.estimate_addresses
+        assert legacy.estimate_subnets == clean.estimate_subnets
+        assert legacy_work == clean_work
 
 
 class TestWorkerStoreSharing:

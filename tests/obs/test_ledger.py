@@ -173,7 +173,6 @@ class TestStoreAccounting:
             if not c["labels"]
         }
         assert counters["cache_persistent_hits_total"] >= 1.0
-        assert "cache_fitmemo_puts_total" in counters
 
 
 class TestRendering:

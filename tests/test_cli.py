@@ -291,7 +291,6 @@ class TestArtifactStoreCli:
         out = capsys.readouterr().out
         assert "entries:" in out
         assert "window_result" in out
-        assert "fitmemo" in out
 
     def test_store_verify_clean_then_corrupt(self, capsys, tmp_path):
         from pathlib import Path
