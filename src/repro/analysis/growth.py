@@ -52,13 +52,25 @@ def normalized(series: np.ndarray) -> np.ndarray:
 
 
 def linear_growth_per_year(times: np.ndarray, series: np.ndarray) -> float:
-    """Least-squares slope of a series against fractional years."""
+    """Least-squares slope of a series against fractional years.
+
+    The closed form ``sum((t - mean t)(s - mean s)) / sum((t - mean t)^2)``
+    — what a degree-1 ``np.polyfit`` returns, without its Vandermonde
+    ``lstsq`` (the growth query evaluates this once per series).
+    """
     times = np.asarray(times, dtype=np.float64)
     series = np.asarray(series, dtype=np.float64)
+    if times.shape != series.shape or times.ndim != 1:
+        raise ValueError(
+            f"times {times.shape} and series {series.shape} must be matching 1-D"
+        )
     if times.size < 2:
         raise ValueError("need at least two points for a growth rate")
-    slope, _ = np.polyfit(times, series, 1)
-    return float(slope)
+    spread = times - times.sum() / times.size
+    denominator = float(spread @ spread)
+    if denominator == 0.0:
+        raise ValueError("all times are equal: the growth rate is undefined")
+    return float(spread @ (series - series.sum() / series.size)) / denominator
 
 
 def growth_series(

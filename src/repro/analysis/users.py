@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.analysis.growth import linear_growth_per_year
 from repro.data.itu import internet_users_series
 
 
@@ -36,8 +35,7 @@ def user_growth_per_year(start_year: int = 2007, end_year: int = 2012) -> float:
     mask = (years >= start_year) & (years <= end_year)
     if mask.sum() < 2:
         raise ValueError("not enough ITU data points in the requested range")
-    slope, _ = np.polyfit(years[mask], users[mask], 1)
-    return float(slope)
+    return linear_growth_per_year(years[mask], users[mask])
 
 
 def address_growth_from_users(

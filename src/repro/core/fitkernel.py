@@ -28,8 +28,11 @@ layer observable:
 
 Counter semantics:
 
-* ``fits`` / ``irls_iterations`` — IRLS fits executed (plain and
-  truncated) and their total iteration count.
+* ``fits`` / ``irls_iterations`` — IRLS fits started (plain and
+  truncated) and the iterations they actually ran.
+* ``candidates_pruned`` — raced stepwise candidates retired unfitted
+  once a duality bound showed they could not win their round (see
+  :func:`repro.core.glm.fit_poisson_batch`).
 * ``warm_start_hits`` — fits that started from caller-provided
   coefficients instead of the cold least-squares initialiser.
 * ``memo_hits`` / ``iterations_saved`` — fits avoided entirely because
@@ -61,6 +64,7 @@ class FitCounters:
 
     fits: int = 0
     irls_iterations: int = 0
+    candidates_pruned: int = 0
     iterations_saved: int = 0
     warm_start_hits: int = 0
     memo_hits: int = 0

@@ -79,6 +79,14 @@ _ETA_MIN = float(np.log(_MU_MIN))
 #: per-iteration overhead beats the shared flops (at t = 9 one member
 #: takes the batched loop 2-3x what :func:`fit_poisson` takes).
 _MIN_BATCH = 4
+#: Relative margin by which a raced member's duality bound must miss
+#: before it is retired.  The bound undershoots the log-likelihood a
+#: member converges to only by round-off (at worst 5.4e-14 of the
+#: objective over the 31,202 bounded trips of the -14 reference sweep,
+#: at members already converged), and a line search may accept a step
+#: that loses 5e-13 (1 + deviance); 1e-9 keeps every retirement a sure
+#: loser.
+_RACE_MARGIN = 1e-9
 
 
 def poisson_loglik(y: np.ndarray, mu: np.ndarray) -> float:
@@ -345,18 +353,53 @@ def _gain_batch(y, eta, mu, new_eta):
         )
 
 
-def _line_search_batch(solver, y, beta, eta, mu, L, floor, target, force):
+def _inside_guard(eta):
+    """Per row: no entry of ``eta`` sits on the overflow guard's bounds."""
+    return (eta.min(axis=1) > _ETA_MIN) & (eta.max(axis=1) < _ETA_MAX)
+
+
+def _dual_bound(eta, mu, L, new_eta):
+    """Upper bound on each row's maximum log-likelihood kernel.
+
+    ``(eta, mu, L)`` is an unclipped plain-Poisson iterate and
+    ``new_eta`` its unclipped full Newton-step predictor, so
+    ``d = new_eta - eta`` is ``X Delta`` for the step ``Delta`` that
+    solves ``X' W X Delta = X' (y - mu)`` with ``W = mu``.  The means
+    ``m = mu (1 + d)`` then satisfy ``X' m = X' y``, and Fenchel duality
+    bounds the likelihood over every coefficient vector by
+    ``sum(m log m - m)``, which is
+    ``L + sum(mu [(1 + d) log1p(d) - d])`` (``y . eta = m . eta`` since
+    ``eta = X beta``).  Rows with some ``d <= -1`` have no such ``m``
+    (their sum comes out NaN) and get ``+inf``; the bound is tight at
+    the optimum, where ``d`` vanishes.
+    """
+    d = new_eta - eta
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gap = np.log1p(d)
+        gap *= 1.0 + d
+    gap -= d
+    gap *= mu
+    upper = L + gap.sum(axis=1)
+    return np.where(np.isnan(upper), np.inf, upper)
+
+
+def _line_search_batch(
+    solver, y, beta, eta, mu, L, floor, target, force, first=None
+):
     """Batched step-halving line search of :func:`fit_poisson`.
 
     Every member first tries the full Newton step to ``target`` (taken
     verbatim, so it matches the sequential search bit for bit); members
     flagged in ``force`` (a cold start's first step) accept it outright.
-    Returns the accepted ``(beta, eta, mu, L)``, each member's
-    improvement (twice the gain) and whether it took the full step.
-    When every member accepts the full step — the common case — the
-    evaluated candidate arrays are returned as they are.
+    ``first`` is the full step's ``(eta, mu, L)`` when the caller has
+    already evaluated it.  Returns the accepted ``(beta, eta, mu, L)``,
+    each member's improvement (twice the gain) and whether it took the
+    full step.  When every member accepts the full step — the common
+    case — the evaluated candidate arrays are returned as they are.
     """
-    cand_eta, cand_mu, cand_L = _eval_state_batch(target, y, solver)
+    if first is None:
+        first = _eval_state_batch(target, y, solver)
+    cand_eta, cand_mu, cand_L = first
     gain = _gain_batch(y, eta, mu, cand_eta)
     full = gain >= floor
     if force is not None:
@@ -388,13 +431,28 @@ def _line_search_batch(solver, y, beta, eta, mu, L, floor, target, force):
     return acc_beta, acc_eta, acc_mu, acc_L, improvement, full
 
 
+class Race(NamedTuple):
+    """What each member of a candidate stack competes for.
+
+    ``table`` labels each member with the search it is a candidate of
+    (any ints; members of one table compete with each other) and
+    ``floor`` holds the log-likelihood, gammaln normaliser included as
+    in :attr:`GlmFit.loglik`, a member must exceed to be of any use —
+    for a stepwise challenger, what beats the current model's IC.
+    """
+
+    table: np.ndarray
+    floor: np.ndarray
+
+
 def fit_poisson_batch(
     masks,
     counts: np.ndarray,
     max_iter: int = 200,
     tol: float = 1e-9,
     beta0=None,
-) -> list[GlmFit]:
+    race: Race | None = None,
+) -> list[GlmFit | None]:
     """Fit a stack of capture-history Poisson GLMs with one batched IRLS loop.
 
     ``masks`` is (G, p) ints: each of G models' design columns as the
@@ -418,11 +476,22 @@ def fit_poisson_batch(
     :class:`~repro.core.fitkernel.BatchedIrlsSolver`).  Results match
     the sequential kernel to float round-off (well inside rtol 1e-8).
 
+    ``race`` stops fitting members that cannot win.  Each trip bounds
+    every member's maximum log-likelihood from above by
+    :func:`_dual_bound`, from the full Newton step whether or not the
+    line search takes it (where its current and full-step predictors
+    are unclipped), and a member that has not converged and whose
+    bound falls more than ``_RACE_MARGIN`` (relative) below its floor,
+    or below the best log-likelihood any member of its table has
+    reached, is retired unfitted: its entry in the returned list is
+    ``None`` and it counts in ``candidates_pruned``.  A member that is
+    not retired runs exactly the iterations it runs without a race.
+
     Stacks below ``_MIN_BATCH`` members run through :func:`fit_poisson`
-    one by one: the batched loop's fixed per-iteration overhead (index
-    bookkeeping, batched LAPACK dispatch) outweighs the shared flops
-    for a handful of members, and the per-member path is bitwise what
-    the sequential kernel computes anyway.
+    one by one, with no race: the batched loop's fixed per-iteration
+    overhead (index bookkeeping, batched LAPACK dispatch) outweighs the
+    shared flops for a handful of members, and the per-member path is
+    bitwise what the sequential kernel computes anyway.
     """
     masks = np.asarray(masks, dtype=np.int64)
     if masks.ndim != 2:
@@ -440,6 +509,11 @@ def fit_poisson_batch(
     seeds = [None] * G if beta0 is None else list(beta0)
     if len(seeds) != G:
         raise GlmError(f"beta0 has {len(seeds)} seeds for {G} members")
+    if race is not None:
+        owner = np.unique(np.asarray(race.table), return_inverse=True)[1]
+        bar = np.asarray(race.floor, dtype=np.float64)
+        if owner.shape != (G,) or bar.shape != (G,):
+            raise GlmError(f"race must give a table and a floor for {G} members")
     if G < _MIN_BATCH:
         return [
             fit_poisson(
@@ -455,6 +529,11 @@ def fit_poisson_batch(
     solver = fitkernel.BatchedIrlsSolver(masks, n)
     consts = [_y_constants(y[g]) for g in range(G)]
     sat = np.array([c[0] for c in consts])
+    if race is not None:
+        # Race on the loop's own objective, the log-likelihood less its
+        # gammaln normaliser: the terms its round-off scales with.
+        bar = bar + np.array([c[1] for c in consts])
+        best = np.full(owner.max() + 1, -np.inf)
 
     warm = np.array([fitkernel.usable_warm_start(s, p) for s in seeds])
     beta = np.zeros((G, p))
@@ -493,7 +572,17 @@ def fit_poisson_batch(
                 loglik_norm=consts[g][1],
             )
 
+    def outclassed(prior, new_eta, L, usable):
+        """Active rows whose duality bound misses their floor or their
+        table's best log-likelihood so far by more than the margin."""
+        rows = owner[members]
+        upper = np.where(usable, _dual_bound(*prior, new_eta), np.inf)
+        np.maximum.at(best, rows, L)
+        need = np.maximum(bar[members], best[rows])
+        return upper < need - _RACE_MARGIN * (1.0 + np.abs(need))
+
     total_iterations = 0
+    pruned = 0
     it = 0
     for it in range(1, max(max_iter, 1) + 1):
         total_iterations += members.size
@@ -502,12 +591,15 @@ def fit_poisson_batch(
         # overflow guard clipped — the step also carries the difference,
         # as the working response eta + residual does.
         z = (y - mu) / mu
-        if fresh is not None or eta.min() <= _ETA_MIN or eta.max() >= _ETA_MAX:
+        shifted = fresh is not None or eta.min() <= _ETA_MIN or eta.max() >= _ETA_MAX
+        if shifted:
             z += eta - solver.linear_predictor(beta)
         target = beta + solver.solve(mu, z)
         floor = -1e-12 * (1.0 + np.abs(dev))
+        prior = (eta, mu, L)
+        first = _eval_state_batch(target, y, solver)
         beta, eta, mu, L, improvement, full = _line_search_batch(
-            solver, y, beta, eta, mu, L, floor, target, fresh
+            solver, y, beta, eta, mu, L, floor, target, fresh, first
         )
         dev = 2.0 * (sat - L)
         threshold = tol * (np.abs(dev) + tol)
@@ -523,10 +615,22 @@ def fit_poisson_batch(
             # fit_poisson): no convergence test, no improvement history.
             done &= ~fresh
             prev_improvement[fresh] = 0.0
-            fresh = None
-        if done.any():
+        out = done
+        if race is not None:
+            # The bound needs eta = X beta at both ends of the full step:
+            # no cold first step and no clipped cell.
+            usable = _inside_guard(first[0])
+            if shifted:
+                usable &= _inside_guard(prior[0])
+                if fresh is not None:
+                    usable &= ~fresh
+            lost = ~done & outclassed(prior, first[0], L, usable)
+            pruned += int(lost.sum())
+            out = done | lost
+        fresh = None
+        if out.any():
             retire(done, it, True)
-            keep = ~done
+            keep = ~out
             members = members[keep]
             if members.size == 0:
                 break
@@ -541,5 +645,6 @@ def fit_poisson_batch(
         fits=G,
         irls_iterations=total_iterations,
         warm_start_hits=int(warm.sum()),
+        candidates_pruned=pruned,
     )
     return fits

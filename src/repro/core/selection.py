@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core import fitkernel
 from repro.core.design import main_effect_terms, term_key, term_order
-from repro.core.glm import fit_poisson_batch
+from repro.core.glm import Race, fit_poisson_batch
 from repro.core.histories import ContingencyTable
 from repro.core.loglinear import FittedLoglinear, LoglinearModel
 
@@ -192,7 +192,8 @@ def select_model(
     The search runs on the warm-started fit kernel: every candidate fit
     starts from its parent's coefficients (the one new column at 0),
     fits are memoised per term set so revisited models and the
-    parsimony-rule refit never recompute, and the final full-count fit
+    parsimony-rule refit never recompute, a candidate is fitted only
+    while it can still win its round, and the final full-count fit
     starts from the chosen candidate's coefficients with the intercept
     shifted by ``log(divisor)`` (undoing the count division).  The fits
     are concave, so scores and estimates match a cold-start search
@@ -248,6 +249,7 @@ class _SearchState:
         "current",
         "current_fit",
         "best",
+        "floor",
         "path",
         "active",
         "candidates",
@@ -289,13 +291,16 @@ def _canonical_coef(coef: np.ndarray, position: int | None) -> np.ndarray:
     return out
 
 
-def _run_batch_jobs(jobs: list[_BatchJob]) -> None:
+def _run_batch_jobs(jobs: list[_BatchJob], racing: bool = False) -> None:
     """Fit pending candidates, grouped by stack shape, and memoise.
 
     Candidates are always scored with the plain Poisson likelihood: it
     is the cheap fit, and the paper notes truncation "otherwise makes
     little difference" outside small strata — the final model is refit
-    with the requested distribution.
+    with the requested distribution.  With ``racing``, each table's
+    candidates race for its round (see
+    :func:`~repro.core.glm.fit_poisson_batch`) against the floor
+    ``state.floor``: a candidate retired unfitted is not memoised.
     """
     groups: dict[tuple[int, int], list[_BatchJob]] = {}
     for job in jobs:
@@ -305,8 +310,16 @@ def _run_batch_jobs(jobs: list[_BatchJob]) -> None:
         counts = np.stack([job.state.counts for job in group])
         seeds = [job.beta0 for job in group]
         masks = np.array([job.masks for job in group], dtype=np.int64)
-        fits = fit_poisson_batch(masks, counts, beta0=seeds)
+        race = None
+        if racing:
+            race = Race(
+                table=np.array([id(job.state) for job in group]),
+                floor=np.array([job.state.floor for job in group]),
+            )
+        fits = fit_poisson_batch(masks, counts, beta0=seeds, race=race)
         for job, fit in zip(group, fits):
+            if fit is None:
+                continue
             job.state.memo[job.terms] = FittedLoglinear(
                 table=job.state.scaled,
                 terms=job.terms,
@@ -342,6 +355,14 @@ def select_models_batched(
     stacked, and the new term's coefficient is moved to its canonical
     slot afterwards (the likelihood is invariant under column
     permutation, so scores are unchanged).
+
+    Each round keeps only its best candidate, so candidate stacks race
+    (see :class:`~repro.core.glm.Race`): a candidate whose duality
+    bound shows it cannot clear the current model's IC, or reach a
+    rival's log-likelihood, is retired unfitted and never scored.  The
+    candidates that finish run exactly the iterations they would run
+    unraced, so the selected terms, paths and fits are bit-identical
+    to fitting every candidate to convergence.
 
     Tables may have different source counts; mixed shapes simply land
     in different batch groups.  ``distributions``/``limits`` give the
@@ -388,6 +409,12 @@ def select_models_batched(
             if not state.candidates:
                 state.active = False
                 continue
+            # A challenger's one extra parameter costs half the
+            # criterion's per-parameter penalty in log-likelihood: it
+            # must clear this floor to lower the IC.
+            state.floor = state.best.loglik + 0.5 * information_criterion(
+                0.0, 1, state.scaled.num_observed, criterion
+            )
             parent_ordered = term_order(state.current)
             parent_keys = [term_key(term) for term in parent_ordered]
             parent_masks = (0,) + tuple(
@@ -411,14 +438,20 @@ def select_models_batched(
                         1 + bisect_left(parent_keys, term_key(term)),
                     )
                 )
-        _run_batch_jobs(jobs)
+        _run_batch_jobs(jobs, racing=True)
         for state in live:
             if not state.active:
                 continue
+            # Only candidates that finished the race are scored; one
+            # retired unfitted could not have won the round.
             scores = [
-                _score(state.memo[state.current | {term}], criterion)
-                for term in state.candidates
+                _score(state.memo[terms], criterion)
+                for terms in (state.current | {term} for term in state.candidates)
+                if terms in state.memo
             ]
+            if not scores:
+                state.active = False
+                continue
             challenger = min(scores, key=lambda s: s.ic)
             if challenger.ic >= state.best.ic:
                 state.active = False

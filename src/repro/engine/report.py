@@ -214,8 +214,8 @@ class RunReport:
         totals = self.fit_totals()
         if totals:
             fit_header = (
-                f"{'fit kernel':<14} {'fits':>6} {'irls':>6} {'saved':>6} "
-                f"{'warm':>6} {'memo':>6} {'chol-fb':>7}"
+                f"{'fit kernel':<14} {'fits':>6} {'irls':>6} {'pruned':>6} "
+                f"{'saved':>6} {'warm':>6} {'memo':>6} {'chol-fb':>7}"
             )
             lines += [fit_header, "-" * len(fit_header)]
             for name, s in self.by_stage().items():
@@ -224,13 +224,15 @@ class RunReport:
                 f = s.fit
                 lines.append(
                     f"{name:<14} {f.fits:>6} {f.irls_iterations:>6} "
-                    f"{f.iterations_saved:>6} {f.warm_start_hits:>6} "
-                    f"{f.memo_hits:>6} {f.cholesky_fallbacks:>7}"
+                    f"{f.candidates_pruned:>6} {f.iterations_saved:>6} "
+                    f"{f.warm_start_hits:>6} {f.memo_hits:>6} "
+                    f"{f.cholesky_fallbacks:>7}"
                 )
             lines.append(
                 f"fit totals: {totals.fits} fits, "
                 f"{totals.irls_iterations} IRLS iterations "
                 f"({totals.iterations_saved} saved), "
+                f"{totals.candidates_pruned} candidates pruned, "
                 f"{totals.warm_start_hits} warm starts, "
                 f"{totals.memo_hits} memo hits, "
                 f"{totals.cholesky_fallbacks} Cholesky fallbacks"

@@ -71,6 +71,51 @@ class TestHelpers:
         with pytest.raises(ValueError):
             linear_growth_per_year(np.array([2011.0]), np.array([1.0]))
 
+    def test_linear_growth_is_the_exact_least_squares_slope(self):
+        from fractions import Fraction
+
+        rng = np.random.default_rng(19)
+        for size in range(2, 16):
+            times = 2011.0 + 0.25 * np.arange(size) + rng.uniform(0, 0.2)
+            series = (
+                rng.uniform(1e5, 1e9)
+                + rng.uniform(-1e8, 1e8) * (times - 2011.0)
+                + rng.normal(scale=1e5, size=size)
+            )
+            t = [Fraction(x) for x in times]
+            s = [Fraction(x) for x in series]
+            t_mean, s_mean = sum(t) / size, sum(s) / size
+            exact = sum((a - t_mean) * (b - s_mean) for a, b in zip(t, s)) / sum(
+                (a - t_mean) ** 2 for a in t
+            )
+            assert linear_growth_per_year(times, series) == pytest.approx(
+                float(exact), rel=1e-15
+            )
+
+    def test_linear_growth_matches_polyfit(self):
+        """Growing series over a sweep's eleven quarterly window ends, as
+        np.polyfit computed them (its uncentred Vandermonde solve is the
+        one that errs: by up to ~4e-12 where the trend is weak against
+        the noise, while the closed form above is exact)."""
+        rng = np.random.default_rng(23)
+        times = 2012.0 + 0.25 * np.arange(11)
+        for _ in range(20):
+            series = rng.uniform(1e5, 1e9) * (
+                1
+                + rng.uniform(0.02, 0.2) * (times - 2012.0)
+                + rng.normal(scale=0.002, size=11)
+            )
+            slope, _ = np.polyfit(times, series, 1)
+            assert linear_growth_per_year(times, series) == pytest.approx(
+                slope, rel=1e-12
+            )
+
+    def test_linear_growth_rejects_equal_times_and_ragged_input(self):
+        with pytest.raises(ValueError, match="all times are equal"):
+            linear_growth_per_year(np.full(3, 2012.5), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError):
+            linear_growth_per_year(np.arange(3.0), np.arange(4.0))
+
 
 class TestStratifiedGrowth:
     def test_rir_growth_rows(self, tiny_executor):

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import fitkernel
 from repro.core.design import design_matrix, main_effect_terms, pairwise_terms
-from repro.core.glm import fit_poisson, fit_poisson_batch, poisson_loglik
+from repro.core.glm import GlmError, Race, fit_poisson, fit_poisson_batch, poisson_loglik
 from repro.core.histories import ContingencyTable
 from repro.core.loglinear import LoglinearModel
 from repro.core.selection import information_criterion, select_model
@@ -585,3 +585,115 @@ class TestBatchedLineSearch:
         np.testing.assert_array_equal(new_beta[0], beta[0])
         np.testing.assert_array_equal(new_mu[0], mu[0])
         assert new_L[0] == L[0] and improvement[0] == 0.0
+
+
+class TestDualBound:
+    """The bound a race retires candidates by: at every trip of an
+    unraced batched fit, each member's duality bound (where defined —
+    no cold first step, no clipped cell, every ``d > -1``) is at least
+    the objective that member converges to (the log-likelihood less
+    its gammaln normaliser), up to round-off."""
+
+    def test_bound_never_undercuts_the_converged_loglik(self, monkeypatch):
+        from hypothesis import assume, given, settings, strategies as st
+
+        from repro.core import glm
+
+        trips = []
+        search = glm._line_search_batch
+
+        def recording(solver, y, beta, eta, mu, L, floor, target, force, first):
+            usable = glm._inside_guard(eta) & glm._inside_guard(first[0])
+            if force is not None:
+                usable &= ~force
+            upper = glm._dual_bound(eta, mu, L, first[0])
+            trips.append((y.copy(), np.where(usable, upper, np.inf)))
+            return search(solver, y, beta, eta, mu, L, floor, target, force, first)
+
+        monkeypatch.setattr(glm, "_line_search_batch", recording)
+        checked = []
+
+        @settings(max_examples=40, deadline=None)
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            num_sources=st.integers(3, 6),
+            members=st.integers(4, 8),
+            extra=st.integers(1, 3),
+            top=st.sampled_from([5, 50, 5000]),
+            perturbed=st.booleans(),
+        )
+        def check(seed, num_sources, members, extra, top, perturbed):
+            rng = np.random.default_rng(seed)
+            n = 2**num_sources - 1
+            mains = [1 << s for s in range(num_sources)]
+            pairs = [_mask(term) for term in pairwise_terms(num_sources)]
+            rows, counts, seeds = [], np.empty((members, n)), []
+            for g in range(members):
+                chosen = list(rng.choice(pairs, size=extra, replace=False))
+                parent = [0] + mains + chosen[:-1]
+                rows.append(parent + chosen[-1:])
+                counts[g] = rng.integers(0, top + 1, size=n)
+                counts[g][rng.random(n) < 0.2] = 0
+                counts[g][rng.integers(n)] += 1
+                # The search's warm start: the parent's optimum, the new
+                # term at 0; perturbed starts take step halving.
+                warm = fit_poisson(fitkernel.lattice_design(parent, n), counts[g]).coef
+                start = np.append(warm, 0.0)
+                if perturbed:
+                    start += rng.normal(scale=0.5, size=start.size)
+                seeds.append(start)
+            assume(len({row.tobytes() for row in counts}) == members)
+            trips.clear()
+            fits = fit_poisson_batch(np.array(rows), counts, beta0=seeds)
+            member = {row.tobytes(): g for g, row in enumerate(counts)}
+            for y, upper in trips:
+                for row, bound in zip(y, upper):
+                    if not np.isfinite(bound):
+                        continue
+                    L = fits[member[row.tobytes()]].loglik_kernel
+                    assert bound >= L - 1e-11 * (1.0 + abs(L))
+                    checked.append(bound)
+
+        check()
+        assert len(checked) > 100
+
+
+class TestRace:
+    """A raced stack retires members unfitted and leaves every other
+    member's fit bit for bit what it is without the race."""
+
+    @pytest.mark.parametrize("num_sources, seed", [(5, 11), (9, 12)])
+    def test_survivors_are_bitwise_the_unraced_fits(self, num_sources, seed):
+        table = _capture_table(num_sources, seed)
+        _, counts, seeds, masks = _candidate_stack(table)
+        parent = fit_poisson(
+            fitkernel.lattice_design(masks[0][:-1], counts.shape[1]), counts[0]
+        )
+        G = len(seeds)
+        # One table; a challenger must beat the parent's BIC.
+        race = Race(
+            table=np.zeros(G, dtype=np.int64),
+            floor=np.full(G, parent.loglik + 0.5 * np.log(table.num_observed)),
+        )
+        before = fitkernel.snapshot()
+        raced = fit_poisson_batch(masks, counts, beta0=seeds, race=race)
+        pruned = (fitkernel.snapshot() - before).candidates_pruned
+        unraced = fit_poisson_batch(masks, counts, beta0=seeds)
+        assert pruned == sum(fit is None for fit in raced) > 0
+        best = max(range(G), key=lambda g: unraced[g].loglik)
+        assert raced[best] is not None
+        for fit, reference in zip(raced, unraced):
+            if fit is None:
+                continue
+            assert fit.iterations == reference.iterations
+            np.testing.assert_array_equal(fit.coef, reference.coef)
+            assert fit.loglik == reference.loglik
+
+    def test_race_must_cover_the_stack(self):
+        table = _capture_table(4, seed=5)
+        _, counts, seeds, masks = _candidate_stack(table)
+        with pytest.raises(GlmError):
+            fit_poisson_batch(
+                masks, counts, beta0=seeds,
+                race=Race(table=np.zeros(2), floor=np.zeros(2)),
+            )

@@ -1,17 +1,30 @@
 """Model selection: ICs, divisor heuristics, stepwise search."""
 
+from bisect import bisect_left
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.core.design import main_effect_terms
+from repro.core import fitkernel
+from repro.core.design import main_effect_terms, term_key, term_order
+from repro.core.glm import fit_poisson_batch
 from repro.core.histories import ContingencyTable, tabulate_histories
+from repro.core.loglinear import LoglinearModel
 from repro.core.selection import (
     IC_MARGIN,
+    CandidateScore,
+    _candidate_terms,
+    _canonical_coef,
+    _resolve_scaled,
+    _term_mask,
     adaptive_divisor,
     information_criterion,
     resolve_divisor,
     select_model,
+    select_models_batched,
 )
+from repro.engine.stages import FIT_LEVELS
 from tests.conftest import make_heterogeneous_sources, make_independent_sources
 
 F = frozenset
@@ -144,3 +157,139 @@ class TestStepwiseSearch:
         table = tabulate_histories(sources)
         selection = select_model(table, distribution="truncated", limit=1e8)
         assert selection.fit.distribution == "truncated"
+
+
+def _reference_search(tables, criterion="bic"):
+    """Forward stepwise search that fits every candidate to convergence.
+
+    The unraced rounds :func:`select_models_batched` must reproduce: the
+    same warm starts and the same stacks (every pending fit of one
+    design shape, across tables, in one :func:`fit_poisson_batch`
+    call), every candidate scored and the best kept while it lowers the
+    IC, then the parsimony rule and the warm full-count refit.
+    """
+    searches = []
+    for table in tables:
+        scaled, divisor = _resolve_scaled(table, "adaptive1000")
+        searches.append(SimpleNamespace(
+            table=table, scaled=scaled, divisor=divisor, fits={}, path=[],
+            counts=scaled.counts[1:].astype(np.float64),
+        ))
+
+    def masks_of(terms):
+        return (0,) + tuple(_term_mask(term) for term in term_order(terms))
+
+    def fit_all(jobs):
+        groups = {}
+        for job in jobs:
+            groups.setdefault((job[0].counts.size, len(job[2])), []).append(job)
+        for group in groups.values():
+            fits = fit_poisson_batch(
+                np.array([job[2] for job in group]),
+                np.stack([job[0].counts for job in group]),
+                beta0=[job[3] for job in group],
+            )
+            for (search, terms, _, _, position), fit in zip(group, fits):
+                coef = _canonical_coef(fit.coef, position)
+                search.fits[terms] = (coef, fit.loglik)
+
+    def score(search, terms):
+        coef, loglik = search.fits[terms]
+        ic = information_criterion(
+            loglik, coef.size, search.scaled.num_observed, criterion
+        )
+        return CandidateScore(terms, ic, loglik, coef.size)
+
+    roots = [main_effect_terms(s.table.num_sources) for s in searches]
+    fit_all([(s, r, masks_of(r), None, None) for s, r in zip(searches, roots)])
+    for search, root in zip(searches, roots):
+        search.path.append(score(search, root))
+    live = list(searches)
+    while live:
+        jobs, rounds = [], []
+        for search in live:
+            current = search.path[-1].terms
+            candidates = _candidate_terms(search.table.num_sources, current, 2)
+            if not candidates:
+                continue
+            keys = [term_key(term) for term in term_order(current)]
+            seed = np.append(search.fits[current][0], 0.0)
+            for term in candidates:
+                masks = masks_of(current) + (_term_mask(term),)
+                position = 1 + bisect_left(keys, term_key(term))
+                jobs.append((search, current | {term}, masks, seed, position))
+            rounds.append((search, [current | {term} for term in candidates]))
+        fit_all(jobs)
+        live = []
+        for search, visited in rounds:
+            challenger = min(
+                (score(search, terms) for terms in visited), key=lambda s: s.ic
+            )
+            if challenger.ic < search.path[-1].ic:
+                search.path.append(challenger)
+                live.append(search)
+
+    for search in searches:
+        best = min(step.ic for step in search.path)
+        eligible = [step for step in search.path if step.ic <= best + IC_MARGIN]
+        chosen = min(eligible, key=lambda step: (step.num_params, step.ic))
+        beta0 = search.fits[chosen.terms][0].copy()
+        beta0[0] += float(np.log(search.divisor))
+        model = LoglinearModel(search.table.num_sources, chosen.terms, validate=False)
+        search.fit = model.fit(search.table, beta0=beta0)
+    return searches
+
+
+def _independent_table() -> ContingencyTable:
+    """Product-form counts: the independence model fits them exactly."""
+    captured, missed = (2, 3, 1, 2), (1, 1, 2, 3)
+    counts = np.zeros(16, dtype=np.int64)
+    for history in range(1, 16):
+        counts[history] = np.prod([
+            captured[s] if history >> s & 1 else missed[s] for s in range(4)
+        ])
+    return ContingencyTable(4, counts)
+
+
+class TestRacedSearch:
+    """The raced search stops fitting candidates that cannot win their
+    round, so it must select exactly what a search fitting every
+    candidate to convergence selects."""
+
+    def assert_same_selection(self, tables):
+        before = fitkernel.snapshot()
+        raced = select_models_batched(tables)
+        pruned = (fitkernel.snapshot() - before).candidates_pruned
+        for selection, reference in zip(raced, _reference_search(tables)):
+            assert selection.terms == reference.fit.terms
+            assert selection.divisor == reference.divisor
+            assert [s.terms for s in selection.path] == [
+                s.terms for s in reference.path
+            ]
+            assert [s.num_params for s in selection.path] == [
+                s.num_params for s in reference.path
+            ]
+            np.testing.assert_allclose(
+                [s.ic for s in selection.path],
+                [s.ic for s in reference.path],
+                rtol=1e-12,
+            )
+            np.testing.assert_allclose(
+                selection.fit.coef, reference.fit.coef, rtol=1e-12
+            )
+        return raced, pruned
+
+    def test_tiny_world_tables_select_as_unraced(self, tiny_executor, last_window):
+        tables = [
+            tiny_executor.run("tabulate", last_window, level=level)
+            for level in FIT_LEVELS
+        ]
+        _, pruned = self.assert_same_selection(tables)
+        assert pruned > 0
+
+    def test_exact_independence_ends_at_the_root(self):
+        table = _independent_table()
+        assert resolve_divisor(table, "adaptive1000") == 1
+        (selection,), _ = self.assert_same_selection([table])
+        assert len(selection.path) == 1
+        assert selection.terms == main_effect_terms(4)
