@@ -8,27 +8,30 @@ substrate they run on, a synthetic-Internet measurement simulator
 standing in for the paper's proprietary datasets, the spoofed-address
 filter, and the growth / unused-space / supply analyses.
 
-Quick start — :class:`Session` is the unified entry point::
+Quick start — one class per kind of input::
 
-    from repro import Session, IPSet
+    from repro import CaptureRecapture, IPSet
 
     sources = {"ping": IPSet([...]), "weblog": IPSet([...]),
                "netflow": IPSet([...])}
-    estimate = Session.from_sets(sources).estimate()
+    estimate = CaptureRecapture(sources).estimate()
     print(estimate.population, estimate.unseen)
 
     # the full simulator pipeline (one window, or the paper's sweep)
-    session = Session.from_simulation(scale_log2=-12)
-    result = session.estimate()          # latest window's WindowResult
-    results = session.sweep(workers=4)   # the Figure 4/5 series
+    from repro import (Executor, SimulationConfig, SyntheticInternet,
+                       standard_windows)
+    internet = SyntheticInternet(SimulationConfig(scale=2.0**-12))
+    executor = Executor(internet)
+    result = executor.window_result(standard_windows()[-1])
+    results = executor.run_windows(workers=4)   # the Figure 4/5 series
 
     # streaming: tail an observation-delta journal
-    stream = Session.from_journal("journal/").stream()
+    from repro import DeltaJournal, StreamEstimator
+    stream = StreamEstimator.resume(internet, DeltaJournal("journal/"))
     stream.advance()                     # ingest + close coverable windows
 
-``CaptureRecapture`` and ``Executor``, which ``Session`` builds
-internally, stay constructible directly; see ``docs/API.md`` and
-``examples/``.
+``CampaignSpec(...)`` describes the same sweep as a schedulable
+campaign; see ``docs/API.md`` and ``examples/``.
 """
 
 from repro.core import (
@@ -86,7 +89,6 @@ from repro.service import (
     LedgerSchemaError,
     QueryLedger,
 )
-from repro.session import Session
 from repro.simnet import SimulationConfig, SyntheticInternet
 from repro.sources import build_standard_sources
 from repro.stream import (
@@ -160,9 +162,8 @@ __all__ = [
     "ObservationDelta",
     "StreamEstimator",
     "journal_from_sources",
-    # pipeline options / simulator / session
+    # pipeline options / simulator
     "PipelineOptions",
-    "Session",
     "SimulationConfig",
     "SyntheticInternet",
     "TimeWindow",

@@ -48,10 +48,6 @@ class CrossValidationResult:
         """Signed estimation error on the unseen count."""
         return self.estimated_unseen - self.true_unseen
 
-    @property
-    def estimated_total(self) -> float:
-        return self.observed_by_others + self.estimated_unseen
-
     def normalised_range(self) -> tuple[float, float] | None:
         """Estimate range / truth, the y-axis of Figure 3."""
         if self.range_low is None or self.range_high is None:

@@ -13,13 +13,9 @@ prefixes per length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.analysis.windows import TimeWindow
-    from repro.engine.executor import Executor
 
 from repro.ipspace.blocks import (
     NUM_LEVELS,
@@ -205,24 +201,4 @@ def build_unused_space_model(
         allocations=allocations,
         ratios=ratios,
         unseen=unseen,
-    )
-
-
-def unused_space_for_window(
-    executor: "Executor",
-    window: "TimeWindow",
-    deltas: Sequence[str] = DEFAULT_DELTAS,
-    excluded: Sequence[str] = EXCLUDED,
-) -> UnusedSpaceModel:
-    """Section 7 for one window, straight off the executor's artifacts.
-
-    The window's filtered datasets, routed universe and CR unseen count
-    all come from cached stage artifacts, so this composes with a prior
-    window sweep at zero marginal estimation cost.
-    """
-    datasets = executor.datasets(window)
-    universe = executor.internet.routing.window(window.start, window.end)
-    estimate = executor.run("estimate", window, level="addresses")
-    return build_unused_space_model(
-        datasets, universe, estimate.unseen, deltas=deltas, excluded=excluded
     )

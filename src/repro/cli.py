@@ -74,7 +74,12 @@ from repro.obs.reporting import render_run_diff, render_run_report
 from repro.service import LedgerSchemaError
 from repro.simnet.internet import SimulationConfig, SyntheticInternet
 from repro.sources.base import TIME_HORIZON
-from repro.stream import DeltaJournal, StreamEstimator, journal_from_sources
+from repro.stream import (
+    DeltaJournal,
+    JournalCorruptionError,
+    StreamEstimator,
+    journal_from_sources,
+)
 
 
 #: Size-suffix multipliers for ``--max-bytes`` (binary, case-insensitive).
@@ -521,29 +526,34 @@ def _run_knobs(args: argparse.Namespace):
     return options, policy, faults, observer, store
 
 
+def _sources(args: argparse.Namespace, internet: SyntheticInternet):
+    """The standard source catalog, carrying any ``source:`` data faults."""
+    from repro.sources.catalog import build_standard_sources
+
+    sources = build_standard_sources(internet)
+    source_specs = [
+        s for s in args.inject_faults if isinstance(s, SourceFaultSpec)
+    ]
+    if not source_specs:
+        return sources
+    # Spoof injections draw from allocated space so they survive
+    # routed-space preprocessing and actually stress the filter.
+    return apply_source_faults(
+        sources,
+        source_specs,
+        seed=args.seed,
+        spoof_support=internet.registry.allocated_space(),
+    )
+
+
 def _executor(args: argparse.Namespace) -> Executor:
     """An executor under the CLI's knobs, over sources that carry any
     ``source:`` data faults."""
     options, policy, faults, observer, store = _run_knobs(args)
     internet = _internet(args)
-    source_specs = [
-        s for s in args.inject_faults if isinstance(s, SourceFaultSpec)
-    ]
-    sources = None
-    if source_specs:
-        from repro.sources.catalog import build_standard_sources
-
-        # Spoof injections draw from allocated space so they survive
-        # routed-space preprocessing and actually stress the filter.
-        sources = apply_source_faults(
-            build_standard_sources(internet),
-            source_specs,
-            seed=args.seed,
-            spoof_support=internet.registry.allocated_space(),
-        )
     executor = Executor(
-        internet, sources, options, policy=policy, faults=faults,
-        observer=observer, cache=store,
+        internet, _sources(args, internet), options, policy=policy,
+        faults=faults, observer=observer, cache=store,
     )
     args._obs_run = (executor.observer, executor.report, executor.cache)
     return executor
@@ -1008,17 +1018,22 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     sensitivity = ledger.sensitivity()
     if sensitivity:
         print()
-        print(format_table(
-            ["window", "dropped source", "estimate without"],
-            [[r["label"], r["source"], f"{r['estimate_without']:.0f}"]
-             for r in sensitivity],
-            title="sensitivity grid",
-        ))
+        _print_sensitivity_grid(sensitivity, title="sensitivity grid")
     ledger_path = scheduler.campaign_dir(args.campaign_id) / LEDGER_FILENAME
     print(f"\nquery ledger: {ledger_path} "
           f"(serve with: python -m repro query {args.campaign_id} "
           f"--service {args.service})")
     return 0
+
+
+def _print_sensitivity_grid(rows, title: str) -> None:
+    """A campaign's sensitivity grid, one row per (window, dropped source)."""
+    print(format_table(
+        ["window", "dropped source", "estimate without"],
+        [[r["label"], r["source"], f"{r['estimate_without']:.0f}"]
+         for r in rows],
+        title=title,
+    ))
 
 
 def _cmd_campaign_submit(args: argparse.Namespace) -> int:
@@ -1114,12 +1129,9 @@ def cmd_query(args: argparse.Namespace) -> int:
         if not rows:
             print("campaign requested no sensitivity grid", file=sys.stderr)
             return 1
-        print(format_table(
-            ["window", "dropped source", "estimate without"],
-            [[r["label"], r["source"], f"{r['estimate_without']:.0f}"]
-             for r in rows],
-            title=f"sensitivity grid (campaign {campaign_id})",
-        ))
+        _print_sensitivity_grid(
+            rows, title=f"sensitivity grid (campaign {campaign_id})"
+        )
     fits = fitkernel.snapshot().fits
     print(f"\nserved from query ledger {ledger.path} "
           f"({fits:.0f} GLM fits this process)")
@@ -1157,18 +1169,7 @@ def _print_snapshot_line(stream: StreamEstimator) -> None:
 def _cmd_stream_ingest(args: argparse.Namespace) -> int:
     """Apply the journal tail (optionally simulating the journal first)."""
     if args.simulate:
-        from repro.sources.catalog import build_standard_sources
-
-        internet = _internet(args)
-        sources = build_standard_sources(internet)
-        source_specs = [
-            s for s in args.inject_faults if isinstance(s, SourceFaultSpec)
-        ]
-        if source_specs:
-            sources = apply_source_faults(
-                sources, source_specs, seed=args.seed,
-                spoof_support=internet.registry.allocated_space(),
-            )
+        sources = _sources(args, _internet(args))
         try:
             journal = journal_from_sources(
                 sources, args.journal, through=args.through
@@ -1242,12 +1243,20 @@ def _cmd_stream_snapshot(args: argparse.Namespace) -> int:
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
-    """Dispatch the streaming verbs (ingest/advance/snapshot)."""
-    if args.stream_command == "ingest":
-        return _cmd_stream_ingest(args)
-    if args.stream_command == "advance":
-        return _cmd_stream_advance(args)
-    return _cmd_stream_snapshot(args)
+    """Dispatch the streaming verbs (ingest/advance/snapshot).
+
+    A journal that fails its checksums is reported in one line naming
+    the record, not as a traceback.
+    """
+    try:
+        if args.stream_command == "ingest":
+            return _cmd_stream_ingest(args)
+        if args.stream_command == "advance":
+            return _cmd_stream_advance(args)
+        return _cmd_stream_snapshot(args)
+    except JournalCorruptionError as exc:
+        print(f"journal {args.journal}: {exc}", file=sys.stderr)
+        return 1
 
 
 COMMANDS = {

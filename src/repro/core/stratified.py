@@ -92,10 +92,6 @@ class StratifiedEstimate:
     def num_excluded(self) -> int:
         return sum(1 for s in self.strata.values() if s.excluded)
 
-    def stratum_population(self, label: Hashable) -> float:
-        """Estimated population of one stratum."""
-        return self.strata[label].population
-
 
 def stratified_estimate(
     sources: Mapping[str, IPSet],

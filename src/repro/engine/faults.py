@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from repro.ipspace.addresses import unique_addresses
 from repro.ipspace.ipset import IPSet
 
 if TYPE_CHECKING:
@@ -347,25 +346,16 @@ class FaultySource:
     def collect(self, start: float, end: float) -> IPSet:
         """The wrapped source's window data with the faults applied.
 
-        Quarters are perturbed independently and unioned, mirroring
-        :class:`~repro.sources.base.QuarterlySource`.
+        Quarters are perturbed independently and unioned by
+        :func:`repro.sources.base.union_of_quarters`, the rule
+        :class:`~repro.sources.base.QuarterlySource` collects by.
         """
-        from repro.sources.base import quarter_of
+        from repro.sources.base import union_of_quarters
 
-        lo = max(start, self.available_from)
-        hi = min(end, self.available_to)
-        if lo >= hi:
-            return IPSet.empty()
-        chunks = []
-        for q in range(quarter_of(lo), quarter_of(hi - 1e-9) + 1):
-            data = self._quarter(q)
-            if len(data):
-                chunks.append(data.addresses)
-        if not chunks:
-            return IPSet.empty()
-        return IPSet.from_sorted_unique(unique_addresses(np.concatenate(chunks)))
+        return union_of_quarters(self, start, end)
 
-    def _quarter(self, q: int) -> IPSet:
+    def quarter_set(self, q: int) -> np.ndarray:
+        """Sorted-unique addresses of one quarter, faults applied."""
         from repro.sources.base import _derive_seed, quarter_bounds
 
         q_start, q_end = quarter_bounds(q)
@@ -376,7 +366,7 @@ class FaultySource:
                 _derive_seed(self.seed, self.name, spec.kind, q)
             )
             data = self._apply(spec, data, q, rng)
-        return data
+        return data.addresses
 
     def _apply(
         self,

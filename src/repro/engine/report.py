@@ -62,10 +62,6 @@ class StageStats:
     output_bytes: int = 0
     fit: FitCounters = field(default_factory=FitCounters)
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.calls if self.calls else 0.0
-
 
 @dataclass
 class RunReport:

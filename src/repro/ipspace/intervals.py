@@ -52,13 +52,6 @@ class IntervalSet:
         """The full 2^32 address space."""
         return cls([(0, ADDRESS_SPACE_SIZE)])
 
-    @classmethod
-    def _from_sorted(cls, starts: np.ndarray, ends: np.ndarray) -> "IntervalSet":
-        obj = cls.__new__(cls)
-        obj._starts = starts.astype(np.uint64)
-        obj._ends = ends.astype(np.uint64)
-        return obj
-
     # -- basic queries -----------------------------------------------------
 
     @property

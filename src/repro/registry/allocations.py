@@ -62,10 +62,6 @@ class Allocation:
     def is_routed_ever(self) -> bool:
         return math.isfinite(self.routed_from)
 
-    def routed_in(self, start: float, end: float) -> bool:
-        """Advertised at some point during the window [start, end)."""
-        return self.routed_from < end
-
 
 class AllocationRegistry:
     """Immutable set of non-overlapping allocations with fast lookup."""
@@ -126,12 +122,6 @@ class AllocationRegistry:
     def allocated_space(self) -> IntervalSet:
         """Union of all allocations."""
         return IntervalSet.from_prefixes(a.prefix for a in self.allocations)
-
-    def allocated_space_at(self, year: float) -> IntervalSet:
-        """Union of allocations made up to ``year``."""
-        return IntervalSet.from_prefixes(
-            a.prefix for a in self.allocations if a.year <= year
-        )
 
     def rir_space(self, rir: RIR) -> IntervalSet:
         """The top-level pool a RIR administers (empty if untracked)."""
@@ -216,11 +206,6 @@ class _FreePool:
             self._by_length.setdefault(give.length, []).append(give)
             block = keep
         return block
-
-    def remaining_size(self) -> int:
-        return sum(
-            p.size for blocks in self._by_length.values() for p in blocks
-        )
 
 
 def _era_shares(profile: RirProfile) -> list[tuple[float, float, float]]:

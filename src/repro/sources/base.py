@@ -66,6 +66,26 @@ class MeasurementSource(ABC):
         )
 
 
+def union_of_quarters(source, start: float, end: float) -> IPSet:
+    """A window's dataset: the union of its availability-clipped quarters.
+
+    ``source`` is anything with ``available_from``/``available_to`` and a
+    ``quarter_set(index)`` returning sorted-unique ``uint32`` addresses;
+    every quarter-accumulating source collects through this one rule.
+    """
+    lo = max(start, source.available_from)
+    hi = min(end, source.available_to)
+    if lo >= hi:
+        return IPSet.empty()
+    first = quarter_of(lo)
+    last = quarter_of(hi - 1e-9)
+    chunks = [source.quarter_set(q) for q in range(first, last + 1)]
+    chunks = [c for c in chunks if c.size]
+    if not chunks:
+        return IPSet.empty()
+    return IPSet.from_sorted_unique(unique_addresses(np.concatenate(chunks)))
+
+
 def _derive_seed(*parts) -> int:
     """Stable 64-bit seed from heterogeneous parts."""
     text = "|".join(str(p) for p in parts)
@@ -109,17 +129,7 @@ class QuarterlySource(MeasurementSource):
 
     def collect(self, start: float, end: float) -> IPSet:
         """Union of the window's (availability-clipped) quarters."""
-        lo = max(start, self.available_from)
-        hi = min(end, self.available_to)
-        if lo >= hi:
-            return IPSet.empty()
-        first = quarter_of(lo)
-        last = quarter_of(hi - 1e-9)
-        chunks = [self.quarter_set(q) for q in range(first, last + 1)]
-        chunks = [c for c in chunks if c.size]
-        if not chunks:
-            return IPSet.empty()
-        return IPSet.from_sorted_unique(unique_addresses(np.concatenate(chunks)))
+        return union_of_quarters(self, start, end)
 
     # -- helpers for subclasses ---------------------------------------------
 

@@ -44,12 +44,16 @@ from repro.engine.stages import PipelineOptions, WindowResult
 from repro.ipspace.addresses import unique_addresses
 from repro.ipspace.ipset import IPSet
 from repro.obs.observer import Observer
-from repro.sources.base import MeasurementSource, quarter_bounds, quarter_of
+from repro.sources.base import (
+    MeasurementSource,
+    quarter_bounds,
+    quarter_of,
+    union_of_quarters,
+)
 from repro.stream.journal import DeltaJournal, ObservationDelta, SourceRecord
 from repro.stream.tabulator import IncrementalTabulator
 
 if TYPE_CHECKING:
-    from repro.analysis.growth import GrowthSeries
     from repro.analysis.windows import TimeWindow
     from repro.engine.faults import FaultInjector
     from repro.engine.store import ArtifactStore
@@ -67,10 +71,10 @@ _EMPTY = np.zeros(0, dtype=np.uint32)
 class JournalSource(MeasurementSource):
     """A measurement source materialised from journaled quarters.
 
-    ``collect`` reproduces :meth:`repro.sources.base.QuarterlySource.collect`
-    over the journal's per-quarter membership arrays — same availability
-    clipping, same quarter arithmetic — so every stage downstream sees
-    byte-identical datasets to a live batch collection of the same
+    ``collect`` applies :func:`repro.sources.base.union_of_quarters`, the
+    rule :class:`~repro.sources.base.QuarterlySource` collects by, to the
+    journal's per-quarter membership arrays, so every stage downstream
+    sees byte-identical datasets to a live batch collection of the same
     history.
     """
 
@@ -89,17 +93,8 @@ class JournalSource(MeasurementSource):
         return self._quarters.get(index, _EMPTY)
 
     def collect(self, start: float, end: float) -> IPSet:
-        lo = max(start, self.available_from)
-        hi = min(end, self.available_to)
-        if lo >= hi:
-            return IPSet.empty()
-        first = quarter_of(lo)
-        last = quarter_of(hi - 1e-9)
-        chunks = [self.quarter_set(q) for q in range(first, last + 1)]
-        chunks = [c for c in chunks if c.size]
-        if not chunks:
-            return IPSet.empty()
-        return IPSet.from_sorted_unique(unique_addresses(np.concatenate(chunks)))
+        """Union of the window's (availability-clipped) journaled quarters."""
+        return union_of_quarters(self, start, end)
 
 
 class ClosedWindow:
@@ -377,18 +372,6 @@ class StreamEstimator:
             else:
                 out.append(self.close(window))
         return out
-
-    def results(self) -> list[WindowResult]:
-        """Closed-window results in window order."""
-        return [
-            self._closed[bounds].result for bounds in sorted(self._closed)
-        ]
-
-    def series(self, level: str = "addresses") -> "GrowthSeries":
-        """Figure 4/5 growth series over the closed windows."""
-        from repro.analysis.growth import series_from_results
-
-        return series_from_results(self.results(), level=level)
 
     def stale_windows(self) -> "list[TimeWindow]":
         """Closed windows invalidated by late events (need re-closing)."""

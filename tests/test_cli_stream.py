@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.stream import DeltaJournal
 
 ARGS = ["--scale-log2", "-14", "--seed", "3"]
 
@@ -171,6 +172,35 @@ class TestStreamEndToEnd:
         out = capsys.readouterr().out
         assert "closed windows:" in out
         assert "snapshot written" in out
+
+
+class TestJournalCorruption:
+    @pytest.mark.parametrize("verb", ["ingest", "advance", "snapshot"])
+    def test_corrupt_interior_record_fails_in_one_line(
+        self, verb, tmp_path, capsys
+    ):
+        path = tmp_path / "journal"
+        journal = DeltaJournal(path)
+        journal.declare_source("A", 2011.0)
+        for quarter in range(3):
+            journal.append("A", quarter, add=[10 + quarter, 20 + quarter])
+        # Flip one address digit of line 3, an interior delta: its
+        # checksum fails with committed records after it.
+        segment = path / "segment-000000.jsonl"
+        lines = segment.read_bytes().split(b"\n")
+        line = bytearray(lines[2])
+        line[line.index(b'"add":[') + 7] ^= 1
+        lines[2] = bytes(line)
+        segment.write_bytes(b"\n".join(lines))
+
+        code = main(
+            ARGS + ["stream", verb, "--journal", str(path),
+                    "--store", str(tmp_path / "store")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "corrupt record at segment-000000.jsonl:3 " in err[0]
 
 
 class TestLedgerSchemaErrors:
