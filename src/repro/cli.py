@@ -52,6 +52,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.crossval import cross_validate_window
@@ -573,8 +574,6 @@ def _finalize_observability(args: argparse.Namespace) -> None:
     else:
         absorb_engine_accounting(observer, report=report, cache=cache)
     if args.metrics_out:
-        from pathlib import Path
-
         path = Path(args.metrics_out)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(observer.metrics.to_json_text() + "\n")
@@ -873,8 +872,6 @@ def cmd_churn(args: argparse.Namespace) -> int:
 
 def cmd_estimate_files(args: argparse.Namespace) -> int:
     """Run capture-recapture over user-supplied dataset files."""
-    from pathlib import Path
-
     from repro.core.estimator import CaptureRecapture, EstimatorOptions
     from repro.sources.logparse import load_dataset
 
@@ -906,8 +903,6 @@ def cmd_estimate_files(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Render a run ledger written by ``--trace`` (or diff two)."""
-    from pathlib import Path
-
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         print(f"no run directory at {run_dir}", file=sys.stderr)
@@ -925,8 +920,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_store(args: argparse.Namespace) -> int:
     """Inspect or maintain a persistent artifact store directory."""
-    from pathlib import Path
-
     path = Path(args.path)
     if args.store_command != "stats" and not path.is_dir():
         print(f"no store directory at {path}", file=sys.stderr)
@@ -1138,15 +1131,18 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stream(args: argparse.Namespace) -> StreamEstimator:
+def _stream(
+    args: argparse.Namespace, internet: SyntheticInternet | None = None
+) -> StreamEstimator:
     """A stream estimator resumed under the CLI's knobs.
 
     Shares :func:`_run_knobs` with :func:`_executor`, so a stream close
-    computes exactly what the batch subcommands would.
+    computes exactly what the batch subcommands would.  ``internet`` is
+    the simulated world when the caller has built it already.
     """
     options, policy, faults, observer, store = _run_knobs(args)
     stream = StreamEstimator.resume(
-        _internet(args),
+        internet if internet is not None else _internet(args),
         DeltaJournal(args.journal),
         options=options,
         policy=policy,
@@ -1168,8 +1164,10 @@ def _print_snapshot_line(stream: StreamEstimator) -> None:
 
 def _cmd_stream_ingest(args: argparse.Namespace) -> int:
     """Apply the journal tail (optionally simulating the journal first)."""
+    internet = None
     if args.simulate:
-        sources = _sources(args, _internet(args))
+        internet = _internet(args)
+        sources = _sources(args, internet)
         try:
             journal = journal_from_sources(
                 sources, args.journal, through=args.through
@@ -1179,7 +1177,7 @@ def _cmd_stream_ingest(args: argparse.Namespace) -> int:
             return 2
         print(f"journal {args.journal}: wrote {len(journal)} record(s) "
               f"from {len(sources)} simulated source(s)")
-    stream = _stream(args)
+    stream = _stream(args, internet)
     applied = stream.ingest(limit=args.limit)
     remaining = len(stream.journal) - stream.next_seq
     print(f"ingested {applied} record(s) "
@@ -1245,9 +1243,13 @@ def _cmd_stream_snapshot(args: argparse.Namespace) -> int:
 def cmd_stream(args: argparse.Namespace) -> int:
     """Dispatch the streaming verbs (ingest/advance/snapshot).
 
-    A journal that fails its checksums is reported in one line naming
-    the record, not as a traceback.
+    Only ``ingest`` creates a journal: the read-only verbs refuse a
+    path that holds none.  A journal that fails its checksums is
+    reported in one line naming the record, not as a traceback.
     """
+    if args.stream_command != "ingest" and not Path(args.journal).is_dir():
+        print(f"no journal at {args.journal}", file=sys.stderr)
+        return 2
     try:
         if args.stream_command == "ingest":
             return _cmd_stream_ingest(args)

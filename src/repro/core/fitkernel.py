@@ -268,6 +268,12 @@ def lattice_design(masks, rows: int) -> np.ndarray:
     return ((histories & masks) == masks).astype(np.float64)
 
 
+def _has_duplicates(masks: np.ndarray) -> bool:
+    """Whether any row of a ``(G, p)`` mask stack repeats a mask."""
+    sorted_masks = np.sort(masks, axis=1)
+    return bool((sorted_masks[:, 1:] == sorted_masks[:, :-1]).any())
+
+
 class BatchedIrlsSolver:
     """Weighted least-squares solves for a stack of history-indicator designs.
 
@@ -322,18 +328,30 @@ class BatchedIrlsSolver:
         self.rhs_idx = masks + 2 * stride + size
         # Distinct columns can share a mask only in degenerate designs
         # (duplicate columns); those need the accumulate-scatter.
-        sorted_masks = np.sort(masks, axis=1)
-        self.duplicates = bool(
-            (sorted_masks[:, 1:] == sorted_masks[:, :-1]).any()
-        )
+        self.duplicates = _has_duplicates(masks)
 
     @property
     def rows(self) -> int:
         return (1 << self.t) - self.offset
 
     def subset(self, keep: np.ndarray) -> "BatchedIrlsSolver":
-        """The solver over the members a boolean ``keep`` selects."""
-        return BatchedIrlsSolver(self.masks[keep], self.rows)
+        """The solver over the members a boolean ``keep`` selects.
+
+        The kept members' index rows are sliced and re-based onto their
+        new stack positions instead of being rebuilt from the masks.
+        """
+        kept = np.flatnonzero(keep)
+        size = 1 << self.t
+        rebase = (np.arange(kept.size, dtype=np.int64) - kept)[:, None] * size
+        solver = object.__new__(BatchedIrlsSolver)
+        solver.t = self.t
+        solver.offset = self.offset
+        solver.masks = self.masks[kept]
+        solver.coef_idx = self.coef_idx[kept] + rebase
+        solver.normal_idx = self.normal_idx[kept] + 2 * rebase
+        solver.rhs_idx = self.rhs_idx[kept] + 2 * rebase
+        solver.duplicates = self.duplicates and _has_duplicates(solver.masks)
+        return solver
 
     def linear_predictor(
         self, beta: np.ndarray, members: np.ndarray | None = None
@@ -356,19 +374,31 @@ class BatchedIrlsSolver:
             table.reshape(-1)[index] = beta
         return _subset_sums(table, self.t)[:, self.offset:]
 
-    def solve(self, weights: np.ndarray, target: np.ndarray) -> np.ndarray:
+    def solve(
+        self,
+        weights: np.ndarray,
+        target: np.ndarray,
+        rows: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Per-member ``argmin_b || sqrt(w_g) (X_g b - target_g) ||``.
 
-        ``weights`` and ``target`` are ``(G, n)``; returns ``(G, p)``.
+        ``weights`` and ``target`` are ``(G, n)``, or ``(R, n)`` with
+        ``rows`` giving each member's row: members that share a row
+        share its superset sums, transformed once.  Returns ``(G, p)``.
         """
         G, p = self.masks.shape
         size = 1 << self.t
-        table = np.zeros((G, 2, size))
+        table = np.zeros((weights.shape[0], 2, size))
         table[:, 0, self.offset:] = weights
         np.multiply(weights, target, out=table[:, 1, self.offset:])
-        sums = _superset_sums(table.reshape(2 * G, size), self.t)
-        normal = sums.take(self.normal_idx).reshape(G, p, p)
-        rhs = sums.take(self.rhs_idx)
+        sums = _superset_sums(table.reshape(-1, size), self.t)
+        normal_idx, rhs_idx = self.normal_idx, self.rhs_idx
+        if rows is not None:
+            rebase = (2 * size) * (rows - np.arange(G, dtype=np.int64))[:, None]
+            normal_idx = normal_idx + rebase
+            rhs_idx = rhs_idx + rebase
+        normal = sums.take(normal_idx).reshape(G, p, p)
+        rhs = sums.take(rhs_idx)
         try:
             factor = np.linalg.cholesky(normal)
             pivots = np.diagonal(factor, axis1=1, axis2=2)
@@ -385,8 +415,9 @@ class BatchedIrlsSolver:
             healthy = np.zeros(G, dtype=bool)
             solution = np.empty((G, p))
         for a in np.nonzero(~healthy)[0]:
+            r = a if rows is None else rows[a]
             solution[a] = _solve_normal(
-                normal[a], rhs[a], weights[a], target[a],
+                normal[a], rhs[a], weights[r], target[r],
                 partial(lattice_design, self.masks[a], self.rows),
             )
         return solution

@@ -325,58 +325,53 @@ def fit_poisson(
 
 
 def _eval_state_batch(beta, y, solver, members=None):
-    """Batched ``eval_state``: (eta, mu, L) rows for a coefficient block.
+    """Batched ``eval_state``: (eta, mu, L, exact) rows for a coefficient block.
 
     ``beta`` is (A, p), ``y`` the (A, n) counts, and ``members`` the
     indices of the block's members in the ``solver``'s design stack
     (``None``: the whole stack; the solver computes each
-    ``eta_g = X_g beta_g``).  Clipping is applied to the whole block
-    when any entry strays — clipping is idempotent and only touches
-    entries that are out of range, so per-member results match the
-    sequential guard exactly.
+    ``eta_g = X_g beta_g``).  One min and one max per row decide the
+    overflow guard: clipping is applied to the whole block when any
+    entry strays — clipping is idempotent and only touches entries that
+    are out of range, so per-member results match the sequential guard
+    exactly — and ``exact`` flags the rows with every entry strictly
+    inside the guard's bounds, where ``eta`` is ``X beta`` as computed.
     """
     eta = solver.linear_predictor(beta, members)
-    if eta.size and (eta.max() > _ETA_MAX or eta.min() < _ETA_MIN):
+    lo, hi = eta.min(axis=1), eta.max(axis=1)
+    if eta.size and (hi.max() > _ETA_MAX or lo.min() < _ETA_MIN):
         eta = np.clip(eta, _ETA_MIN, _ETA_MAX)
     mu = np.exp(eta)
     L = np.einsum("an,an->a", y, eta) - mu.sum(axis=1)
-    return eta, mu, L
+    return eta, mu, L, (lo > _ETA_MIN) & (hi < _ETA_MAX)
 
 
-def _gain_batch(y, eta, mu, new_eta):
-    """Twice :func:`_gain` per row, for plain Poisson states."""
-    d = new_eta - eta
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 2.0 * (
-            np.einsum("an,an->a", y, d)
-            - np.einsum("an,an->a", mu, np.expm1(d))
-        )
+def _gain_batch(y, mu, d):
+    """Twice :func:`_gain` per row, for plain Poisson states ``mu``
+    moving their predictors by ``d``.  An ``expm1`` overflow makes the
+    gain ``-inf``, a rejected step; the caller ignores the warning."""
+    return 2.0 * (
+        np.einsum("an,an->a", y, d) - np.einsum("an,an->a", mu, np.expm1(d))
+    )
 
 
-def _inside_guard(eta):
-    """Per row: no entry of ``eta`` sits on the overflow guard's bounds."""
-    return (eta.min(axis=1) > _ETA_MIN) & (eta.max(axis=1) < _ETA_MAX)
-
-
-def _dual_bound(eta, mu, L, new_eta):
+def _dual_bound(mu, L, d):
     """Upper bound on each row's maximum log-likelihood kernel.
 
-    ``(eta, mu, L)`` is an unclipped plain-Poisson iterate and
-    ``new_eta`` its unclipped full Newton-step predictor, so
-    ``d = new_eta - eta`` is ``X Delta`` for the step ``Delta`` that
-    solves ``X' W X Delta = X' (y - mu)`` with ``W = mu``.  The means
+    ``(mu, L)`` is an unclipped plain-Poisson iterate and ``d`` the
+    change its full Newton step makes to its unclipped predictor, so
+    ``d = X Delta`` for the step ``Delta`` that solves
+    ``X' W X Delta = X' (y - mu)`` with ``W = mu``.  The means
     ``m = mu (1 + d)`` then satisfy ``X' m = X' y``, and Fenchel duality
     bounds the likelihood over every coefficient vector by
     ``sum(m log m - m)``, which is
     ``L + sum(mu [(1 + d) log1p(d) - d])`` (``y . eta = m . eta`` since
     ``eta = X beta``).  Rows with some ``d <= -1`` have no such ``m``
-    (their sum comes out NaN) and get ``+inf``; the bound is tight at
-    the optimum, where ``d`` vanishes.
+    (their sum comes out NaN; the caller ignores the warning) and get
+    ``+inf``; the bound is tight at the optimum, where ``d`` vanishes.
     """
-    d = new_eta - eta
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gap = np.log1p(d)
-        gap *= 1.0 + d
+    gap = np.log1p(d)
+    gap *= 1.0 + d
     gap -= d
     gap *= mu
     upper = L + gap.sum(axis=1)
@@ -384,51 +379,47 @@ def _dual_bound(eta, mu, L, new_eta):
 
 
 def _line_search_batch(
-    solver, y, beta, eta, mu, L, floor, target, force, first=None
+    solver, y, beta, eta, mu, L, exact, floor, target, force, first, d
 ):
     """Batched step-halving line search of :func:`fit_poisson`.
 
     Every member first tries the full Newton step to ``target`` (taken
     verbatim, so it matches the sequential search bit for bit); members
     flagged in ``force`` (a cold start's first step) accept it outright.
-    ``first`` is the full step's ``(eta, mu, L)`` when the caller has
-    already evaluated it.  Returns the accepted ``(beta, eta, mu, L)``,
-    each member's improvement (twice the gain) and whether it took the
-    full step.  When every member accepts the full step — the common
-    case — the evaluated candidate arrays are returned as they are.
+    ``first`` is the full step's ``(eta, mu, L, exact)`` and ``d`` its
+    predictor change ``first[0] - eta``.  Returns the accepted
+    ``(beta, eta, mu, L, exact)``, each member's improvement (twice the
+    gain) and whether it took the full step.  When every member accepts
+    the full step — the common case — the evaluated candidate arrays
+    are returned as they are.
     """
-    if first is None:
-        first = _eval_state_batch(target, y, solver)
-    cand_eta, cand_mu, cand_L = first
-    gain = _gain_batch(y, eta, mu, cand_eta)
+    gain = _gain_batch(y, mu, d)
     full = gain >= floor
     if force is not None:
         full |= force
     if full.all():
-        return target, cand_eta, cand_mu, cand_L, gain, full
+        return (target, *first, gain, full)
     # Members still searching all share one step size: they tried the
     # steps 1 .. 2**-29 of the sequential loop, and one that runs out
     # keeps its old state with zero improvement.
-    acc_beta, acc_eta, acc_mu, acc_L = beta.copy(), eta.copy(), mu.copy(), L.copy()
+    accepted = [arr.copy() for arr in (beta, eta, mu, L, exact)]
     improvement = np.zeros(L.shape[0])
-    ok, u, cand, step = full, np.arange(L.shape[0]), target, 1.0
+    ok, u, cand, state, step = full, np.arange(L.shape[0]), target, first, 1.0
     for k in range(30):
         if k:
             step /= 2.0
             cand = beta[u] + step * (target[u] - beta[u])
-            cand_eta, cand_mu, cand_L = _eval_state_batch(cand, y[u], solver, u)
-            gain = _gain_batch(y[u], eta[u], mu[u], cand_eta)
+            state = _eval_state_batch(cand, y[u], solver, u)
+            gain = _gain_batch(y[u], mu[u], state[0] - eta[u])
             ok = gain >= floor[u]
         a = u[ok]
-        acc_beta[a] = cand[ok]
-        acc_eta[a] = cand_eta[ok]
-        acc_mu[a] = cand_mu[ok]
-        acc_L[a] = cand_L[ok]
+        for acc, value in zip(accepted, (cand, *state)):
+            acc[a] = value[ok]
         improvement[a] = gain[ok]
         u = u[~ok]
         if u.size == 0:
             break
-    return acc_beta, acc_eta, acc_mu, acc_L, improvement, full
+    return (*accepted, improvement, full)
 
 
 class Race(NamedTuple):
@@ -445,6 +436,21 @@ class Race(NamedTuple):
     floor: np.ndarray
 
 
+class Candidates(NamedTuple):
+    """A stepwise round's members, each one parent plus one column.
+
+    With ``candidates``, the ``masks``, ``counts`` and ``beta0`` of
+    :func:`fit_poisson_batch` describe ``T`` parents — ``(T, q)`` masks,
+    ``(T, n)`` counts and ``T`` seeds of length ``q`` — and member ``g``
+    fits parent ``parent[g]``'s design with the column ``column[g]``
+    appended, started from that parent's seed with a 0 for the new
+    coefficient.
+    """
+
+    parent: np.ndarray
+    column: np.ndarray
+
+
 def fit_poisson_batch(
     masks,
     counts: np.ndarray,
@@ -452,19 +458,28 @@ def fit_poisson_batch(
     tol: float = 1e-9,
     beta0=None,
     race: Race | None = None,
+    candidates: Candidates | None = None,
 ) -> list[GlmFit | None]:
     """Fit a stack of capture-history Poisson GLMs with one batched IRLS loop.
 
     ``masks`` is (G, p) ints: each of G models' design columns as the
     history bitmask its indicator flags supersets of, the intercept's 0
-    first (stepwise candidates of one round, across every table of the
-    same source count) — see
-    :func:`~repro.core.fitkernel.lattice_design` for the implied
-    designs over the ``n`` histories of ``counts``.  ``counts`` is
-    (G, n), or (n,) to share one count vector across the stack.
+    first — see :func:`~repro.core.fitkernel.lattice_design` for the
+    implied designs over the ``n`` histories of ``counts``.  ``counts``
+    is (G, n), or (n,) to share one count vector across the stack.
     ``beta0`` warm-starts members individually: ``None``, a (G, p)
     array, or a sequence of per-member vectors where ``None`` entries
     fall back to the cold initialiser.
+
+    ``candidates`` poses a stepwise round instead (see
+    :class:`Candidates`): ``masks``, ``counts`` and ``beta0`` then give
+    each parent once — the candidates of every table of the same source
+    count and parent size in one call — and the members are the
+    parents' one-column extensions.  Members of one parent start from
+    bitwise the same predictor, so their count constants, warm-start
+    check, start state and first Newton system's superset sums are
+    computed once per parent; each member then runs exactly the
+    iteration it runs when passed on its own.
 
     Each member follows the exact :func:`fit_poisson` iteration —
     identical cold start, first-step acceptance, step-halving
@@ -496,28 +511,53 @@ def fit_poisson_batch(
     masks = np.asarray(masks, dtype=np.int64)
     if masks.ndim != 2:
         raise GlmError(f"masks must be (G, p), got {masks.shape}")
-    (G, p), n = masks.shape, np.shape(counts)[-1]
+    num_rows, n = masks.shape[0], np.shape(counts)[-1]
+    if candidates is None:
+        parent = None
+        stack = masks
+    else:
+        parent = np.asarray(candidates.parent, dtype=np.intp)
+        column = np.asarray(candidates.column, dtype=np.int64)
+        if (
+            parent.ndim != 1
+            or column.shape != parent.shape
+            or (parent.size and (parent.min() < 0 or parent.max() >= num_rows))
+        ):
+            raise GlmError(
+                f"candidates must give each member one of {num_rows} parents "
+                "and one column"
+            )
+        stack = np.column_stack([masks[parent], column])
+    G, p = stack.shape
     if G == 0:
         return []
     if n == 0:
         raise GlmError("empty data")
     y = np.asarray(counts, dtype=np.float64)
     if y.ndim == 1:
-        y = np.broadcast_to(y, (G, n))
-    if y.shape != (G, n):
-        raise GlmError(f"stack of {G} x {n} cells incompatible with counts {y.shape}")
-    seeds = [None] * G if beta0 is None else list(beta0)
-    if len(seeds) != G:
-        raise GlmError(f"beta0 has {len(seeds)} seeds for {G} members")
+        y = np.broadcast_to(y, (num_rows, n))
+    if y.shape != (num_rows, n):
+        raise GlmError(
+            f"{num_rows} rows of {n} cells incompatible with counts {y.shape}"
+        )
+    seeds = [None] * num_rows if beta0 is None else list(beta0)
+    if len(seeds) != num_rows:
+        raise GlmError(f"beta0 has {len(seeds)} seeds for {num_rows} rows")
     if race is not None:
         owner = np.unique(np.asarray(race.table), return_inverse=True)[1]
         bar = np.asarray(race.floor, dtype=np.float64)
         if owner.shape != (G,) or bar.shape != (G,):
             raise GlmError(f"race must give a table and a floor for {G} members")
     if G < _MIN_BATCH:
+        if parent is not None:
+            seeds = [
+                None if seeds[r] is None else np.append(seeds[r], 0.0)
+                for r in parent
+            ]
+            y = y[parent]
         return [
             fit_poisson(
-                fitkernel.lattice_design(masks[g], n),
+                fitkernel.lattice_design(stack[g], n),
                 y[g],
                 max_iter=max_iter,
                 tol=tol,
@@ -526,21 +566,20 @@ def fit_poisson_batch(
             for g in range(G)
         ]
     y = np.ascontiguousarray(y)
-    solver = fitkernel.BatchedIrlsSolver(masks, n)
-    consts = [_y_constants(y[g]) for g in range(G)]
-    sat = np.array([c[0] for c in consts])
-    if race is not None:
-        # Race on the loop's own objective, the log-likelihood less its
-        # gammaln normaliser: the terms its round-off scales with.
-        bar = bar + np.array([c[1] for c in consts])
-        best = np.full(owner.max() + 1, -np.inf)
+    solver = fitkernel.BatchedIrlsSolver(stack, n)
+    start = solver if parent is None else fitkernel.BatchedIrlsSolver(masks, n)
+    consts = np.array([_y_constants(row) for row in y])
+    sat, norm = consts[:, 0], consts[:, 1]
 
-    warm = np.array([fitkernel.usable_warm_start(s, p) for s in seeds])
-    beta = np.zeros((G, p))
-    for g in np.nonzero(warm)[0]:
-        beta[g] = np.asarray(seeds[g], dtype=np.float64)
+    # Start state per row of ``masks``: a parent's members all start
+    # from its predictor (their new coefficient is 0).  ``exact`` flags
+    # rows whose eta is X beta — not a cold start, nothing clipped.
+    warm = np.array([fitkernel.usable_warm_start(s, masks.shape[1]) for s in seeds])
+    beta = np.zeros(masks.shape)
+    for r in np.nonzero(warm)[0]:
+        beta[r] = np.asarray(seeds[r], dtype=np.float64)
     if warm.all():
-        eta, mu, L = _eval_state_batch(beta, y, solver)
+        eta, mu, L, exact = _eval_state_batch(beta, y, start)
         fresh = None
     else:
         # Cold start mu = y + 0.5, as in fit_poisson; the first step of
@@ -549,11 +588,32 @@ def fit_poisson_batch(
         mu = y + 0.5
         eta = np.log(mu)
         L = np.einsum("an,an->a", y, eta) - mu.sum(axis=1)
+        exact = np.zeros(num_rows, dtype=bool)
         if warm.any():
-            eta[warm], mu[warm], L[warm] = _eval_state_batch(
-                beta[warm], y[warm], solver, np.nonzero(warm)[0]
+            eta[warm], mu[warm], L[warm], exact[warm] = _eval_state_batch(
+                beta[warm], y[warm], start, np.nonzero(warm)[0]
             )
+    # The first Newton step, solved as a step as in fit_poisson.  Where
+    # eta is not X beta — a cold first step, whose beta is 0, or a cell
+    # the overflow guard clipped — the step also carries the difference,
+    # as the working response eta + residual does.
+    z = (y - mu) / mu
+    if not exact.all():
+        z += eta - start.linear_predictor(beta)
+    step = solver.solve(mu, z, parent)
+    if parent is not None:
+        beta = np.column_stack([beta[parent], np.zeros(G)])
+        eta, mu, L, exact, y, sat, norm, warm = (
+            arr[parent] for arr in (eta, mu, L, exact, y, sat, norm, warm)
+        )
+        if fresh is not None:
+            fresh = fresh[parent]
     dev = 2.0 * (sat - L)
+    if race is not None:
+        # Race on the loop's own objective, the log-likelihood less its
+        # gammaln normaliser: the terms its round-off scales with.
+        bar = bar + norm
+        best = np.full(owner.max() + 1, -np.inf)
 
     fits: list[GlmFit | None] = [None] * G
     members = np.arange(G)  # stack index of each active row
@@ -569,14 +629,13 @@ def fit_poisson_batch(
                 iterations=iterations,
                 converged=converged,
                 loglik_kernel=float(L[k]),
-                loglik_norm=consts[g][1],
+                loglik_norm=float(norm[g]),
             )
 
-    def outclassed(prior, new_eta, L, usable):
+    def outclassed(upper, L):
         """Active rows whose duality bound misses their floor or their
         table's best log-likelihood so far by more than the margin."""
         rows = owner[members]
-        upper = np.where(usable, _dual_bound(*prior, new_eta), np.inf)
         np.maximum.at(best, rows, L)
         need = np.maximum(bar[members], best[rows])
         return upper < need - _RACE_MARGIN * (1.0 + np.abs(need))
@@ -584,61 +643,62 @@ def fit_poisson_batch(
     total_iterations = 0
     pruned = 0
     it = 0
-    for it in range(1, max(max_iter, 1) + 1):
-        total_iterations += members.size
-        # Newton steps solved as steps, as in fit_poisson.  Where eta is
-        # not X beta — a cold first step, whose beta is 0, or a cell the
-        # overflow guard clipped — the step also carries the difference,
-        # as the working response eta + residual does.
-        z = (y - mu) / mu
-        shifted = fresh is not None or eta.min() <= _ETA_MIN or eta.max() >= _ETA_MAX
-        if shifted:
-            z += eta - solver.linear_predictor(beta)
-        target = beta + solver.solve(mu, z)
-        floor = -1e-12 * (1.0 + np.abs(dev))
-        prior = (eta, mu, L)
-        first = _eval_state_batch(target, y, solver)
-        beta, eta, mu, L, improvement, full = _line_search_batch(
-            solver, y, beta, eta, mu, L, floor, target, fresh, first
-        )
-        dev = 2.0 * (sat - L)
-        threshold = tol * (np.abs(dev) + tol)
-        quad = (
-            full
-            & (prev_improvement > 0.0)
-            & (improvement * improvement < prev_improvement * threshold * 1e-3)
-        )
-        done = (improvement < threshold) | quad
-        prev_improvement = improvement
-        if fresh is not None:
-            # A cold first step only moves onto the model (see
-            # fit_poisson): no convergence test, no improvement history.
-            done &= ~fresh
-            prev_improvement[fresh] = 0.0
-        out = done
-        if race is not None:
-            # The bound needs eta = X beta at both ends of the full step:
-            # no cold first step and no clipped cell.
-            usable = _inside_guard(first[0])
-            if shifted:
-                usable &= _inside_guard(prior[0])
-                if fresh is not None:
-                    usable &= ~fresh
-            lost = ~done & outclassed(prior, first[0], L, usable)
-            pruned += int(lost.sum())
-            out = done | lost
-        fresh = None
-        if out.any():
-            retire(done, it, True)
-            keep = ~out
-            members = members[keep]
-            if members.size == 0:
-                break
-            beta, eta, mu, L, y, sat, dev, prev_improvement = (
-                arr[keep]
-                for arr in (beta, eta, mu, L, y, sat, dev, prev_improvement)
+    # Overflow in a rejected step's gain and the NaN of a bound with no
+    # dual point are expected; nothing else in the loop raises either.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(1, max(max_iter, 1) + 1):
+            total_iterations += members.size
+            if step is None:
+                z = (y - mu) / mu
+                if not exact.all():
+                    z += eta - solver.linear_predictor(beta)
+                step = solver.solve(mu, z)
+            target = beta + step
+            step = None
+            floor = -1e-12 * (1.0 + np.abs(dev))
+            first = _eval_state_batch(target, y, solver)
+            d = first[0] - eta
+            if race is not None:
+                # The bound needs eta = X beta at both ends of the full
+                # step: no cold first step and no clipped cell.
+                upper = np.where(exact & first[3], _dual_bound(mu, L, d), np.inf)
+            beta, eta, mu, L, exact, improvement, full = _line_search_batch(
+                solver, y, beta, eta, mu, L, exact, floor, target, fresh, first, d
             )
-            solver = solver.subset(keep)
+            dev = 2.0 * (sat - L)
+            threshold = tol * (np.abs(dev) + tol)
+            quad = (
+                full
+                & (prev_improvement > 0.0)
+                & (improvement * improvement < prev_improvement * threshold * 1e-3)
+            )
+            done = (improvement < threshold) | quad
+            prev_improvement = improvement
+            if fresh is not None:
+                # A cold first step only moves onto the model (see
+                # fit_poisson): no convergence test, no improvement
+                # history.
+                done &= ~fresh
+                prev_improvement[fresh] = 0.0
+            out = done
+            if race is not None:
+                lost = ~done & outclassed(upper, L)
+                pruned += int(lost.sum())
+                out = done | lost
+            fresh = None
+            if out.any():
+                retire(done, it, True)
+                keep = ~out
+                members = members[keep]
+                if members.size == 0:
+                    break
+                beta, eta, mu, L, exact, y, sat, dev, prev_improvement = (
+                    arr[keep]
+                    for arr in (
+                        beta, eta, mu, L, exact, y, sat, dev, prev_improvement
+                    )
+                )
+                solver = solver.subset(keep)
     retire(np.ones(members.size, dtype=bool), it, False)
 
     fitkernel.record(

@@ -79,7 +79,7 @@ def chapman_estimate(
 ) -> TwoSampleEstimate:
     """Chapman's bias-corrected L-P variant (finite even when R = 0)."""
     _check_counts(first, second, recaptured)
-    population = (first + 1) * (second + 1) / (recaptured + 1) - 1
+    population = _chapman_population(first, second, recaptured)
     variance = (
         (first + 1)
         * (second + 1)
@@ -90,6 +90,11 @@ def chapman_estimate(
     return _with_interval(
         population, variance, first, second, recaptured, confidence
     )
+
+
+def _chapman_population(first: int, second: int, recaptured: int) -> float:
+    """Chapman's point estimate ``(M + 1)(C + 1) / (R + 1) - 1``."""
+    return (first + 1) * (second + 1) / (recaptured + 1) - 1
 
 
 def lincoln_petersen_from_sets(
@@ -123,8 +128,10 @@ def pairwise_chapman_matrix(
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             recaptured = sets[i].overlap_count(sets[j])
-            estimate = chapman_estimate(sizes[i], sizes[j], recaptured)
-            matrix[i, j] = matrix[j, i] = estimate.population
+            _check_counts(sizes[i], sizes[j], recaptured)
+            matrix[i, j] = matrix[j, i] = _chapman_population(
+                sizes[i], sizes[j], recaptured
+            )
     return names, matrix
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core import fitkernel
 from repro.core.design import main_effect_terms, term_key, term_order
-from repro.core.glm import Race, fit_poisson_batch
+from repro.core.glm import Candidates, GlmFit, Race, fit_poisson_batch
 from repro.core.histories import ContingencyTable
 from repro.core.loglinear import FittedLoglinear, LoglinearModel
 
@@ -218,23 +218,6 @@ def _term_mask(term: frozenset) -> int:
     return mask
 
 
-@dataclass
-class _BatchJob:
-    """One pending candidate fit inside the batched stepwise search.
-
-    ``masks`` holds each design column's history bitmask, intercept
-    first.  A candidate's columns are its parent's canonical layout
-    with the new term appended; ``position`` is where that last
-    coefficient belongs in canonical order (``None``: already there).
-    """
-
-    state: "_SearchState"
-    terms: frozenset
-    masks: tuple
-    beta0: np.ndarray | None = None
-    position: int | None = None
-
-
 class _SearchState:
     """Per-table stepwise bookkeeping for :func:`select_models_batched`."""
 
@@ -253,6 +236,7 @@ class _SearchState:
         "path",
         "active",
         "candidates",
+        "pending",
     )
 
     def __init__(self, table, scaled, resolved, distribution, limit):
@@ -266,6 +250,7 @@ class _SearchState:
         self.path: list[CandidateScore] = []
         self.active = True
         self.candidates: list[frozenset] = []
+        self.pending: list[frozenset] = []
 
     def fetch(self, terms: frozenset) -> FittedLoglinear:
         """Memoised fit lookup, counted as a memo hit."""
@@ -291,45 +276,93 @@ def _canonical_coef(coef: np.ndarray, position: int | None) -> np.ndarray:
     return out
 
 
-def _run_batch_jobs(jobs: list[_BatchJob], racing: bool = False) -> None:
-    """Fit pending candidates, grouped by stack shape, and memoise.
+def _memoise(state: "_SearchState", terms: frozenset, fit: GlmFit, coef) -> None:
+    """Record a finished candidate fit (canonical ``coef``) in the memo."""
+    state.memo[terms] = FittedLoglinear(
+        table=state.scaled,
+        terms=terms,
+        coef=coef,
+        fitted=fit.fitted,
+        loglik=fit.loglik,
+        distribution="poisson",
+        limit=None,
+        converged=fit.converged,
+        iterations=fit.iterations,
+    )
+
+
+def _columns(ordered) -> tuple[int, ...]:
+    """Design columns as history bitmasks, intercept first, for terms
+    in canonical order."""
+    return (0,) + tuple(_term_mask(term) for term in ordered)
+
+
+def _by_shape(states) -> list[list["_SearchState"]]:
+    """Tables grouped by the design shape of their current model."""
+    groups: dict[tuple[int, int], list[_SearchState]] = {}
+    for state in states:
+        shape = (state.counts.size, len(state.current))
+        groups.setdefault(shape, []).append(state)
+    return list(groups.values())
+
+
+def _fit_roots(states: list["_SearchState"]) -> None:
+    """Fit every table's independence model, one stack per design shape.
 
     Candidates are always scored with the plain Poisson likelihood: it
     is the cheap fit, and the paper notes truncation "otherwise makes
     little difference" outside small strata — the final model is refit
-    with the requested distribution.  With ``racing``, each table's
-    candidates race for its round (see
-    :func:`~repro.core.glm.fit_poisson_batch`) against the floor
-    ``state.floor``: a candidate retired unfitted is not memoised.
+    with the requested distribution.
     """
-    groups: dict[tuple[int, int], list[_BatchJob]] = {}
-    for job in jobs:
-        shape = (job.state.counts.size, len(job.masks))
-        groups.setdefault(shape, []).append(job)
-    for group in groups.values():
-        counts = np.stack([job.state.counts for job in group])
-        seeds = [job.beta0 for job in group]
-        masks = np.array([job.masks for job in group], dtype=np.int64)
-        race = None
-        if racing:
-            race = Race(
-                table=np.array([id(job.state) for job in group]),
-                floor=np.array([job.state.floor for job in group]),
-            )
-        fits = fit_poisson_batch(masks, counts, beta0=seeds, race=race)
-        for job, fit in zip(group, fits):
+    for group in _by_shape(states):
+        fits = fit_poisson_batch(
+            np.array([_columns(term_order(state.current)) for state in group]),
+            np.stack([state.counts for state in group]),
+        )
+        for state, fit in zip(group, fits):
+            _memoise(state, state.current, fit, fit.coef)
+
+
+def _race_round(states: list["_SearchState"]) -> None:
+    """Fit each table's pending candidates as its parent plus one column.
+
+    Tables whose parents share a design shape go into one
+    :func:`~repro.core.glm.fit_poisson_batch` call, each table's counts
+    and parent coefficients passed once (see
+    :class:`~repro.core.glm.Candidates`), and each table's candidates
+    race for its round against the floor ``state.floor``.  Only the
+    candidates that finish are memoised: one retired unfitted could not
+    have won.  A candidate's new coefficient comes back last and is
+    moved to its canonical slot — the ML likelihood is invariant under
+    column permutation.
+    """
+    for group in _by_shape(state for state in states if state.pending):
+        ordered = [term_order(state.current) for state in group]
+        parent = np.repeat(
+            np.arange(len(group)), [len(state.pending) for state in group]
+        )
+        pending = [(r, term) for r, state in enumerate(group) for term in state.pending]
+        fits = fit_poisson_batch(
+            np.array([_columns(terms) for terms in ordered]),
+            np.stack([state.counts for state in group]),
+            beta0=[state.current_fit.coef for state in group],
+            race=Race(
+                table=parent,
+                floor=np.array([state.floor for state in group])[parent],
+            ),
+            candidates=Candidates(
+                parent=parent,
+                column=np.array([_term_mask(term) for _, term in pending]),
+            ),
+        )
+        keys = [[term_key(term) for term in terms] for terms in ordered]
+        for (r, term), fit in zip(pending, fits):
             if fit is None:
                 continue
-            job.state.memo[job.terms] = FittedLoglinear(
-                table=job.state.scaled,
-                terms=job.terms,
-                coef=_canonical_coef(fit.coef, job.position),
-                fitted=fit.fitted,
-                loglik=fit.loglik,
-                distribution="poisson",
-                limit=None,
-                converged=fit.converged,
-                iterations=fit.iterations,
+            position = 1 + bisect_left(keys[r], term_key(term))
+            _memoise(
+                group[r], group[r].current | {term}, fit,
+                _canonical_coef(fit.coef, position),
             )
 
 
@@ -388,12 +421,9 @@ def select_models_batched(
         states.append(_SearchState(table, scaled, resolved, distribution, limit))
 
     # Root fits (the independence model), batched across tables.
-    jobs = []
     for state in states:
         state.current = main_effect_terms(state.table.num_sources)
-        masks = (0,) + tuple(_term_mask(term) for term in term_order(state.current))
-        jobs.append(_BatchJob(state, state.current, masks))
-    _run_batch_jobs(jobs)
+    _fit_roots(states)
     for state in states:
         state.current_fit = state.memo[state.current]
         state.best = _score(state.current_fit, criterion)
@@ -401,11 +431,11 @@ def select_models_batched(
 
     live = list(states)
     while live:
-        jobs = []
         for state in live:
             state.candidates = _candidate_terms(
                 state.table.num_sources, state.current, max_order
             )
+            state.pending = []
             if not state.candidates:
                 state.active = False
                 continue
@@ -415,30 +445,15 @@ def select_models_batched(
             state.floor = state.best.loglik + 0.5 * information_criterion(
                 0.0, 1, state.scaled.num_observed, criterion
             )
-            parent_ordered = term_order(state.current)
-            parent_keys = [term_key(term) for term in parent_ordered]
-            parent_masks = (0,) + tuple(
-                _term_mask(term) for term in parent_ordered
-            )
-            beta0 = np.append(state.current_fit.coef, 0.0)
             for term in state.candidates:
-                cand_terms = state.current | {term}
-                cached = state.memo.get(cand_terms)
+                cached = state.memo.get(state.current | {term})
                 if cached is not None:
                     fitkernel.record(
                         memo_hits=1, iterations_saved=cached.iterations
                     )
                     continue
-                jobs.append(
-                    _BatchJob(
-                        state,
-                        cand_terms,
-                        parent_masks + (_term_mask(term),),
-                        beta0,
-                        1 + bisect_left(parent_keys, term_key(term)),
-                    )
-                )
-        _run_batch_jobs(jobs, racing=True)
+                state.pending.append(term)
+        _race_round(live)
         for state in live:
             if not state.active:
                 continue

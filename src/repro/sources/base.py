@@ -83,6 +83,8 @@ def union_of_quarters(source, start: float, end: float) -> IPSet:
     chunks = [c for c in chunks if c.size]
     if not chunks:
         return IPSet.empty()
+    if len(chunks) == 1:  # already sorted-unique
+        return IPSet.from_sorted_unique(chunks[0])
     return IPSet.from_sorted_unique(unique_addresses(np.concatenate(chunks)))
 
 
@@ -108,6 +110,10 @@ class QuarterlySource(MeasurementSource):
         self.population = population
         self._seed = seed
         self._quarter_cache: dict[int, np.ndarray] = {}
+        # Per-address arrays that every quarter's observation uses:
+        # built at the first observation, dropped once every quarter
+        # the source covers is cached.
+        self._kept: dict[str, np.ndarray] = {}
 
     def _quarter_rng(self, index: int) -> np.random.Generator:
         return np.random.default_rng(_derive_seed(self._seed, self.name, index))
@@ -125,6 +131,10 @@ class QuarterlySource(MeasurementSource):
             self._quarter_cache[index] = unique_addresses(
                 self._observe_quarter(index, rng)
             )
+            first = quarter_of(self.available_from)
+            last = quarter_of(self.available_to - 1e-9)
+            if all(q in self._quarter_cache for q in range(first, last + 1)):
+                self._kept.clear()
         return self._quarter_cache[index]
 
     def collect(self, start: float, end: float) -> IPSet:

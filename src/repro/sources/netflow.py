@@ -57,13 +57,18 @@ class NetFlowSource(QuarterlySource):
             count = int(count * self.spoof_spike_factor)
         return count
 
-    def _observe_quarter(self, index: int, rng: np.random.Generator) -> np.ndarray:
+    def _legitimate(self, index: int, rng: np.random.Generator) -> np.ndarray:
         pop = self.population
+        kept = self._kept
+        if "probability" not in kept:  # the rate is constant: kept across quarters
+            aff = NETFLOW_AFFINITY[pop.host_type]
+            weight = pop.activity.astype(np.float64) ** self.activity_exponent
+            kept["probability"] = -np.expm1(-(self.rate / 4.0) * weight * aff)
         active = self._active_mask(index)
-        aff = NETFLOW_AFFINITY[pop.host_type]
-        weight = pop.activity.astype(np.float64) ** self.activity_exponent
-        prob = -np.expm1(-(self.rate / 4.0) * weight * aff)
-        legit = pop.addresses[active & (rng.random(len(pop)) < prob)]
+        return pop.addresses[active & (rng.random(len(pop)) < kept["probability"])]
+
+    def _observe_quarter(self, index: int, rng: np.random.Generator) -> np.ndarray:
+        legit = self._legitimate(index, rng)
         spoof_rng = np.random.default_rng(
             _derive_seed(self._seed, self.name, "spoof", index)
         )
@@ -80,10 +85,4 @@ class NetFlowSource(QuarterlySource):
         Uses the same RNG stream as :meth:`_observe_quarter`, so it is
         exactly the spoof-free part of the published dataset.
         """
-        rng = self._quarter_rng(index)
-        pop = self.population
-        active = self._active_mask(index)
-        aff = NETFLOW_AFFINITY[pop.host_type]
-        weight = pop.activity.astype(np.float64) ** self.activity_exponent
-        prob = -np.expm1(-(self.rate / 4.0) * weight * aff)
-        return pop.addresses[active & (rng.random(len(pop)) < prob)]
+        return self._legitimate(index, self._quarter_rng(index))

@@ -57,12 +57,30 @@ class LogSource(QuarterlySource):
         years = max(0.0, start - 2011.0)
         return self.rate * (1.0 + self.yearly_rate_growth) ** years
 
+    def _capture_probability(self, index: int) -> np.ndarray:
+        """Each address's capture probability in quarter ``index``.
+
+        ``activity ** gamma`` is the same every quarter, and so is the
+        whole probability of a source without rate growth: whichever
+        applies is kept across quarters.
+        """
+        kept = self._kept
+        if "probability" in kept:
+            return kept["probability"]
+        pop = self.population
+        weight = kept.get("weight")
+        if weight is None:
+            weight = pop.activity.astype(np.float64) ** self.activity_exponent
+        aff = self.affinity[pop.host_type]
+        prob = -np.expm1(-((self._rate_at(index) / 4.0) * weight * aff))
+        if self.yearly_rate_growth:
+            kept["weight"] = weight
+        else:
+            kept["probability"] = prob
+        return prob
+
     def _observe_quarter(self, index: int, rng: np.random.Generator) -> np.ndarray:
         pop = self.population
         active = self._active_mask(index)
-        aff = self.affinity[pop.host_type]
-        weight = pop.activity.astype(np.float64) ** self.activity_exponent
-        intensity = (self._rate_at(index) / 4.0) * weight * aff
-        prob = -np.expm1(-intensity)
-        seen = active & (rng.random(len(pop)) < prob)
+        seen = active & (rng.random(len(pop)) < self._capture_probability(index))
         return pop.addresses[seen]

@@ -11,7 +11,14 @@ import pytest
 
 from repro.core import fitkernel
 from repro.core.design import design_matrix, main_effect_terms, pairwise_terms
-from repro.core.glm import GlmError, Race, fit_poisson, fit_poisson_batch, poisson_loglik
+from repro.core.glm import (
+    Candidates,
+    GlmError,
+    Race,
+    fit_poisson,
+    fit_poisson_batch,
+    poisson_loglik,
+)
 from repro.core.histories import ContingencyTable
 from repro.core.loglinear import LoglinearModel
 from repro.core.selection import information_criterion, select_model
@@ -282,6 +289,31 @@ class TestBatchedSolver:
                 X * sw[:, None], z[g] * sw, rcond=None
             )
             np.testing.assert_allclose(out[g], expected, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("keep_degenerate", [False, True])
+    def test_subset_slices_as_a_fresh_build(self, keep_degenerate):
+        _, masks = _design_masks(4, main_effect_terms(4), members=5)
+        masks[3, -1] = masks[3, 1]  # a duplicated column
+        solver = fitkernel.BatchedIrlsSolver(masks, 15)
+        keep = np.array([True, False, True, keep_degenerate, True])
+        sliced = solver.subset(keep)
+        fresh = fitkernel.BatchedIrlsSolver(masks[keep], 15)
+        assert sliced.duplicates is keep_degenerate
+        for slot in fitkernel.BatchedIrlsSolver.__slots__:
+            np.testing.assert_array_equal(getattr(sliced, slot), getattr(fresh, slot))
+
+    def test_shared_rows_solve_bitwise_as_copies(self):
+        rng = np.random.default_rng(12)
+        terms = main_effect_terms(4) | {frozenset({0, 1})}
+        _, masks = _design_masks(4, terms, members=5)
+        masks[1:, -1] = [_mask({1, 2}), _mask({2, 3}), _mask({0, 3}), _mask({1, 3})]
+        rows = np.array([1, 0, 1, 1, 0])
+        w = rng.uniform(0.5, 3.0, size=(2, 15))
+        z = rng.normal(size=(2, 15))
+        solver = fitkernel.BatchedIrlsSolver(masks, 15)
+        np.testing.assert_array_equal(
+            solver.solve(w, z, rows), solver.solve(w[rows], z[rows])
+        )
 
 
 class TestBatchedPoissonFits:
@@ -561,7 +593,7 @@ class TestBatchedLineSearch:
         _, counts, seeds, masks = _candidate_stack(table)
         solver = fitkernel.BatchedIrlsSolver(masks, counts.shape[1])
         beta = np.array(seeds)
-        eta, mu, L = glm._eval_state_batch(beta, counts, solver)
+        eta, mu, L, exact = glm._eval_state_batch(beta, counts, solver)
         sat = np.array([glm._y_constants(row)[0] for row in counts])
         floor = -1e-12 * (1.0 + np.abs(2.0 * (sat - L)))
         # Member 0 steps straight down the likelihood, so every step
@@ -577,8 +609,10 @@ class TestBatchedLineSearch:
             return evaluate(self, *args)
 
         monkeypatch.setattr(fitkernel.BatchedIrlsSolver, "linear_predictor", counted)
-        new_beta, _, new_mu, new_L, improvement, full = glm._line_search_batch(
-            solver, counts, beta, eta, mu, L, floor, target, None
+        first = glm._eval_state_batch(target, counts, solver)
+        new_beta, _, new_mu, new_L, _, improvement, full = glm._line_search_batch(
+            solver, counts, beta, eta, mu, L, exact, floor, target, None,
+            first, first[0] - eta,
         )
         assert len(calls) == 30  # step sizes 1 .. 2**-29, as in fit_poisson
         assert not full[0] and full[1:].all()
@@ -602,13 +636,20 @@ class TestDualBound:
         trips = []
         search = glm._line_search_batch
 
-        def recording(solver, y, beta, eta, mu, L, floor, target, force, first):
-            usable = glm._inside_guard(eta) & glm._inside_guard(first[0])
+        def inside(eta):
+            return (eta.min(axis=1) > glm._ETA_MIN) & (eta.max(axis=1) < glm._ETA_MAX)
+
+        def recording(
+            solver, y, beta, eta, mu, L, exact, floor, target, force, first, d
+        ):
+            usable = inside(eta) & inside(first[0])
             if force is not None:
                 usable &= ~force
-            upper = glm._dual_bound(eta, mu, L, first[0])
+            upper = glm._dual_bound(mu, L, first[0] - eta)
             trips.append((y.copy(), np.where(usable, upper, np.inf)))
-            return search(solver, y, beta, eta, mu, L, floor, target, force, first)
+            return search(
+                solver, y, beta, eta, mu, L, exact, floor, target, force, first, d
+            )
 
         monkeypatch.setattr(glm, "_line_search_batch", recording)
         checked = []
@@ -696,4 +737,77 @@ class TestRace:
             fit_poisson_batch(
                 masks, counts, beta0=seeds,
                 race=Race(table=np.zeros(2), floor=np.zeros(2)),
+            )
+
+
+def _assert_bitwise(fit, reference):
+    assert fit.coef.tobytes() == reference.coef.tobytes()
+    assert fit.fitted.tobytes() == reference.fitted.tobytes()
+    assert (fit.deviance, fit.iterations, fit.converged) == (
+        reference.deviance, reference.iterations, reference.converged
+    )
+    assert fit.loglik_kernel == reference.loglik_kernel
+    assert fit.loglik_norm == reference.loglik_norm
+
+
+class TestSharedParents:
+    """One stepwise round passed as parents plus candidate columns (each
+    table's counts and parent seed once) fits bit for bit what the same
+    round fits from per-member copies of those counts and seeds."""
+
+    @pytest.mark.parametrize("num_sources", [3, 5, 9])
+    @pytest.mark.parametrize("start", ["warm", "cold-parent"])
+    @pytest.mark.parametrize("raced", [False, True])
+    def test_shared_inputs_fit_bitwise_as_per_member_copies(
+        self, num_sources, start, raced
+    ):
+        tables = [_capture_table(num_sources, seed) for seed in (21, 22, 23)]
+        if num_sources == 3:
+            tables = tables[:1]  # three candidates: the per-member path
+        t = num_sources
+        parent_masks = [0] + [1 << s for s in range(t)]
+        counts = np.stack([table.counts[1:].astype(np.float64) for table in tables])
+        X = fitkernel.lattice_design(parent_masks, counts.shape[1])
+        parents = [fit_poisson(X, y) for y in counts]
+        seeds = [fit.coef for fit in parents]
+        if start == "cold-parent":
+            seeds[-1] = None
+        pairs = [_mask(term) for term in pairwise_terms(t)]
+        parent = np.repeat(np.arange(len(tables)), len(pairs))
+        column = np.tile(pairs, len(tables))
+        race = None
+        if raced:
+            floors = [
+                fit.loglik + 0.5 * np.log(table.num_observed)
+                for fit, table in zip(parents, tables)
+            ]
+            race = Race(table=parent, floor=np.array(floors)[parent])
+
+        before = fitkernel.snapshot()
+        shared = fit_poisson_batch(
+            np.array([parent_masks] * len(tables)), counts, beta0=seeds,
+            race=race, candidates=Candidates(parent=parent, column=column),
+        )
+        shared_counters = fitkernel.snapshot() - before
+        before = fitkernel.snapshot()
+        copied = fit_poisson_batch(
+            np.column_stack([np.array([parent_masks] * parent.size), column]),
+            counts[parent],
+            beta0=[None if seeds[r] is None else np.append(seeds[r], 0.0)
+                   for r in parent],
+            race=race,
+        )
+        assert fitkernel.snapshot() - before == shared_counters
+        assert [fit is None for fit in shared] == [fit is None for fit in copied]
+        if raced and parent.size >= 4:
+            assert shared_counters.candidates_pruned > 0
+        for fit, reference in zip(shared, copied):
+            if fit is not None:
+                _assert_bitwise(fit, reference)
+
+    def test_candidates_must_index_the_parents(self):
+        with pytest.raises(GlmError):
+            fit_poisson_batch(
+                np.array([[0, 1, 2]]), np.ones((1, 3)),
+                candidates=Candidates(parent=np.array([0, 1]), column=np.array([3, 3])),
             )

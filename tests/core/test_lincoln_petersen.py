@@ -8,6 +8,7 @@ from repro.core.lincoln_petersen import (
     chapman_estimate,
     lincoln_petersen_estimate,
     lincoln_petersen_from_sets,
+    pairwise_chapman_matrix,
 )
 from repro.ipspace.ipset import IPSet
 
@@ -98,3 +99,24 @@ class TestFromSets:
         b = IPSet.from_sorted_unique(pop[visible & (rng.random(N) < 0.6)])
         est = lincoln_petersen_from_sets(a, b)
         assert est.population < 0.75 * N
+
+
+class TestPairwiseChapmanMatrix:
+    def test_entries_are_the_pairwise_chapman_estimates(self):
+        rng = np.random.default_rng(4)
+        datasets = {
+            name: IPSet(rng.choice(5_000, size=size, replace=False))
+            for name, size in (("a", 900), ("b", 1_400), ("c", 60), ("d", 0))
+        }
+        names, matrix = pairwise_chapman_matrix(datasets)
+        assert names == ("a", "b", "c", "d")
+        for i, first in enumerate(names):
+            assert np.isnan(matrix[i, i])
+            for j, second in enumerate(names):
+                if i == j:
+                    continue
+                one, two = datasets[first], datasets[second]
+                expected = chapman_estimate(
+                    len(one), len(two), one.overlap_count(two)
+                ).population
+                assert matrix[i, j] == expected

@@ -203,6 +203,45 @@ class TestJournalCorruption:
         assert "corrupt record at segment-000000.jsonl:3 " in err[0]
 
 
+class TestJournalPaths:
+    @pytest.mark.parametrize("verb", ["advance", "snapshot"])
+    def test_read_only_verbs_create_no_journal(self, verb, tmp_path, capsys):
+        path = tmp_path / "no" / "such" / "journal"
+        code = main(
+            ARGS + ["stream", verb, "--journal", str(path),
+                    "--store", str(tmp_path / "store")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"no journal at {path}\n"
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_ingest_creates_the_journal(self, tmp_path, capsys):
+        path = tmp_path / "new" / "journal"
+        assert main(ARGS + ["stream", "ingest", "--journal", str(path)]) == 0
+        assert path.is_dir()
+        assert "ingested 0 record(s)" in capsys.readouterr().out
+
+    def test_simulated_ingest_builds_the_world_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.cli
+
+        built = []
+        real = repro.cli.SyntheticInternet
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.cli, "SyntheticInternet", counted)
+        assert main(
+            ARGS + ["stream", "ingest", "--journal", str(tmp_path / "journal"),
+                    "--simulate", "--through", "2012.0"]
+        ) == 0
+        assert "wrote" in capsys.readouterr().out
+        assert len(built) == 1
+
+
 class TestLedgerSchemaErrors:
     def test_query_fails_clearly_on_newer_ledger(self, tmp_path, capsys):
         service = tmp_path / "service"
