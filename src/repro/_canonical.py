@@ -37,6 +37,18 @@ import numpy as np
 KEY_SCHEMA_VERSION = 3
 
 
+#: Encodings of frozen dataclasses (the pipeline options and the
+#: policies nested in them), keyed by object identity.  Every artifact
+#: key carries the run's one options object, and re-encoding it per key
+#: dominated a warm sweep's digest time.  Each entry holds its object,
+#: so the id cannot be reused while the entry lives; an equal but
+#: distinct object is encoded afresh (``1`` and ``True`` compare equal
+#: and encode differently).  Frozen fields are taken to be immutable,
+#: as their use in hashed keys already requires.
+_FROZEN_ENCODINGS: dict[int, tuple[Any, bytes]] = {}
+_FROZEN_ENCODINGS_MAX = 256
+
+
 def _emit_sized(out: bytearray, tag: bytes, payload: bytes) -> None:
     out += tag
     out += struct.pack("<Q", len(payload))
@@ -105,6 +117,12 @@ def _encode(obj: Any, out: bytearray) -> None:
         _emit_sized(out, b"d", bytes(body))
         return
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        frozen = type(obj).__dataclass_params__.frozen
+        if frozen:
+            cached = _FROZEN_ENCODINGS.get(id(obj))
+            if cached is not None and cached[0] is obj:
+                out += cached[1]
+                return
         # Tag with the class identity, then the field mapping: two
         # different option classes with equal fields stay distinct.
         body = bytearray()
@@ -113,7 +131,13 @@ def _encode(obj: Any, out: bytearray) -> None:
             {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)},
             body,
         )
-        _emit_sized(out, b"D", bytes(body))
+        chunk = bytearray()
+        _emit_sized(chunk, b"D", bytes(body))
+        if frozen:
+            if len(_FROZEN_ENCODINGS) >= _FROZEN_ENCODINGS_MAX:
+                _FROZEN_ENCODINGS.clear()
+            _FROZEN_ENCODINGS[id(obj)] = (obj, bytes(chunk))
+        out += chunk
         return
     # Last resort for exotic parameter types: class-qualified repr.
     # Anything hot in a key should be one of the canonical types above.

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import gammaln
 
 from repro.core.histories import ContingencyTable
@@ -58,6 +57,10 @@ def fit_m0(table: ContingencyTable) -> ClosedModelEstimate:
     The likelihood depends on the data only through ``M`` (observed)
     and the total number of captures ``n.``; N is profiled numerically.
     """
+    # Local: scipy.optimize costs every process ~0.2 s to import, and
+    # only the M0 and Mb fitters use it.
+    from scipy import optimize
+
     _check(table)
     t = table.num_sources
     M = table.num_observed
@@ -137,6 +140,8 @@ def fit_mb(table: ContingencyTable) -> ClosedModelEstimate:
     order follows source order, which is arbitrary for our data — the
     model is included as the family's completeness baseline.
     """
+    from scipy import optimize  # local: see fit_m0
+
     _check(table)
     t = table.num_sources
     counts = table.counts

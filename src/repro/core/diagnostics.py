@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from repro.core.loglinear import FittedLoglinear
 
@@ -54,7 +54,7 @@ class FitDiagnostics:
         """
         if self.dof <= 0:
             return float("nan")
-        return float(stats.chi2.sf(self.pearson_chi2, self.dof))
+        return float(chdtrc(self.dof, self.pearson_chi2))
 
     def worst_cells(self, count: int = 5) -> list[CellResidual]:
         """Cells with the largest absolute Pearson residuals."""

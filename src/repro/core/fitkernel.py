@@ -22,7 +22,8 @@ layer observable:
   :func:`repro.core.glm.fit_poisson_batch`).
 * :class:`FitCounters` and the module-level totals record fits, IRLS
   iterations run and saved, warm-start hits, memoisation hits, Cholesky
-  fallbacks and design-matrix cache traffic.  The engine snapshots the
+  fallbacks, design-matrix cache traffic, and fits that did not
+  converge or sit on a boundary.  The engine snapshots the
   totals around every stage execution and attaches the delta to the
   stage's record, so ``--report`` shows where the fit work went.
 
@@ -42,6 +43,12 @@ Counter semantics:
 * ``cholesky_fallbacks`` — weighted solves that fell back to ``lstsq``.
 * ``design_cache_hits`` / ``design_cache_misses`` — design-matrix
   memoisation traffic (see :func:`repro.core.design.design_matrix`).
+* ``nonconverged`` — fits that ran out of iterations before their
+  deviance settled (``converged=False``); raced candidates retired
+  unfitted are pruned, not counted here.
+* ``boundary`` — model fits (:meth:`repro.core.loglinear.LoglinearModel.fit`)
+  whose MLE does not exist because a zero margin contrast puts cells
+  on a face (see :func:`repro.core.loglinear.contrast_face`).
 
 The totals are process-local; engine workers ship their deltas back to
 the parent inside stage records, exactly like wall-time instrumentation.
@@ -71,6 +78,8 @@ class FitCounters:
     cholesky_fallbacks: int = 0
     design_cache_hits: int = 0
     design_cache_misses: int = 0
+    nonconverged: int = 0
+    boundary: int = 0
 
     def __add__(self, other: "FitCounters") -> "FitCounters":
         return FitCounters(

@@ -311,7 +311,10 @@ def fit_poisson(
         prev_improvement = improvement
 
     fitkernel.record(
-        fits=1, irls_iterations=iterations, warm_start_hits=int(warm)
+        fits=1,
+        irls_iterations=iterations,
+        warm_start_hits=int(warm),
+        nonconverged=int(not converged),
     )
     return GlmFit(
         coef=beta,
@@ -706,5 +709,6 @@ def fit_poisson_batch(
         irls_iterations=total_iterations,
         warm_start_hits=int(warm.sum()),
         candidates_pruned=pruned,
+        nonconverged=members.size,
     )
     return fits

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from repro.ipspace.ipset import IPSet
 
@@ -155,7 +155,7 @@ def _with_interval(
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     union = first + second - recaptured
-    z = stats.norm.ppf(0.5 + confidence / 2)
+    z = ndtri(0.5 + confidence / 2)
     spread = z * np.sqrt(max(variance, 0.0))
     return TwoSampleEstimate(
         population=population,

@@ -17,6 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.core import fitkernel
 from repro.core.design import describe_terms, design_matrix, validate_terms
 from repro.core.glm import fit_poisson
 from repro.core.histories import ContingencyTable
@@ -57,6 +58,40 @@ class PopulationEstimate:
         )
 
 
+def contrast_face(table: ContingencyTable, terms: Iterable[frozenset]) -> frozenset:
+    """Observed cells that a zero margin contrast pushes to ``mu = 0``.
+
+    Each model term ``U`` and each facet ``T = U - {k}`` (the intercept
+    when ``U`` is one source) give two contrasts of the table: the
+    margin of ``U`` (the cells containing ``U``) and the margin of
+    ``T`` less that of ``U`` (the cells containing ``T`` but not
+    ``k``).  A contrast whose cells are all zero is a direction of
+    recession, ``-e_U`` or ``e_U - e_T``: the likelihood keeps rising as
+    those cells' means fall, so the MLE does not exist and the fit can
+    only approach the face where they vanish.  For a pair ``{i, j}``
+    the second contrast reads "source ``i`` saw nothing ``j`` missed";
+    for a source ``k`` the first is a zero margin and the second "``k``
+    saw every observed individual".  Returns the union of those cells
+    as history bitmasks, empty when every contrast holds a positive
+    cell.
+    """
+    t = table.num_sources
+    # margins[m]: individuals whose history holds every source of m
+    # (exact: integer sums far below 2^53).
+    margins = fitkernel._superset_sums(table.counts[None, :].astype(np.float64), t)[0]
+    histories = np.arange(1, 2**t)
+    face = np.zeros(histories.size, dtype=bool)
+    for term in terms:
+        mask = sum(1 << source for source in term)
+        if margins[mask] == 0:
+            face |= (histories & mask) == mask
+        for k in term:
+            facet = mask ^ (1 << k)
+            if margins[facet] == margins[mask]:
+                face |= ((histories & facet) == facet) & ((histories >> k) & 1 == 0)
+    return frozenset(histories[face].tolist())
+
+
 @dataclass(frozen=True)
 class FittedLoglinear:
     """A log-linear model fitted to a contingency table."""
@@ -74,6 +109,18 @@ class FittedLoglinear:
     @property
     def num_params(self) -> int:
         return int(self.coef.size)
+
+    @property
+    def face(self) -> frozenset:
+        """Cells the MLE pushes to zero (:func:`contrast_face`).
+
+        Non-empty means the MLE does not exist: the optimiser reports
+        the point where it clipped those cells' means, and the
+        coefficients of the terms involved are not identified.
+        Computed from the table and terms, so a fit stores nothing for
+        it.
+        """
+        return contrast_face(self.table, self.terms)
 
     @property
     def intercept(self) -> float:
@@ -178,7 +225,7 @@ class LoglinearModel:
             beta0=beta0,
             limit=limit if truncated else None,
         )
-        return FittedLoglinear(
+        fitted = FittedLoglinear(
             table=table,
             terms=self.terms,
             coef=fit.coef,
@@ -189,3 +236,5 @@ class LoglinearModel:
             converged=fit.converged,
             iterations=fit.iterations,
         )
+        fitkernel.record(boundary=int(bool(fitted.face)))
+        return fitted

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaincinv
 
 from repro.core.design import design_matrix
 from repro.core.glm import fit_poisson
@@ -26,6 +26,13 @@ from repro.core.histories import ContingencyTable
 
 #: The paper's deliberately tiny alpha for wide heuristic ranges.
 DEFAULT_ALPHA = 1e-7
+
+
+def chi2_cut(alpha: float) -> float:
+    """The one-degree-of-freedom chi-square quantile ``chi2_{1, 1-alpha}``:
+    ``2 * gammaincinv(1/2, 1 - alpha)``, as ``scipy.stats.chi2.ppf``
+    computes it."""
+    return 2.0 * float(gammaincinv(0.5, 1.0 - alpha))
 
 
 @dataclass(frozen=True)
@@ -127,7 +134,7 @@ def profile_likelihood_interval(
         hi *= 2.0
     mode = _golden_max(loglik, lo, hi)
     ll_max = loglik(mode)
-    threshold = ll_max - 0.5 * stats.chi2.ppf(1.0 - alpha, df=1)
+    threshold = ll_max - 0.5 * chi2_cut(alpha)
 
     low, high = _lockstep(
         [

@@ -104,7 +104,8 @@ class ModelSelection:
 def _candidate_terms(
     num_sources: int, current: frozenset, max_order: int
 ) -> list[frozenset]:
-    """Hierarchically addable terms: every subset already present."""
+    """Hierarchically addable terms (every subset already present), in
+    the order :func:`~repro.core.design.term_order` gives them."""
     candidates = []
     for order in range(2, min(max_order, num_sources - 1) + 1):
         for combo in combinations(range(num_sources), order):
@@ -119,6 +120,32 @@ def _candidate_terms(
             if subsets_present:
                 candidates.append(term)
     return candidates
+
+
+def _next_candidates(
+    candidates: list[frozenset],
+    accepted: frozenset,
+    current: frozenset,
+    num_sources: int,
+    max_order: int,
+) -> list[frozenset]:
+    """:func:`_candidate_terms` of ``current`` after ``accepted`` joined
+    it, derived from the previous round's ``candidates``.
+
+    Only terms containing ``accepted`` can have gained their last
+    missing subset, and only those one source larger: a term qualifies
+    once every subset one smaller is present (``current`` is
+    hierarchical).  The list keeps :func:`_candidate_terms`' order.
+    """
+    kept = [term for term in candidates if term != accepted]
+    if len(accepted) + 1 > min(max_order, num_sources - 1):
+        return kept
+    unlocked = []
+    for source in range(num_sources):
+        term = accepted | {source}
+        if source not in accepted and all(term - {m} in current for m in term):
+            unlocked.append(term)
+    return sorted(kept + unlocked, key=term_key) if unlocked else kept
 
 
 def _score(fitted: FittedLoglinear, criterion: str) -> CandidateScore:
@@ -428,13 +455,13 @@ def select_models_batched(
         state.current_fit = state.memo[state.current]
         state.best = _score(state.current_fit, criterion)
         state.path.append(state.best)
+        state.candidates = _candidate_terms(
+            state.table.num_sources, state.current, max_order
+        )
 
     live = list(states)
     while live:
         for state in live:
-            state.candidates = _candidate_terms(
-                state.table.num_sources, state.current, max_order
-            )
             state.pending = []
             if not state.candidates:
                 state.active = False
@@ -471,10 +498,15 @@ def select_models_batched(
             if challenger.ic >= state.best.ic:
                 state.active = False
                 continue
+            (accepted,) = challenger.terms - state.current
             state.best = challenger
             state.current = challenger.terms
             state.current_fit = state.fetch(state.current)
             state.path.append(challenger)
+            state.candidates = _next_candidates(
+                state.candidates, accepted, state.current,
+                state.table.num_sources, max_order,
+            )
         live = [state for state in live if state.active]
 
     return [_finalise(state, criterion) for state in states]

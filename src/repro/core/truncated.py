@@ -19,8 +19,17 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 from scipy.special import gammaln, pdtr
+
+
+def poisson_logcdf(k: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """``log F(k; lambda)`` of the plain Poisson, ``-inf`` below its
+    support and where ``F`` underflows (``scipy.stats.poisson.logcdf``
+    without importing ``scipy.stats``)."""
+    k = np.floor(k)
+    with np.errstate(divide="ignore"):
+        log_cdf = np.log(pdtr(np.maximum(k, 0.0), rate))
+    return np.where(k < 0, -np.inf, log_cdf)
 
 
 def truncated_logpmf(k: np.ndarray, rate: np.ndarray, limit: float) -> np.ndarray:
@@ -28,7 +37,7 @@ def truncated_logpmf(k: np.ndarray, rate: np.ndarray, limit: float) -> np.ndarra
     k = np.asarray(k, dtype=np.float64)
     rate = np.maximum(np.asarray(rate, dtype=np.float64), 1e-300)
     base = k * np.log(rate) - rate - gammaln(k + 1.0)
-    log_norm = stats.poisson.logcdf(np.floor(limit), rate)
+    log_norm = poisson_logcdf(limit, rate)
     out = base - log_norm
     return np.where(k > limit, -np.inf, out)
 
@@ -50,8 +59,8 @@ def truncated_mean(rate: float | np.ndarray, limit: float) -> float | np.ndarray
     if np.any(limit < 0):
         raise ValueError("truncation limit must be non-negative")
     with np.errstate(over="ignore", invalid="ignore"):
-        log_upper = stats.poisson.logcdf(limit - 1, rate)
-        log_lower = stats.poisson.logcdf(limit, rate)
+        log_upper = poisson_logcdf(limit - 1, rate)
+        log_lower = poisson_logcdf(limit, rate)
         ratio = np.exp(log_upper - log_lower)
     # When the rate dwarfs the limit both log-CDFs underflow; the
     # distribution then concentrates at the limit itself.

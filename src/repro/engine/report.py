@@ -211,7 +211,8 @@ class RunReport:
         if totals:
             fit_header = (
                 f"{'fit kernel':<14} {'fits':>6} {'irls':>6} {'pruned':>6} "
-                f"{'saved':>6} {'warm':>6} {'memo':>6} {'chol-fb':>7}"
+                f"{'saved':>6} {'warm':>6} {'memo':>6} {'chol-fb':>7} "
+                f"{'nonconv':>7} {'boundary':>8}"
             )
             lines += [fit_header, "-" * len(fit_header)]
             for name, s in self.by_stage().items():
@@ -222,7 +223,8 @@ class RunReport:
                     f"{name:<14} {f.fits:>6} {f.irls_iterations:>6} "
                     f"{f.candidates_pruned:>6} {f.iterations_saved:>6} "
                     f"{f.warm_start_hits:>6} {f.memo_hits:>6} "
-                    f"{f.cholesky_fallbacks:>7}"
+                    f"{f.cholesky_fallbacks:>7} {f.nonconverged:>7} "
+                    f"{f.boundary:>8}"
                 )
             lines.append(
                 f"fit totals: {totals.fits} fits, "
@@ -231,6 +233,8 @@ class RunReport:
                 f"{totals.candidates_pruned} candidates pruned, "
                 f"{totals.warm_start_hits} warm starts, "
                 f"{totals.memo_hits} memo hits, "
-                f"{totals.cholesky_fallbacks} Cholesky fallbacks"
+                f"{totals.cholesky_fallbacks} Cholesky fallbacks, "
+                f"{totals.nonconverged} not converged, "
+                f"{totals.boundary} on a boundary"
             )
         return "\n".join(lines)

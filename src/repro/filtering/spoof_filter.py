@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import bdtrc
 
 from repro.ipspace.addresses import last_octet, subnet24_of, unique_addresses
 from repro.ipspace.intervals import IntervalSet
@@ -49,11 +49,9 @@ def binomial_threshold(
         raise ValueError(f"density must be a probability, got {density}")
     if density == 0:
         return 0
-    # sf(m) = P(X > m); walk up from 0 (m stays small for real densities).
-    for m in range(block_size + 1):
-        if stats.binom.sf(m, block_size, density) < tail_prob:
-            return m
-    return block_size
+    # bdtrc(m) = P(X > m) falls with m: take the first m below the tail.
+    below = bdtrc(np.arange(block_size + 1), block_size, density) < tail_prob
+    return int(np.argmax(below)) if below.any() else block_size
 
 
 def detect_empty_blocks(

@@ -16,6 +16,7 @@ from repro.core.selection import (
     CandidateScore,
     _candidate_terms,
     _canonical_coef,
+    _next_candidates,
     _resolve_scaled,
     _term_mask,
     adaptive_divisor,
@@ -157,6 +158,25 @@ class TestStepwiseSearch:
         table = tabulate_histories(sources)
         selection = select_model(table, distribution="truncated", limit=1e8)
         assert selection.fit.distribution == "truncated"
+
+
+@pytest.mark.parametrize("max_order", [2, 3])
+@pytest.mark.parametrize("num_sources", range(2, 8))
+def test_next_candidates_match_full_enumeration(num_sources, max_order):
+    """Each round's candidates, derived from the last round's, are the
+    full enumeration's list in its order, along random accepted
+    sequences."""
+    rng = np.random.default_rng(num_sources * 10 + max_order)
+    for _ in range(20):
+        current = main_effect_terms(num_sources)
+        candidates = _candidate_terms(num_sources, current, max_order)
+        while candidates:
+            accepted = candidates[rng.integers(len(candidates))]
+            current = current | {accepted}
+            candidates = _next_candidates(
+                candidates, accepted, current, num_sources, max_order
+            )
+            assert candidates == _candidate_terms(num_sources, current, max_order)
 
 
 def _reference_search(tables, criterion="bic"):

@@ -19,6 +19,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import _canonical
 from repro._canonical import (
     KEY_SCHEMA_VERSION,
     canonical_digest,
@@ -29,6 +30,7 @@ from repro.core import fitkernel
 from repro.core.histories import ContingencyTable
 from repro.engine import Executor
 from repro.engine.artifacts import MISS, ArtifactCache, ArtifactKey
+from repro.engine.stages import PipelineOptions
 from repro.engine.store import (
     ARRAY_MAGIC,
     ARRAY_SUFFIX,
@@ -39,6 +41,7 @@ from repro.engine.store import (
     _spill_payload,
     open_store,
 )
+from repro.integrity.policy import QuarantinePolicy
 from repro.ipspace.ipset import IPSet
 
 WINDOW = TimeWindow(2013.5, 2014.5)
@@ -120,6 +123,34 @@ class TestCanonicalEncoding:
 
         assert canonical_digest(Opts()) == canonical_digest(Opts())
         assert canonical_digest(Opts()) != canonical_digest({"x": 1})
+
+    def test_cached_options_encoding_digests_like_a_fresh_one(self, monkeypatch):
+        # A frozen dataclass is encoded once per object and its bytes
+        # reused; keys must digest exactly as a fresh encoding does.
+        options = PipelineOptions(
+            divisor=8, exclude_sources=("SWIN",),
+            quarantine=QuarantinePolicy.named("strict"),
+        )
+        params = ((2013.0, 2014.0), (("level", "subnets"),), options)
+        first = ArtifactKey("fit", params).digest()
+        cached = ArtifactKey("fit", params).digest()
+        assert id(options) in _canonical._FROZEN_ENCODINGS
+        monkeypatch.setattr(_canonical, "_FROZEN_ENCODINGS", {})
+        fresh = ArtifactKey("fit", params).digest()
+        copied = ArtifactKey(
+            "fit", params[:2] + (dataclasses.replace(options),)
+        ).digest()
+        assert first == cached == fresh == copied
+
+    def test_equal_frozen_objects_do_not_share_encodings(self):
+        @dataclasses.dataclass(frozen=True)
+        class Opts:
+            x: object = 1
+
+        one, true = Opts(1), Opts(True)
+        assert one == true
+        assert canonical_encode(one) != canonical_encode(true)
+        assert canonical_encode(true) != canonical_encode(one)
 
 
 class TestArtifactKeyDigest:
