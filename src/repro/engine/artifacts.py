@@ -85,9 +85,6 @@ def artifact_nbytes(value: Any) -> int:
         return sum(artifact_nbytes(v) for v in value.values()) + 64 * len(value)
     if isinstance(value, (list, tuple)):
         return sum(artifact_nbytes(v) for v in value) + 16 * len(value)
-    datasets = getattr(value, "datasets", None)
-    if isinstance(datasets, Mapping):  # WindowResult and friends
-        return artifact_nbytes(datasets) + 512
     return int(sys.getsizeof(value))
 
 

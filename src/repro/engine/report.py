@@ -1,7 +1,8 @@
 """Per-stage instrumentation for engine runs.
 
 Every stage execution (or cache hit) appends one :class:`StageRecord`
-to the run's :class:`RunReport`: wall time, cache hit/miss, input and
+to the run's :class:`RunReport`: wall time (inclusive, and exclusive of
+the resolutions it made), cache hit/miss, input and
 output artifact sizes, which worker produced it, and the fit-kernel
 counter deltas (fits, IRLS iterations, warm-start/memo hits, Cholesky
 fallbacks) the stage incurred.  Reports from process-pool workers are
@@ -30,8 +31,13 @@ class StageRecord:
 
     stage: str
     key: str
+    #: Wall seconds, inclusive of the nested resolutions it made.
     seconds: float
     cache_hit: bool
+    #: Exclusive wall seconds: ``seconds`` minus the ``seconds`` of the
+    #: resolutions this one made directly.  Summed over a run's records
+    #: they give the wall time of its top-level resolutions.
+    self_seconds: float = 0.0
     input_bytes: int = 0
     output_bytes: int = 0
     worker: str = "main"
@@ -58,6 +64,7 @@ class StageStats:
     hits: int = 0
     misses: int = 0
     seconds: float = 0.0
+    self_seconds: float = 0.0
     input_bytes: int = 0
     output_bytes: int = 0
     fit: FitCounters = field(default_factory=FitCounters)
@@ -141,6 +148,7 @@ class RunReport:
             else:
                 s.misses += 1
             s.seconds += r.seconds
+            s.self_seconds += r.self_seconds
             s.input_bytes += r.input_bytes
             s.output_bytes += r.output_bytes
             if r.fit is not None:
@@ -164,6 +172,7 @@ class RunReport:
                     "hits": s.hits,
                     "misses": s.misses,
                     "seconds": round(s.seconds, 6),
+                    "self_seconds": round(s.self_seconds, 6),
                     "input_bytes": s.input_bytes,
                     "output_bytes": s.output_bytes,
                     **({"fit_kernel": s.fit.as_dict()} if s.fit else {}),
@@ -188,12 +197,13 @@ class RunReport:
     def summary(self) -> str:
         """Printable per-stage table (plus fit-kernel counters, if any)."""
         header = f"{'stage':<14} {'calls':>5} {'hits':>5} {'miss':>5} " \
-                 f"{'seconds':>9} {'out[MB]':>8}"
+                 f"{'seconds':>9} {'self s':>9} {'out[MB]':>8}"
         lines = [header, "-" * len(header)]
         for name, s in self.by_stage().items():
             lines.append(
                 f"{name:<14} {s.calls:>5} {s.hits:>5} {s.misses:>5} "
-                f"{s.seconds:>9.3f} {s.output_bytes / 1e6:>8.2f}"
+                f"{s.seconds:>9.3f} {s.self_seconds:>9.3f} "
+                f"{s.output_bytes / 1e6:>8.2f}"
             )
         lines.append(
             f"total: {self.wall_time():.3f}s, "

@@ -74,10 +74,15 @@ class PipelineOptions:
 
 @dataclass
 class WindowResult:
-    """Everything the paper reports about one observation window."""
+    """Everything the paper reports about one observation window.
+
+    The window's datasets are not part of it: they are the
+    ``spoof_filter`` (or ``preprocess``) artifact, which
+    :meth:`~repro.engine.executor.Executor.datasets` resolves.  A result
+    pickles to a few kilobytes, so a cached window costs what it reports.
+    """
 
     window: TimeWindow
-    datasets: dict[str, IPSet]
     routed_addresses: int
     routed_subnets: int
     observed_addresses: int
@@ -497,7 +502,6 @@ def _window_result(ctx: RunContext, window: TimeWindow) -> WindowResult:
     internet = ctx.internet
     return WindowResult(
         window=window,
-        datasets=datasets,
         routed_addresses=internet.routing.size(window.start, window.end),
         routed_subnets=internet.routing.subnet24_count(window.start, window.end),
         observed_addresses=len(union),

@@ -57,7 +57,7 @@ import struct
 import time
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, BinaryIO, Iterator, Mapping
 
 import numpy as np
 
@@ -84,10 +84,13 @@ PICKLE_MAGIC = b"RART"
 #: Magic of array entries, whose crc32 covers the decoded payload.
 ARRAY_MAGIC = b"RARR"
 ARRAY_SUFFIX = ".arr"
+PICKLE_SUFFIX = ".pkl"
+#: The suffixes an entry of the current schema may carry, in lookup order.
+_CURRENT_SUFFIXES = (ARRAY_SUFFIX, PICKLE_SUFFIX)
 #: Entry suffixes :meth:`LocalStore.entries` lists; ``.npz`` is the
 #: array format of key schema 2, kept visible so ``stats`` and ``gc``
 #: still count and reclaim pre-bump entries.
-ENTRY_SUFFIXES = (ARRAY_SUFFIX, ".pkl", ".npz")
+ENTRY_SUFFIXES = (*_CURRENT_SUFFIXES, ".npz")
 _MANIFEST_LEN = struct.Struct("<I")
 
 #: Temp files older than this are presumed orphaned by a killed writer
@@ -276,7 +279,7 @@ ArtifactStore.register(ArtifactCache)
 def _warn_corrupt_entry(
     observer: "Observer | None",
     key: ArtifactKey,
-    path: Path,
+    path: str | Path,
     exc: CorruptSpillError,
 ) -> None:
     """Surface a corrupt store entry: structured event or warning log."""
@@ -323,45 +326,65 @@ class LocalStore(ArtifactStore):
         self.bytes_read = 0
         self.bytes_written = 0
         self.corrupt_entries = 0
+        # Lookups build plain string paths, not pathlib ones: they run
+        # once per stage resolution.
+        self._dir = os.path.join(self.root, f"v{KEY_SCHEMA_VERSION}")
 
     # -- paths ------------------------------------------------------------
 
     @property
     def _version_dir(self) -> Path:
-        return self.root / f"v{KEY_SCHEMA_VERSION}"
+        return Path(self._dir)
 
-    def _paths(self, key: ArtifactKey) -> tuple[Path, Path]:
-        stem = self._version_dir / key.stage / key.token()
-        return stem.with_suffix(ARRAY_SUFFIX), stem.with_suffix(".pkl")
+    def _stem(self, key: ArtifactKey) -> str:
+        """The entry path of ``key`` without its suffix."""
+        return os.path.join(self._dir, key.stage, key.token())
 
-    def _find(self, key: ArtifactKey) -> Path | None:
-        for path in self._paths(key):
-            if path.exists():
-                return path
+    def _open(self, key: ArtifactKey) -> BinaryIO | None:
+        """``key``'s entry opened for reading, or None if there is none.
+
+        One ``open`` per suffix, no separate existence probe; an entry
+        that exists but cannot be opened raises ``OSError``.
+        """
+        stem = self._stem(key)
+        for suffix in _CURRENT_SUFFIXES:
+            try:
+                return open(stem + suffix, "rb")
+            except FileNotFoundError:
+                continue
         return None
 
     def __contains__(self, key: ArtifactKey) -> bool:
-        return self._find(key) is not None
+        try:
+            entry = self._open(key)
+        except OSError:
+            return True  # present, if unreadable: get degrades it to a miss
+        if entry is None:
+            return False
+        entry.close()
+        return True
 
     # -- get/put ----------------------------------------------------------
 
     def get(self, key: ArtifactKey) -> Any:
         """Read + checksum-verify; corruption degrades to a miss."""
-        path = self._find(key)
-        if path is None:
+        try:
+            entry = self._open(key)
+            if entry is None:
+                self.misses += 1
+                return MISS
+            with entry:
+                path, data = entry.name, entry.read()
+        except OSError as exc:  # racing gc/unlink: plain miss
+            logger.debug("store read failed for %s: %s", key.token(), exc)
             self.misses += 1
             return MISS
         try:
-            data = path.read_bytes()
             value = self._decode(path, data)
         except CorruptSpillError as exc:
-            path.unlink(missing_ok=True)
+            Path(path).unlink(missing_ok=True)
             self.corrupt_entries += 1
             _warn_corrupt_entry(self.observer, key, path, exc)
-            self.misses += 1
-            return MISS
-        except OSError as exc:  # racing gc/unlink: plain miss
-            logger.debug("store read failed for %s: %s", path, exc)
             self.misses += 1
             return MISS
         self.hits += 1
@@ -370,24 +393,26 @@ class LocalStore(ArtifactStore):
 
     def put(self, key: ArtifactKey, value: Any) -> None:
         """Atomically persist ``value``; idempotent for existing keys."""
-        arr_path, pkl_path = self._paths(key)
-        existing = self._find(key)
-        if existing is not None:
-            # Content-addressed: same digest, same bytes.  Refresh the
-            # mtime so gc sees the entry as recently useful.
-            self.put_skips += 1
+        stem = self._stem(key)
+        for suffix in _CURRENT_SUFFIXES:
+            # Content-addressed: an existing entry holds the same bytes.
+            # Refreshing its mtime (so gc sees it as recently useful) is
+            # also the existence probe.
             try:
-                os.utime(existing)
+                os.utime(stem + suffix)
+            except FileNotFoundError:
+                continue
             except OSError:
                 pass
+            self.put_skips += 1
             return
         payload = _spill_payload(value)
         if payload is not None:
-            data, path = _encode_arrays(payload), arr_path
+            data, path = _encode_arrays(payload), Path(stem + ARRAY_SUFFIX)
         else:
             body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
             header = _FRAME_HEADER.pack(PICKLE_MAGIC, zlib.crc32(body))
-            data, path = header + body, pkl_path
+            data, path = header + body, Path(stem + PICKLE_SUFFIX)
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(path, data)
         self.puts += 1
@@ -398,14 +423,15 @@ class LocalStore(ArtifactStore):
             self.faults.corrupt_spill(key.stage, index, path)
 
     @staticmethod
-    def _decode(path: Path, data: bytes) -> Any:
+    def _decode(path: str | Path, data: bytes) -> Any:
         """Decode + verify one entry's bytes (raises on any corruption)."""
+        name = os.path.basename(path)
         if len(data) < _FRAME_HEADER.size:
-            raise CorruptSpillError(f"truncated store entry {path.name}")
+            raise CorruptSpillError(f"truncated store entry {name}")
         magic, stored = _FRAME_HEADER.unpack_from(data)
-        pickled = path.suffix == ".pkl"
+        pickled = name.endswith(PICKLE_SUFFIX)
         if magic != (PICKLE_MAGIC if pickled else ARRAY_MAGIC):
-            raise CorruptSpillError(f"bad magic in store entry {path.name}")
+            raise CorruptSpillError(f"bad magic in store entry {name}")
         body = data[_FRAME_HEADER.size :]
         if pickled:
             computed = zlib.crc32(body)
@@ -414,12 +440,12 @@ class LocalStore(ArtifactStore):
                 payload = _decode_arrays(body)
             except (zlib.error, ValueError, TypeError, struct.error) as exc:
                 raise CorruptSpillError(
-                    f"unreadable store entry {path.name}"
+                    f"unreadable store entry {name}"
                 ) from exc
             computed = _payload_checksum(payload)
         if stored != computed:
             raise CorruptSpillError(
-                f"checksum mismatch in {path.name}: "
+                f"checksum mismatch in {name}: "
                 f"stored crc32 {stored:#010x} != computed {computed:#010x}",
                 stored_crc=stored,
                 computed_crc=computed,
@@ -430,7 +456,7 @@ class LocalStore(ArtifactStore):
             return pickle.loads(body)
         except Exception as exc:
             raise CorruptSpillError(
-                f"undecodable store entry {path.name}"
+                f"undecodable store entry {name}"
             ) from exc
 
     # -- accounting and maintenance ---------------------------------------

@@ -105,6 +105,9 @@ def absorb_engine_accounting(
         metrics.inc("stage_records_total", float(len(report.records)))
         for stage, stats in report.by_stage().items():
             metrics.inc("stage_seconds_total", stats.seconds, stage=stage)
+            metrics.inc(
+                "stage_self_seconds_total", stats.self_seconds, stage=stage
+            )
             metrics.inc("stage_calls_total", float(stats.calls), stage=stage)
             metrics.inc("stage_cache_hits_total", float(stats.hits), stage=stage)
         fit = report.fit_totals()

@@ -21,9 +21,11 @@ Sequence numbers are monotonic and gap-free across segments.  The
 ``crc`` field is the crc32 of the canonical JSON of the record without
 it — which is the line's own text up to ``,"crc":`` closed by ``}``, so
 a line is verified, and its ``seq`` read, without decoding its JSON.
-Replay checks every line that way and decodes only the records it
-yields.  Crash safety: a torn final line (interrupted append) is
-ignored on replay; corruption anywhere else raises
+A journal verifies each line once: it keeps the byte offset and seq of
+every line it has checked, so a later replay seeks straight to its
+start line and checksums only lines it has not seen, and decodes only
+the records it yields.  Crash safety: a torn final line (interrupted
+append) is ignored on replay; corruption anywhere else raises
 :class:`JournalCorruptionError` — silently skipping an interior record
 would silently skew every estimate after it.
 """
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,6 +107,11 @@ def _encode(record: dict) -> str:
     return body[:-1] + f',"crc":{crc}}}\n'
 
 
+def _body(line: bytes) -> bytes:
+    """A verified line with its crc field cut out (see :func:`_verify`)."""
+    return line[: line.rfind(_CRC_FIELD)] + b"}"
+
+
 def _verify(line: bytes) -> tuple[int, bytes] | None:
     """``(seq, body)`` of one stripped line; ``None`` when its checksum
     fails (torn tail?).
@@ -134,16 +142,65 @@ def _decode(body: bytes) -> dict | None:
     return record if isinstance(record, dict) else None
 
 
-def _lines(data: bytes) -> list[tuple[int, int, bytes]]:
-    """``(byte offset, line number, stripped text)`` of each non-blank line."""
+def _lines(
+    data: bytes, offset: int = 0, line_no: int = 0
+) -> list[tuple[int, int, int, bytes]]:
+    """``(byte offset, end offset, line number, stripped text)`` of each
+    non-blank line of ``data``.
+
+    ``offset`` and ``line_no`` place ``data`` in its segment: the byte
+    offset it starts at and the number of lines before it.  A line's
+    end offset is past its newline, if it has one.
+    """
     out = []
-    offset = 0
-    for line_no, raw in enumerate(data.split(b"\n"), 1):
+    pieces = data.split(b"\n")
+    last = len(pieces) - 1
+    for k, raw in enumerate(pieces):
+        end = offset + len(raw) + (k < last)
         line = raw.strip()
         if line:
-            out.append((offset, line_no, line))
-        offset += len(raw) + 1
+            out.append((offset, end, line_no + k + 1, line))
+        offset = end
     return out
+
+
+def _gap(segment: Path, expected: int, found: int) -> JournalCorruptionError:
+    return JournalCorruptionError(
+        f"sequence gap in {segment.name}: "
+        f"expected seq {expected}, found {found}"
+    )
+
+
+class _Checked:
+    """The lines of one segment this process has verified.
+
+    A gap-free run from the segment's first line: seq ``first + k``
+    starts at byte ``offsets[k]``; ``end`` is the byte offset past the
+    last verified line and ``lines`` that line's number.  ``torn`` is
+    the byte offset of a torn final line the last check stopped at.
+    """
+
+    __slots__ = ("first", "offsets", "end", "lines", "torn")
+
+    def __init__(self) -> None:
+        self.first = 0
+        self.offsets: list[int] = []
+        self.end = 0
+        self.lines = 0
+        self.torn: int | None = None
+
+    @property
+    def next_seq(self) -> int | None:
+        """The seq the next line must carry (None before any line)."""
+        return self.first + len(self.offsets) if self.offsets else None
+
+    def add(self, seq: int, offset: int, end: int, line_no: int) -> None:
+        """Record the verified line that continues the run."""
+        if not self.offsets:
+            self.first = seq
+        self.offsets.append(offset)
+        self.end = end
+        self.lines = line_no
 
 
 class DeltaJournal:
@@ -151,10 +208,10 @@ class DeltaJournal:
 
     Appends go to the newest segment (rotated every
     ``segment_records`` records); replay streams every segment in
-    order, verifying checksums and sequence continuity.  Opening a
-    journal scans segment *names* and checksums the raw text of the
-    newest segment, decoding none of it; appends refuse a journal that
-    check finds corrupt.
+    order, verifying checksums and sequence continuity of each line
+    once.  Opening a journal scans segment *names* and checksums the
+    raw text of the newest segment, decoding none of it; appends refuse
+    a journal that check finds corrupt.
     """
 
     def __init__(
@@ -177,8 +234,12 @@ class DeltaJournal:
         # away before the next append — appending after the fragment
         # would glue the new record onto it and tear that one too.
         self._torn: tuple[Path, int] | None = None
-        # Where the journal fails its checksum, if appends must refuse.
+        # Where the journal fails its checksum or sequence, if appends
+        # must refuse.
         self._corrupt: str | None = None
+        # The lines verified so far, per segment: replay never checks a
+        # line twice.
+        self._checked: dict[Path, _Checked] = {}
         if self._segments:
             self._check_tail()
 
@@ -187,21 +248,23 @@ class DeltaJournal:
 
         Counts its records (for rotation), positions the next seq after
         its last committed record and marks a torn final line for
-        truncation.  A failing line anywhere before the last one is
-        interior corruption: it is recorded, and appends refuse.
+        truncation.  A failing or out-of-sequence line anywhere before
+        the last one is interior corruption: it is recorded, and appends
+        refuse.  This is replay's own check, so the lines it verified
+        are not checked again.
         """
         tail = self._segments[-1]
-        lines = _lines(tail.read_bytes())
-        for k, (offset, line_no, line) in enumerate(lines):
-            checked = _verify(line)
-            if checked is None:
-                if k < len(lines) - 1:
-                    self._corrupt = f"corrupt record at {tail.name}:{line_no}"
-                else:
-                    self._torn = (tail, offset)
-                break
-            self._next_seq = checked[0] + 1
-            self._tail_records += 1
+        try:
+            for _ in self._bodies(tail, True, sys.maxsize, None):
+                pass
+        except JournalCorruptionError as exc:
+            self._corrupt = str(exc)
+        checked = self._checked[tail]
+        self._tail_records = len(checked.offsets)
+        if checked.offsets:
+            self._next_seq = checked.next_seq
+        if checked.torn is not None:
+            self._torn = (tail, checked.torn)
         if self._tail_records == 0 and len(self._segments) > 1:
             # Tail segment holds nothing valid: count from the previous
             # segment's last record so seqs stay gap-free.  That segment
@@ -209,11 +272,11 @@ class DeltaJournal:
             # corruption, not a torn append.
             previous = self._segments[-2]
             lines = _lines(previous.read_bytes())
-            checked = _verify(lines[-1][2]) if lines else None
-            if checked is not None:
-                self._next_seq = checked[0] + 1
+            verified = _verify(lines[-1][3]) if lines else None
+            if verified is not None:
+                self._next_seq = verified[0] + 1
             elif self._corrupt is None:
-                where = lines[-1][1] if lines else 1
+                where = lines[-1][2] if lines else 1
                 self._corrupt = f"corrupt record at {previous.name}:{where}"
 
     @property
@@ -241,10 +304,7 @@ class DeltaJournal:
 
     def _append_record(self, record: dict) -> int:
         if self._corrupt is not None:
-            raise JournalCorruptionError(
-                f"{self._corrupt}; refusing to append to a journal whose "
-                "interior fails its checksum"
-            )
+            raise JournalCorruptionError(f"{self._corrupt}; refusing to append")
         if self._torn is not None:
             torn_segment, keep = self._torn
             with torn_segment.open("r+b") as fh:
@@ -295,51 +355,87 @@ class DeltaJournal:
 
     # -- replay -----------------------------------------------------------
 
-    def _iter_segment(
-        self, segment: Path, index: int
+    def _bodies(
+        self,
+        segment: Path,
+        last_segment: bool,
+        start_seq: int,
+        expected: int | None,
     ) -> Iterator[tuple[int, bytes]]:
-        """``(seq, body)`` of each line of one segment, checksums verified."""
-        last_segment = index == len(self._segments) - 1
+        """``(seq, body)`` of each line of one segment with ``seq >=
+        start_seq``, checked against ``expected``, the seq the
+        segment's first line must carry.
+
+        Reading starts at ``start_seq``'s line when it is verified, else
+        after the last verified line; only the lines past that are
+        checksummed, and each joins the segment's verified run.
+        """
+        checked = self._checked.setdefault(segment, _Checked())
+        known = len(checked.offsets)
+        if known and expected is not None and checked.first != expected:
+            raise _gap(segment, expected, checked.first)
+        skip = max(start_seq - checked.first, 0)
+        at = checked.offsets[skip] if skip < known else checked.end
         try:
-            lines = _lines(segment.read_bytes())
+            with open(segment, "rb") as fh:
+                fh.seek(at)
+                data = fh.read()
         except FileNotFoundError:
             return
-        for k, (_, line_no, line) in enumerate(lines):
-            checked = _verify(line)
-            if checked is None:
+        head = checked.end - at
+        if head > 0:
+            # Verified lines, seq `first + skip` onward: only cut them.
+            seq = checked.first + skip
+            for raw in data[:head].split(b"\n"):
+                line = raw.strip()
+                if line:
+                    yield seq, _body(line)
+                    seq += 1
+            data = data[head:]
+        if known:
+            expected = checked.next_seq
+        lines = _lines(data, checked.end, checked.lines)
+        for k, (offset, end, line_no, line) in enumerate(lines):
+            verified = _verify(line)
+            if verified is None:
                 if last_segment and k == len(lines) - 1:
                     # Torn tail from an interrupted append: the record
                     # never committed, so replay simply ends here.
+                    checked.torn = offset
                     return
                 raise JournalCorruptionError(
                     f"corrupt record at {segment.name}:{line_no} "
                     "(checksum failure in the journal interior)"
                 )
-            yield checked
+            seq, body = verified
+            if expected is not None and seq != expected:
+                raise _gap(segment, expected, seq)
+            expected = seq + 1
+            checked.add(seq, offset, end, line_no)
+            if seq >= start_seq:
+                yield seq, body
 
     def replay(
         self, start_seq: int = 0
     ) -> Iterator[SourceRecord | ObservationDelta]:
         """Yield every committed record with ``seq >= start_seq``, in order.
 
-        Verifies both checksums and gap-free sequencing of *every* line,
-        the skipped prefix included; replay after a crash therefore
-        either reproduces the exact committed prefix or raises, never a
-        silently different history.  Only the yielded records are
-        JSON-decoded, so replaying a tail costs the tail plus one
-        checksum pass over the raw text before it.
+        Every line is checked, the skipped prefix included, for its
+        checksum and for gap-free sequencing — once per journal object:
+        lines an earlier replay (or the open) verified are not checked
+        again, so a replay reads from ``start_seq``'s line and
+        checksums only lines appended since.  Replay after a crash
+        therefore either reproduces the exact committed prefix or
+        raises, never a silently different history.  Only the yielded
+        records are JSON-decoded.
         """
         expected: int | None = None
-        for index, segment in enumerate(list(self._segments)):
-            for seq, body in self._iter_segment(segment, index):
-                if expected is not None and seq != expected:
-                    raise JournalCorruptionError(
-                        f"sequence gap in {segment.name}: "
-                        f"expected seq {expected}, found {seq}"
-                    )
-                expected = seq + 1
-                if seq < start_seq:
-                    continue
+        segments = list(self._segments)
+        for index, segment in enumerate(segments):
+            last_segment = index == len(segments) - 1
+            for seq, body in self._bodies(
+                segment, last_segment, start_seq, expected
+            ):
                 record = _decode(body)
                 if record is None or record.get("seq") != seq:
                     raise JournalCorruptionError(
@@ -360,8 +456,10 @@ class DeltaJournal:
                         np.asarray(record["add"], dtype=np.uint32),
                         np.asarray(record["remove"], dtype=np.uint32),
                     )
-                else:  # unknown kinds are forward-compatibility: skip
-                    continue
+                # unknown kinds are forward-compatibility: skip
+            checked = self._checked[segment]
+            if checked.offsets:
+                expected = checked.next_seq
 
 
 def journal_from_sources(

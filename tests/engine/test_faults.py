@@ -29,6 +29,7 @@ from repro.engine.report import RunReport
 from repro.engine.store import LocalStore, open_store
 from repro.simnet.internet import SimulationConfig, SyntheticInternet
 from repro.sources.catalog import build_standard_sources
+from tests.conftest import assert_stored_datasets_match
 
 WINDOWS = [TimeWindow(2011.0, 2012.0), TimeWindow(2013.5, 2014.5)]
 
@@ -397,27 +398,28 @@ class TestSpillFaults:
         assert np.array_equal(store.get(key).addresses, value.addresses)
 
 
-def _assert_same_windows(results, expected):
-    assert [r.window for r in results] == [r.window for r in expected]
-    for got, want in zip(results, expected):
+def _assert_same_windows(results, windows, clean, store_dir):
+    """Every window, with the clean run's estimates, and the datasets the
+    sweep wrote to ``store_dir`` equal the clean run's."""
+    assert [r.window for r in results] == windows
+    for got, want in zip(results, clean.run_windows(windows)):
         assert got.estimate_addresses.population == (
             want.estimate_addresses.population
         )
-        for name in want.datasets:
-            assert np.array_equal(
-                got.datasets[name].addresses, want.datasets[name].addresses
-            )
+    assert_stored_datasets_match(store_dir, clean, windows)
 
 
 class TestFaultySweepAcceptance:
     SWEEP = [*WINDOWS, TimeWindow(2012.5, 2013.5)]
 
     @pytest.fixture(scope="class")
-    def clean_results(self, small_internet):
-        return Executor(small_internet).run_windows(self.SWEEP)
+    def clean(self, small_internet):
+        engine = Executor(small_internet)
+        engine.run_windows(self.SWEEP)
+        return engine
 
     def test_killed_worker_sweep_matches_clean_run(
-        self, small_internet, clean_results, tmp_path
+        self, small_internet, clean, tmp_path
     ):
         faults = FaultInjector([
             FaultSpec("window_result", "kill", index=1, count=1),
@@ -429,7 +431,7 @@ class TestFaultySweepAcceptance:
             faults=faults,
         )
         results = engine.run_windows(self.SWEEP, workers=2)
-        _assert_same_windows(results, clean_results)
+        _assert_same_windows(results, self.SWEEP, clean, tmp_path)
         assert engine.report.retried_records()
         assert engine.report.degraded_count == 0
 
@@ -450,18 +452,22 @@ class TestFaultySweepAcceptance:
         assert missing_windows(WINDOWS, results) == [WINDOWS[1]]
 
     def test_corrupt_entry_recomputed_on_reread(
-        self, small_internet, clean_results, tmp_path
+        self, small_internet, clean, tmp_path
     ):
         # Serial: pool workers' stores carry no injector, and the
         # parent's put of an entry a worker already wrote is a skip.
         faults = FaultInjector([FaultSpec("window_result", "corrupt", index=0)])
         cold = Executor(small_internet, cache=open_store(tmp_path, faults=faults))
-        _assert_same_windows(cold.run_windows(self.SWEEP), clean_results)
+        _assert_same_windows(
+            cold.run_windows(self.SWEEP), self.SWEEP, clean, tmp_path
+        )
 
         # A fresh executor and store over the same directory reread every
         # window from disk; the garbled entry must be recomputed, never
         # parsed into an estimate.
         store = open_store(tmp_path)
         warm = Executor(small_internet, cache=store)
-        _assert_same_windows(warm.run_windows(self.SWEEP), clean_results)
+        _assert_same_windows(
+            warm.run_windows(self.SWEEP), self.SWEEP, clean, tmp_path
+        )
         assert store.persistent.corrupt_entries == 1

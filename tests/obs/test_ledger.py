@@ -111,6 +111,9 @@ class TestAbsorbEngineAccounting:
         by_stage = engine.report.by_stage()
         for stage, stats in by_stage.items():
             assert obs.metrics.value("stage_calls_total", stage=stage) == stats.calls
+            assert obs.metrics.value(
+                "stage_self_seconds_total", stage=stage
+            ) == stats.self_seconds
 
 
 class TestStoreAccounting:

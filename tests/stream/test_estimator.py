@@ -264,6 +264,36 @@ class TestTailCost:
         tab.verify()
         assert live_observed == tab.num_observed
 
+    def test_resumed_advance_verifies_each_line_once(
+        self, tiny_internet, tiny_sources, tmp_path, monkeypatch
+    ):
+        # Through 2012.0 the journal covers the first standard window,
+        # so the advance closes it.
+        journal = journal_from_sources(
+            tiny_sources, tmp_path / "journal", through=2012.0
+        )
+        store = open_store(tmp_path / "store")
+        stream = StreamEstimator(tiny_internet, journal, store=store)
+        stream.ingest(limit=len(journal) - self.TAIL)
+        stream.snapshot()
+
+        verified = []
+        verify = journal_module._verify
+
+        def counted(line):
+            verified.append(line)
+            return verify(line)
+
+        monkeypatch.setattr(journal_module, "_verify", counted)
+        resumed = StreamEstimator.resume(
+            tiny_internet, DeltaJournal(journal.path), store=store
+        )
+        assert resumed.ingest() == self.TAIL
+        results = resumed.advance()
+        assert [r.window for r in results] == standard_windows()[:1]
+        # Open, tail ingest and the advance's own ingest: one check a line.
+        assert len(verified) == len(set(verified)) == len(journal)
+
     def test_tabulator_follows_later_deltas(
         self, tiny_internet, stream_journal
     ):

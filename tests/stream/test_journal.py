@@ -47,6 +47,15 @@ class TestAppendReplay:
         tail = list(journal.replay(start_seq=2))
         assert len(tail) == 1 and tail[0].quarter == 9
 
+    def test_replay_sees_lines_appended_after_it(self, tmp_path):
+        journal = _journal(tmp_path, segment_records=2)
+        journal.declare_source("A", 2011.0)
+        reader = _journal(tmp_path, segment_records=2)
+        assert [r.seq for r in reader.replay()] == [0]
+        journal.append("A", 8, add=[1], remove=[])
+        assert [r.seq for r in reader.replay(start_seq=1)] == [1]
+        assert [r.seq for r in reader.replay()] == [0, 1]
+
     def test_reopen_continues_sequence(self, tmp_path):
         journal = _journal(tmp_path)
         journal.declare_source("A", 2011.0)
@@ -147,6 +156,23 @@ class TestCrashSafety:
         last.write_text("".join(lines))
         with pytest.raises(JournalCorruptionError, match=r"jsonl:2\b"):
             list(_journal(tmp_path).replay(start_seq=2))
+
+    def test_corrupt_line_appended_after_open_raises(self, tmp_path):
+        journal = _journal(tmp_path)
+        journal.declare_source("A", 2011.0)
+        journal.append("A", 8, add=[1], remove=[])
+        reader = _journal(tmp_path)
+        assert [r.seq for r in reader.replay()] == [0, 1]
+        # Another writer appends two records; the first is garbled.
+        journal.append("A", 9, add=[2], remove=[])
+        journal.append("A", 10, add=[3], remove=[])
+        last = self._segments(tmp_path)[-1]
+        lines = last.read_text().splitlines(keepends=True)
+        lines[2] = lines[2][:10] + "X" + lines[2][11:]
+        last.write_text("".join(lines))
+        for start in (0, 3):
+            with pytest.raises(JournalCorruptionError, match=r"jsonl:3\b"):
+                list(reader.replay(start_seq=start))
 
     def test_checksum_mismatch_detected(self, tmp_path):
         journal = _journal(tmp_path)
