@@ -77,7 +77,6 @@ from repro.obs import (
     Observer,
     RunLedger,
     Tracer,
-    get_global_metrics,
     render_run_diff,
     render_run_report,
 )
@@ -146,7 +145,6 @@ __all__ = [
     "Observer",
     "RunLedger",
     "Tracer",
-    "get_global_metrics",
     "render_run_diff",
     "render_run_report",
     # campaign service

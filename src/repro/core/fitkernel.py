@@ -56,13 +56,12 @@ the parent inside stage records, exactly like wall-time instrumentation.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, fields
 from functools import cache, partial
 
 import numpy as np
 from scipy.linalg.lapack import dposv
-
-from repro.obs.metrics import get_global_metrics
 
 
 @dataclass(frozen=True)
@@ -105,43 +104,29 @@ class FitCounters:
         return {f.name: int(getattr(self, f.name)) for f in fields(self)}
 
 
-#: Registry prefix under which the fit counters live in the process-global
-#: :class:`~repro.obs.metrics.MetricsRegistry` (``fit_fits``,
-#: ``fit_irls_iterations``, ...).
-FIT_METRIC_PREFIX = "fit_"
-
-_COUNTER_NAMES = tuple(f.name for f in fields(FitCounters))
+#: This process's totals, one entry per :class:`FitCounters` field.
+_TOTALS = {f.name: 0 for f in fields(FitCounters)}
+_TOTALS_LOCK = threading.Lock()
 
 
 def record(**deltas: int) -> None:
-    """Add deltas to the process-wide totals (thread-safe).
-
-    The totals live in the process-global metrics registry
-    (:func:`repro.obs.metrics.get_global_metrics`) under the ``fit_``
-    prefix; ``inc_many`` keeps the per-fit cost at one lock
-    acquisition, matching the plain-dict accumulator it replaced.
-    """
-    get_global_metrics().inc_many(
-        {FIT_METRIC_PREFIX + name: value for name, value in deltas.items()}
-    )
+    """Add deltas to this process's totals (thread-safe)."""
+    with _TOTALS_LOCK:
+        for name, value in deltas.items():
+            _TOTALS[name] += value
 
 
 def snapshot() -> FitCounters:
     """The current totals; subtract two snapshots to scope a region."""
-    totals = get_global_metrics().counters_with_prefix(FIT_METRIC_PREFIX)
-    prefix_len = len(FIT_METRIC_PREFIX)
-    return FitCounters(
-        **{
-            name[prefix_len:]: int(value)
-            for name, value in totals.items()
-            if name[prefix_len:] in _COUNTER_NAMES
-        }
-    )
+    with _TOTALS_LOCK:
+        return FitCounters(**_TOTALS)
 
 
 def reset_counters() -> None:
     """Zero the totals (tests and benchmarks)."""
-    get_global_metrics().reset(FIT_METRIC_PREFIX)
+    with _TOTALS_LOCK:
+        for name in _TOTALS:
+            _TOTALS[name] = 0
 
 
 #: Cholesky pivot-ratio floor below which a solve is considered

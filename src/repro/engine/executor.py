@@ -7,8 +7,11 @@ options), resolves stage requests through the unified
 work — the windows of a sweep, cross-validation folds and drop-one
 re-fits (:func:`fan_out`), campaign tasks — runs through one task
 runner, :func:`_resilient_pool_map`: in this process for ``workers ==
-1``, otherwise on a ``ProcessPoolExecutor`` whose workers rebuild their
-state once from a payload published through shared memory.
+1``, otherwise on a ``ProcessPoolExecutor`` whose workers build their
+state once from the pool initializer's arguments.  Under the fork start
+method (Linux up to Python 3.13) a worker inherits those arguments
+without a copy; under spawn or forkserver they are pickled once per
+worker.
 
 Fault tolerance: every stage resolution and every runner task runs
 under an :class:`ExecutionPolicy` — bounded retries with exponential
@@ -32,7 +35,6 @@ order, never completion order.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -184,11 +186,10 @@ def _resilient_pool_map(
     hangs and worker kills.  The only code that decides retries.
 
     With ``workers == 1`` (or a single task) every attempt runs in this
-    process against ``context`` and ``observer``; no payload is
-    published and no pool starts.  Otherwise tasks run on a process
-    pool whose workers rebuild ``context`` once from a shared-memory
-    payload (an :class:`Executor` ships as its
-    :class:`_ExecutorPayload`; anything else is pickled as is).
+    process against ``context`` and ``observer``, and no pool starts.
+    Otherwise tasks run on a process pool whose initializer hands each
+    worker ``context`` once (an :class:`Executor` ships as its
+    :class:`_ExecutorPayload`; anything else as is).
 
     Every attempt first fires ``faults`` keyed by ``(stage, task index,
     attempt)``.  A task that raises is retried (with backoff) up to
@@ -212,7 +213,6 @@ def _resilient_pool_map(
     pending = list(range(n))
     pool: ProcessPoolExecutor | None = None
     width = workers  # pool size; 1 once a breakage named no task
-    shipment: _PayloadShipment | None = None
 
     def close_pool(nuke: bool = False) -> None:
         nonlocal pool
@@ -221,24 +221,13 @@ def _resilient_pool_map(
             pool = None
 
     def make_pool(size: int) -> ProcessPoolExecutor:
-        nonlocal shipment
-        if shipment is None:
-            # Published once, on the first pool: the segment outlives
-            # every respawn (fresh pools re-attach it) and is unlinked
-            # exactly once, below.
-            shipped = (
-                _ExecutorPayload.of(context)
-                if isinstance(context, Executor)
-                else context
-            )
-            shipment = publish_payload(
-                (func, shipped, faults, stage, observer.enabled),
-                observer=observer,
-            )
+        shipped = (
+            _ExecutorPayload.of(context) if isinstance(context, Executor) else context
+        )
         return ProcessPoolExecutor(
             max_workers=size,
             initializer=_worker_init,
-            initargs=(shipment.spec,),
+            initargs=(func, shipped, faults, stage, observer.enabled),
         )
 
     def settle(i: int, outcome: _TaskOutcome) -> None:
@@ -367,8 +356,6 @@ def _resilient_pool_map(
                 time.sleep(sleep_for)
     finally:
         close_pool()
-        if shipment is not None:
-            shipment.dispose()
     return [o if o is not None else _TaskOutcome() for o in outcomes]
 
 
@@ -807,160 +794,6 @@ class Executor:
         return result
 
 
-# -- shared-memory payload transport ----------------------------------------
-
-#: Ledger counter names for the pool transport (see publish_payload).
-POOL_PAYLOAD_METRIC = "pool_payload_bytes_total"
-POOL_SHM_METRIC = "pool_shm_bytes_total"
-
-#: Shared-memory segments this process has published and not yet
-#: disposed, by name.  Cleanup tests assert this drains back to empty
-#: after every sweep — including sweeps whose workers were killed.
-_ACTIVE_SEGMENTS: dict[str, Any] = {}
-
-#: Segments this *worker* process has attached: kept referenced so the
-#: mappings (and every array view into them) stay valid for the worker's
-#: lifetime.  The parent owns unlinking.
-_WORKER_SEGMENTS: list = []
-
-
-class _PayloadShipment:
-    """A published worker payload: a tiny picklable spec plus the owned
-    shared-memory segment it points at (``None`` on the fallback path).
-
-    The parent keeps the shipment alive for as long as its pool may
-    spawn workers — segments survive pool respawns after worker kills —
-    and calls :meth:`dispose` exactly once when the fan-out returns.
-    """
-
-    __slots__ = ("spec", "_segment")
-
-    def __init__(self, spec: dict, segment) -> None:
-        self.spec = spec
-        self._segment = segment
-
-    def dispose(self) -> None:
-        """Close and unlink the segment (idempotent)."""
-        segment, self._segment = self._segment, None
-        if segment is None:
-            return
-        _ACTIVE_SEGMENTS.pop(segment.name, None)
-        try:
-            segment.close()
-            segment.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-
-
-def _record_payload_metrics(
-    observer: Observer | None, inline_bytes: int, shm_bytes: int
-) -> None:
-    """Count transport bytes on the global registry and the run observer.
-
-    The run ledger (``metrics.json``) is built from the observer's
-    registry, so the counters must land there to be visible in
-    ``repro report``; the global registry keeps a process-wide record
-    reachable from tests and benchmarks.
-    """
-    from repro.obs.metrics import get_global_metrics
-
-    deltas = {}
-    if inline_bytes:
-        deltas[POOL_PAYLOAD_METRIC] = float(inline_bytes)
-    if shm_bytes:
-        deltas[POOL_SHM_METRIC] = float(shm_bytes)
-    if not deltas:
-        return
-    get_global_metrics().inc_many(deltas)
-    if observer is not None:
-        for name, value in deltas.items():
-            observer.inc(name, value)
-
-
-def publish_payload(obj: Any, observer: Observer | None = None) -> _PayloadShipment:
-    """Serialise a worker payload into a shared-memory segment.
-
-    The payload is pickled with protocol 5, diverting every picklable
-    buffer (IPSet membership arrays, population arrays, contingency
-    counts) out of band; pickle bytes and raw buffers land side by side
-    in one ``multiprocessing.shared_memory`` segment published once per
-    fan-out.  Workers then attach and rebuild the payload zero-copy —
-    each array maps the segment read-only instead of receiving a
-    per-worker pickled copy through the pool pipe, so only the
-    few-hundred-byte spec still travels per worker.
-
-    Any failure (no /dev/shm, exotic unpicklable-by-protocol-5 payloads)
-    falls back to shipping the classic inline pickle via the same spec,
-    so callers never branch.  Byte counts are recorded on the
-    ``pool_payload_bytes_total`` (inline pickled bytes) and
-    ``pool_shm_bytes_total`` (bytes published via shared memory)
-    counters either way.
-    """
-    try:
-        import numpy as np
-        from multiprocessing import shared_memory
-
-        buffers: list = []
-        data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-        raws = [b.raw() for b in buffers]
-        sizes = tuple(int(r.nbytes) for r in raws)
-        total = len(data) + sum(sizes)
-        segment = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        try:
-            view = np.frombuffer(segment.buf, dtype=np.uint8)
-            view[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-            offset = len(data)
-            for raw, size in zip(raws, sizes):
-                if size:
-                    view[offset : offset + size] = np.frombuffer(
-                        raw.cast("B"), dtype=np.uint8
-                    )
-                offset += size
-        except Exception:
-            del view  # release the exported buffer before closing
-            segment.close()
-            segment.unlink()
-            raise
-        finally:
-            view = None
-        spec = {"shm": segment.name, "head": len(data), "sizes": sizes}
-        _ACTIVE_SEGMENTS[segment.name] = segment
-        _record_payload_metrics(
-            observer, inline_bytes=len(pickle.dumps(spec)), shm_bytes=total
-        )
-        return _PayloadShipment(spec, segment)
-    except Exception:
-        data = pickle.dumps(obj)
-        _record_payload_metrics(observer, inline_bytes=len(data), shm_bytes=0)
-        return _PayloadShipment({"data": data}, None)
-
-
-def load_payload(spec: dict) -> Any:
-    """Worker-side inverse of :func:`publish_payload`.
-
-    Attaches the named segment and rebuilds the payload with the pickle
-    buffers pointing at read-only slices of the mapping — arrays come
-    back non-writeable, so a worker can never mutate state shared with
-    its siblings.  The segment stays referenced for the process
-    lifetime; the publishing parent owns unlinking.
-    """
-    data = spec.get("data")
-    if data is not None:
-        return pickle.loads(data)
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=spec["shm"])
-    _WORKER_SEGMENTS.append(segment)
-    view = memoryview(segment.buf)
-    head = spec["head"]
-    buffers = []
-    offset = head
-    for size in spec["sizes"]:
-        buffers.append(view[offset : offset + size].toreadonly())
-        offset += size
-    return pickle.loads(view[:head], buffers=buffers)
-
-
 # -- process-pool plumbing --------------------------------------------------
 
 
@@ -968,7 +801,9 @@ def load_payload(spec: dict) -> Any:
 class _ExecutorPayload:
     """The picklable state a pool worker rebuilds an executor from.
 
-    The cache never travels: workers reopen a persistent store by its
+    It reaches each worker as a pool initializer argument: inherited
+    under fork, pickled once per worker under spawn.  The cache never
+    travels: workers reopen a persistent store by its
     spec, so a window one worker computed is a store hit for every
     other worker (and for the next run).
     """
@@ -1008,13 +843,25 @@ _WORKER: tuple[Callable, Any, FaultInjector | None, str] | None = None
 _WORKER_OBSERVER: Observer | None = None
 
 
-def _worker_init(spec: dict) -> None:
+def _worker_init(
+    func: Callable, context: Any, faults: FaultInjector | None, stage: str,
+    observe: bool,
+) -> None:
     global _WORKER, _WORKER_OBSERVER
-    func, context, faults, stage, observe = load_payload(spec)
     _WORKER_OBSERVER = Observer() if observe else Observer.disabled()
     if isinstance(context, _ExecutorPayload):
         context = context.build(_WORKER_OBSERVER)
     _WORKER = (func, context, faults, stage)
+
+
+def _store_counts(context: Any) -> dict[str, int]:
+    """The persistent-tier counters of an executor's store (else none)."""
+    if not isinstance(context, Executor):
+        return {}
+    return {
+        name: count for name, count in context.cache.stats().items()
+        if name.startswith("persistent_")
+    }
 
 
 def _worker_run(
@@ -1029,8 +876,14 @@ def _worker_run(
         faults.fire(stage, index, attempt)
     records = context.report.records if isinstance(context, Executor) else []
     before = len(records)
+    store_before = _store_counts(context)
     mark = _WORKER_OBSERVER.delta_mark()
     value, seconds, fit = _attempt(func, context, task, _WORKER_OBSERVER)
+    # The parent's ledger reads only its own store's counters, so this
+    # attempt's puts and reads travel home as counter increments.
+    for name, count in _store_counts(context).items():
+        if count != store_before[name]:
+            _WORKER_OBSERVER.inc(f"cache_{name}_total", count - store_before[name])
     return (
         value, seconds, fit, records[before:],
         _WORKER_OBSERVER.collect_delta(mark),

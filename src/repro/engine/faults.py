@@ -116,7 +116,7 @@ class FaultInjector:
     """Seeded, picklable fault source for the executor and the cache.
 
     The injector is constructed in the parent process and travels to
-    pool workers inside the initializer payload; ``_home_pid`` records
+    pool workers as a pool initializer argument; ``_home_pid`` records
     where it was built so ``kill`` faults can tell worker from parent.
     """
 
@@ -307,7 +307,7 @@ class FaultySource:
     ``(seed, source, kind, quarter)``, so a faulty sweep is exactly
     reproducible — in particular bit-identical between serial and
     process-pool execution, where the wrapper travels to workers inside
-    the pickled executor payload.
+    the executor payload.
     """
 
     def __init__(

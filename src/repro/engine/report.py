@@ -123,11 +123,14 @@ class RunReport:
             r.attempts - 1 for r in self.records if r.status == "retried"
         )
 
-    def wall_time(self, stage: str | None = None) -> float:
-        """Total recorded seconds, optionally for one stage."""
-        return sum(
-            r.seconds for r in self.records if stage is None or r.stage == stage
-        )
+    def wall_time(self) -> float:
+        """Seconds of the run's work, each counted once.
+
+        The sum of every record's exclusive seconds: a nested
+        resolution's seconds also sit in its caller's, so summing
+        inclusive seconds would count them once per enclosing level.
+        """
+        return sum(r.self_seconds for r in self.records)
 
     def fit_totals(self) -> FitCounters:
         """Run-wide fit-kernel counters (sum of every record's delta)."""

@@ -4,10 +4,8 @@ The subsystem has four pieces:
 
 * :class:`Tracer` / :class:`Span` — nested spans (run → stage → task →
   fit) with wall/CPU time, streamable as JSON-lines.
-* :class:`MetricsRegistry` — counters, gauges and histogram summaries
-  with Prometheus-text and JSON exporters; :func:`get_global_metrics`
-  is the accessor for the process-global registry (home of the
-  fit-kernel totals).
+* :class:`MetricsRegistry` — run-scoped counters, gauges and histogram
+  summaries with Prometheus-text and JSON exporters.
 * :class:`Observer` — the per-run context threaded through the
   executor, the artifact cache and the analysis drivers; disabled by
   default, with :class:`ObserverDelta` shipping worker telemetry home.
@@ -17,7 +15,7 @@ The subsystem has four pieces:
 """
 
 from repro.obs.ledger import RunLedger
-from repro.obs.metrics import MetricsRegistry, get_global_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer, ObserverDelta
 from repro.obs.reporting import render_run_diff, render_run_report
 from repro.obs.tracing import Span, Tracer
@@ -29,7 +27,6 @@ __all__ = [
     "RunLedger",
     "Span",
     "Tracer",
-    "get_global_metrics",
     "render_run_diff",
     "render_run_report",
 ]

@@ -19,8 +19,8 @@ Finalize is where the engine's pre-existing accounting is absorbed
 into the metrics registry: `ArtifactCache.stats()` becomes `cache_*`
 counters, and the `RunReport` contributes retry/degradation blame,
 per-stage wall time, and the fit-kernel totals.  Pulling fit totals
-from the report's exclusive per-stage deltas — not from the
-process-global registry — keeps the ledger run-scoped and guarantees
+from the report's exclusive per-stage deltas — not from the fit
+kernel's process totals — keeps the ledger run-scoped and guarantees
 `repro report` agrees with `RunReport` to the digit.
 """
 
@@ -78,8 +78,8 @@ def absorb_engine_accounting(
     bytes as gauges), and the ``RunReport`` contributes
     retry/degradation blame, per-stage wall time / call counts, and the
     run's fit-kernel totals.  Fit totals come from the report's
-    exclusive per-stage deltas — not the process-global registry — so
-    the result is run-scoped and matches ``RunReport`` exactly.
+    exclusive per-stage deltas — not the fit kernel's process totals —
+    so the result is run-scoped and matches ``RunReport`` exactly.
     """
     metrics = observer.metrics
     if cache is not None:

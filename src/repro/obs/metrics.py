@@ -1,10 +1,13 @@
 """Counters, gauges and histograms with Prometheus and JSON export.
 
 The :class:`MetricsRegistry` is the numeric half of the observability
-layer: a thread-safe bag of named metrics that the engine, the artifact
-cache and the fit kernel write into, and that the
+layer: a thread-safe bag of named metrics that a run's
+:class:`~repro.obs.observer.Observer` holds, that the engine and the
+artifact store write into, and that the
 :class:`~repro.obs.ledger.RunLedger` exports at the end of a run.
-Three metric kinds:
+Every registry is run-scoped: the fit kernel keeps its own process
+totals (:mod:`repro.core.fitkernel`), and the ledger copies a run's
+share of them in as ``fit_*_total`` counters.  Three metric kinds:
 
 * **counters** — monotonically increasing totals (``cache_hits_total``,
   ``fit_irls_iterations_total``).  Workers ship counter *deltas* back
@@ -17,14 +20,6 @@ Three metric kinds:
 
 Metrics may carry labels (``stage_seconds_total{stage="fit"}``); the
 label set is part of the metric identity.
-
-The module also owns the **process-global registry**: the single
-mutable home of process-wide totals such as the fit-kernel counters.
-Access it only through :func:`get_global_metrics` — module-level
-globals spread through code are exactly what this accessor replaces.
-This module must stay free of ``repro`` imports: the statistics core
-(:mod:`repro.core.fitkernel`) records into the global registry, so
-anything imported here is imported by everything.
 """
 
 from __future__ import annotations
@@ -71,11 +66,7 @@ class MetricsRegistry:
             self._counters[key] = self._counters.get(key, 0.0) + value
 
     def inc_many(self, deltas: Mapping[str, float]) -> None:
-        """Add several unlabelled counter deltas under one lock.
-
-        The fit kernel's fast path: one acquisition per recorded fit,
-        whatever the number of counters touched.
-        """
+        """Add several unlabelled counter deltas under one lock."""
         with self._lock:
             counters = self._counters
             for name, value in deltas.items():
@@ -111,15 +102,6 @@ class MetricsRegistry:
         with self._lock:
             return self._gauges.get(_key(name, labels))
 
-    def counters_with_prefix(self, prefix: str) -> dict[str, float]:
-        """Unlabelled counters whose name starts with ``prefix``."""
-        with self._lock:
-            return {
-                name: value
-                for (name, labels), value in self._counters.items()
-                if not labels and name.startswith(prefix)
-            }
-
     # -- worker deltas -----------------------------------------------------
 
     def collect(self) -> dict[str, float]:
@@ -149,15 +131,6 @@ class MetricsRegistry:
             for rendered, value in deltas.items():
                 key = _parse_rendered(rendered)
                 self._counters[key] = self._counters.get(key, 0.0) + value
-
-    # -- maintenance -------------------------------------------------------
-
-    def reset(self, prefix: str = "") -> None:
-        """Zero counters (and drop gauges/histograms) under ``prefix``."""
-        with self._lock:
-            for store in (self._counters, self._gauges, self._histograms):
-                for key in [k for k in store if k[0].startswith(prefix)]:
-                    del store[key]
 
     def __bool__(self) -> bool:
         with self._lock:
@@ -231,18 +204,3 @@ def _parse_rendered(rendered: str) -> MetricKey:
         items.append((k, v.strip('"')))
     return (name, tuple(sorted(items)))
 
-
-#: The process-global registry (fit-kernel totals and anything else
-#: that is genuinely process-wide).  Reach it through the accessor.
-_GLOBAL_REGISTRY = MetricsRegistry()
-
-
-def get_global_metrics() -> MetricsRegistry:
-    """The process-global :class:`MetricsRegistry`.
-
-    This accessor is the supported way to reach process-wide mutable
-    metric state (the fit-kernel counters live here under the ``fit_``
-    prefix).  Run-scoped metrics belong on a per-run
-    :class:`~repro.obs.observer.Observer` instead.
-    """
-    return _GLOBAL_REGISTRY

@@ -197,6 +197,15 @@ class TestCounters:
         assert delta.irls_iterations == fit.iterations
         assert delta.warm_start_hits == 0
 
+    def test_record_snapshot_reset(self):
+        fitkernel.reset_counters()
+        fitkernel.record(fits=2, irls_iterations=7)
+        snap = fitkernel.snapshot()
+        assert snap.fits == 2
+        assert snap.irls_iterations == 7
+        fitkernel.reset_counters()
+        assert fitkernel.snapshot().fits == 0
+
     def test_counter_algebra(self):
         a = fitkernel.FitCounters(fits=2, irls_iterations=5)
         b = fitkernel.FitCounters(fits=1, irls_iterations=2, memo_hits=3)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.analysis.windows import TimeWindow
 from repro.engine import Executor
 from repro.obs.ledger import RunLedger, absorb_engine_accounting
@@ -9,6 +11,28 @@ from repro.obs.observer import Observer
 from repro.obs.reporting import render_run_report
 
 WINDOW = TimeWindow(2013.5, 2014.5)
+
+
+def table_after(text, title):
+    """The header line and the split rows of the table titled ``title``."""
+    lines = text.splitlines()
+    start = lines.index(title)
+    rows = []
+    for line in lines[start + 3:]:
+        if not line.strip():
+            break
+        rows.append(line.split())
+    return lines[start + 1], rows
+
+
+def labelled(run_dir, name):
+    """``{stage: value}`` of one stage-labelled counter in a run ledger."""
+    metrics = json.loads((run_dir / "metrics.json").read_text())
+    return {
+        c["labels"]["stage"]: c["value"]
+        for c in metrics["counters"]
+        if c["name"] == name
+    }
 
 
 def run_once(tiny_internet, tiny_sources, run_dir, cache=None):
@@ -181,22 +205,22 @@ class TestStoreAccounting:
 class TestRendering:
     def test_report_renders_all_sections(self, tiny_internet, tiny_sources, tmp_path):
         run_dir = tmp_path / "run"
-        run_once(tiny_internet, tiny_sources, run_dir)
+        engine = run_once(tiny_internet, tiny_sources, run_dir)
         text = render_run_report(run_dir, top=5)
         assert "per-stage timings" in text
         assert "cache:" in text
         assert "fit kernel:" in text
         assert "slowest spans" in text
         assert "seed    : 7" in text
-
-    def test_worker_payload_line_renders(self, tmp_path):
-        obs = Observer()
-        obs.inc("pool_payload_bytes_total", 152.0)
-        obs.inc("pool_shm_bytes_total", 3_200_000.0)
-        RunLedger(tmp_path / "run").finalize(obs)
-        text = render_run_report(tmp_path / "run")
-        assert "worker payloads: 152 B pickled per pool" in text
-        assert "3200000 B via shared memory" in text
+        header, rows = table_after(text, "per-stage timings")
+        assert header.split() == ["stage", "calls", "hits", "self[s]", "seconds"]
+        # Ranked by exclusive seconds, which the inclusive column keeps.
+        own = [float(row[3]) for row in rows]
+        assert own == sorted(own, reverse=True)
+        stats = engine.report.by_stage()
+        for stage, _, _, self_s, seconds in rows:
+            assert float(self_s) == pytest.approx(stats[stage].self_seconds, abs=5e-4)
+            assert float(seconds) == pytest.approx(stats[stage].seconds, abs=5e-4)
 
     def test_renders_missing_directory_gracefully(self, tmp_path):
         text = render_run_report(tmp_path / "nothing")
@@ -254,6 +278,21 @@ class TestRendering:
         assert "run diff" in text
         assert "cache hit rate" in text
         assert "wall:" in text
+        # Stage deltas are in exclusive seconds: the cold run's
+        # window_result contains its stages, yet claims only its own.
+        header, rows = table_after(text, "per-stage deltas (baseline -> this run)")
+        assert "base self[s]" in header and "this self[s]" in header
+        cold, warm = (
+            labelled(tmp_path / run, "stage_self_seconds_total")
+            for run in ("cold", "warm")
+        )
+        assert {row[0] for row in rows} == set(cold) | set(warm)
+        for stage, _, _, base, this, delta in rows:
+            assert float(base) == pytest.approx(cold.get(stage, 0.0), abs=5e-4)
+            assert float(this) == pytest.approx(warm.get(stage, 0.0), abs=5e-4)
+            assert float(delta) == pytest.approx(
+                float(this) - float(base), abs=1.5e-3
+            )
 
     def test_diff_on_missing_directory_fails_cleanly(self, tmp_path):
         from repro.obs.reporting import render_run_diff

@@ -4,7 +4,7 @@ import json
 import pickle
 import threading
 
-from repro.obs.metrics import MetricsRegistry, get_global_metrics
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestCounters:
@@ -35,10 +35,8 @@ class TestCounters:
         m = MetricsRegistry()
         m.inc_many({"fit_fits": 3.0, "fit_irls_iterations": 12.0})
         m.inc_many({"fit_fits": 1.0})
-        assert m.counters_with_prefix("fit_") == {
-            "fit_fits": 4.0,
-            "fit_irls_iterations": 12.0,
-        }
+        assert m.value("fit_fits") == 4.0
+        assert m.value("fit_irls_iterations") == 12.0
 
     def test_thread_safety_no_lost_updates(self):
         m = MetricsRegistry()
@@ -111,14 +109,6 @@ class TestDeltaShipping:
 
 
 class TestMaintenanceAndExport:
-    def test_reset_by_prefix(self):
-        m = MetricsRegistry()
-        m.inc("fit_fits")
-        m.inc("cache_hits_total")
-        m.reset("fit_")
-        assert m.value("fit_fits") == 0.0
-        assert m.value("cache_hits_total") == 1.0
-
     def test_bool_and_iter(self):
         m = MetricsRegistry()
         assert not m
@@ -152,19 +142,3 @@ class TestMaintenanceAndExport:
     def test_empty_registry_exports_empty(self):
         assert MetricsRegistry().to_prometheus() == ""
 
-
-class TestGlobalRegistry:
-    def test_accessor_returns_singleton(self):
-        assert get_global_metrics() is get_global_metrics()
-
-    def test_fit_kernel_records_into_global(self):
-        from repro.core import fitkernel
-
-        fitkernel.reset_counters()
-        fitkernel.record(fits=2, irls_iterations=7)
-        assert get_global_metrics().value("fit_fits") == 2.0
-        snap = fitkernel.snapshot()
-        assert snap.fits == 2
-        assert snap.irls_iterations == 7
-        fitkernel.reset_counters()
-        assert fitkernel.snapshot().fits == 0

@@ -16,6 +16,8 @@ from repro.engine import (
     FaultSpec,
     fan_out,
 )
+from repro.engine.store import LocalStore, open_store
+from repro.obs.ledger import absorb_engine_accounting
 from repro.obs.observer import Observer
 from repro.simnet.internet import SimulationConfig, SyntheticInternet
 
@@ -127,3 +129,17 @@ class TestWindowSweepDeltas:
         keys = {s.attributes["key"] for s in window_spans}
         assert len(keys) == 2
         assert engine.report.retry_count >= 1
+
+    def test_worker_store_writes_reach_the_ledger(self, internet, tmp_path):
+        windows = [TimeWindow(2011.0, 2012.0), TimeWindow(2013.5, 2014.5)]
+        obs = Observer()
+        engine = Executor(internet, cache=open_store(tmp_path), observer=obs)
+        engine.run_windows(windows, workers=2)
+        absorb_engine_accounting(obs, report=engine.report, cache=engine.cache)
+        # The workers wrote every entry; the parent only re-put results.
+        usage = LocalStore(tmp_path).usage()
+        assert usage["entries"] > 0
+        puts = obs.metrics.value("cache_persistent_puts_total")
+        written = obs.metrics.value("cache_persistent_bytes_written_total")
+        assert puts >= usage["entries"]
+        assert written >= usage["bytes"]

@@ -27,7 +27,7 @@ class TestStarImport:
             "CaptureRecapture", "EstimatorOptions", "ExecutionPolicy",
             "Executor", "FaultInjector", "FaultSpec", "RunReport",
             "WindowResult", "Observer", "MetricsRegistry", "RunLedger",
-            "Tracer", "get_global_metrics", "render_run_report",
+            "Tracer", "render_run_report",
         ):
             assert hasattr(repro, name), name
             assert name in repro.__all__, name
