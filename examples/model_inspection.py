@@ -27,12 +27,11 @@ def main() -> None:
     internet = SyntheticInternet(SimulationConfig(scale=2.0**-13))
     executor = Executor(internet)
     window = TimeWindow(2013.5, 2014.5)
-    # The set-level toolkit over the window's preprocessed, spoof-filtered
-    # datasets, truncated at the routed space.
+    # The set-level toolkit over the window's analysis datasets (filtered,
+    # quarantined sources dropped), truncated at the routed space.
+    datasets = executor.analysis_datasets(window)
     routed = internet.routing.size(window.start, window.end)
-    estimator = CaptureRecapture(
-        executor.datasets(window), EstimatorOptions(limit=routed)
-    )
+    estimator = CaptureRecapture(datasets, EstimatorOptions(limit=routed))
 
     # --- 1. the selection path -----------------------------------------
     selection = estimator.selection()
@@ -75,8 +74,7 @@ def main() -> None:
     ))
 
     # --- 4. source leverage ----------------------------------------------
-    report = leave_one_out_sensitivity(executor.datasets(window),
-                                       estimator.options)
+    report = leave_one_out_sensitivity(datasets, estimator.options)
     rows = [
         [row.source, f"{row.estimate_without:,.0f}", f"{row.shift:+.1%}"]
         for row in sorted(report.rows, key=lambda r: -abs(r.shift))

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Mapping
 from repro.core.estimator import CaptureRecapture, EstimatorOptions
 from repro.engine.executor import fan_out
 from repro.engine.report import RunReport
+from repro.engine.stages import _fit_distribution, _level_limit
 from repro.ipspace.ipset import IPSet
 
 if TYPE_CHECKING:
@@ -113,24 +114,23 @@ def source_leverage_window(
 ) -> SensitivityReport:
     """Leverage analysis for one window straight off the executor.
 
-    Uses the window's cached datasets and the executor's estimator
-    options, and records fold timings in the executor's report.
+    Drops each source in turn from the window's analysis datasets (its
+    quarantined sources already out), fits under the fit stages'
+    likelihood and routed limit, and records fold timings in the
+    executor's report.
     """
     opts = executor.options
-    limit = float(executor.internet.routing.size(window.start, window.end))
-    distribution = opts.distribution
-    if distribution == "auto":
-        distribution = "truncated"
+    limit = _level_limit(executor, window, "addresses")
     options = EstimatorOptions(
         criterion=opts.criterion,
         divisor=opts.divisor,
         max_order=opts.max_order,
-        distribution=distribution,
+        distribution=_fit_distribution(opts, limit),
         limit=limit,
         min_stratum_observed=opts.min_stratum_observed,
     )
     return leave_one_out_sensitivity(
-        executor.datasets(window),
+        executor.analysis_datasets(window),
         options,
         workers=workers,
         report=executor.report,

@@ -23,7 +23,7 @@ The main entry points:
 The pipeline knobs — ``--inject-faults``, ``--quarantine-policy``,
 ``--store``, ``--trace``/``--metrics-out`` — are accepted both before
 the subcommand and after it (every estimating subcommand carries the
-identical set via shared parent parsers).
+identical set via one shared parent parser).
 
 All commands share ``--scale-log2`` (size of the simulated Internet as
 a power of two; -12 is 1/4096 of the real one) and ``--seed``.
@@ -51,6 +51,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -126,87 +128,81 @@ def _parse_window(text: str) -> TimeWindow:
         ) from exc
 
 
-def _parse_workers(text: str) -> int:
-    """Worker-pool width; ``0`` is rejected up front (an empty pool
-    would otherwise just sit there instead of computing anything)."""
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"--workers must be an integer >= 1, got {text!r}"
-        ) from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--workers must be >= 1, got {value} "
-            "(0 workers would mean an empty pool and no progress)"
-        )
-    return value
+def _bounded(flag: str, convert: type, bound: str, consequence: str = ""):
+    """An argparse type for ``flag``: an ``int`` (or a ``float`` of
+    seconds) within ``bound`` (``">= N"`` or ``"> N"``), rejected at
+    parse time otherwise; ``consequence`` says what an out-of-bound
+    value would have done."""
+    kind = "an integer" if convert is int else "a number of seconds"
+    op, limit = bound.split()
+    within = operator.ge if op == ">=" else operator.gt
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be {kind} {bound}, got {text!r}"
+            ) from exc
+        if not within(value, convert(limit)):
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be {bound}, got {text}{consequence}"
+            )
+        return value
+
+    return parse
 
 
-def _parse_retries(text: str) -> int:
-    """Extra attempts per stage/task; negative counts are rejected."""
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"--retries must be an integer >= 0, got {text!r}"
-        ) from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"--retries must be >= 0, got {value}")
-    return value
+_parse_workers = _bounded(
+    "--workers", int, ">= 1",
+    " (0 workers would mean an empty pool and no progress)",
+)
+_parse_retries = _bounded("--retries", int, ">= 0")
+_parse_task_timeout = _bounded(
+    "--task-timeout", float, "> 0", " (every task would exceed it and degrade)"
+)
 
 
-def _parse_task_timeout(text: str) -> float:
-    """Pool-task wall clock; zero or negative would time every task out."""
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"--task-timeout must be a number of seconds > 0, got {text!r}"
-        ) from exc
-    if not value > 0:
-        raise argparse.ArgumentTypeError(
-            f"--task-timeout must be > 0, got {text} "
-            "(every task would exceed it and degrade)"
-        )
-    return value
+def _add_pipeline_flags(
+    parser: argparse.ArgumentParser, *, defaults: bool = True
+) -> None:
+    """Declare the pipeline knobs on ``parser``.
 
-
-def _pipeline_parents() -> list[argparse.ArgumentParser]:
-    """Shared parents carrying the pipeline knobs into every estimating
-    subcommand (one canonical definition each, like ``workers_parent``).
-
-    Defaults are ``SUPPRESS`` so a flag given *before* the subcommand —
-    where the main parser defines the same option with its real default
-    — is not clobbered by the subparser's parse.
+    The main parser carries them with their real defaults.  The shared
+    parent of the estimating subcommands carries them with
+    ``defaults=False``: ``SUPPRESS`` then, so a flag given *before* the
+    subcommand is not clobbered by the subparser's parse.
     """
-    faults = argparse.ArgumentParser(add_help=False)
-    faults.add_argument(
-        "--inject-faults", action="append", default=argparse.SUPPRESS,
-        metavar="SPEC", type=parse_fault,
-        help="deterministic fault injection, repeatable "
-        "(stage:kind[:index[:count[:seconds]]] or "
-        "source:NAME:kind[:amount[:start]])")
-    faults.add_argument(
-        "--quarantine-policy", choices=POLICY_PRESETS,
-        default=argparse.SUPPRESS, metavar="PRESET",
+
+    def add(flag: str, default, **kwargs) -> None:
+        parser.add_argument(
+            flag, default=default if defaults else argparse.SUPPRESS, **kwargs
+        )
+
+    add("--inject-faults", [], action="append", metavar="SPEC", type=parse_fault,
+        help="deterministic fault injection, repeatable; SPEC is "
+        "stage:kind[:index[:count[:seconds]]] with kind one of "
+        "error/delay/kill/corrupt, e.g. window_result:kill:1 or "
+        "crossval:delay:0:1:5 — or a source data fault "
+        "source:NAME:kind[:amount[:start]] with kind one of "
+        "drop/truncate/duplicate/skew/spoof, e.g. "
+        "source:SWIN:spoof:200000:2013.5")
+    add("--quarantine-policy", "default", choices=POLICY_PRESETS, metavar="PRESET",
         help="source-integrity preset judging each source per window "
-        f"({', '.join(POLICY_PRESETS)})")
-
-    obs = argparse.ArgumentParser(add_help=False)
-    obs.add_argument(
-        "--trace", metavar="DIR", default=argparse.SUPPRESS,
-        help="enable tracing and persist the run ledger to DIR")
-    obs.add_argument(
-        "--metrics-out", metavar="PATH", default=argparse.SUPPRESS,
-        help="enable metrics and write the JSON export to PATH")
-
-    store = argparse.ArgumentParser(add_help=False)
-    store.add_argument(
-        "--store", metavar="DIR", default=argparse.SUPPRESS,
-        help="persistent artifact store directory (content-addressed "
-        "stage outputs reused across runs and workers)")
-    return [faults, obs, store]
+        f"({', '.join(POLICY_PRESETS)}); quarantined sources are excluded "
+        "and the window refit on the rest (default: default)")
+    add("--trace", None, metavar="DIR",
+        help="enable tracing and persist the run ledger (spans, metrics, "
+        "events, provenance) to DIR; render it later with "
+        "'repro report DIR'")
+    add("--metrics-out", None, metavar="PATH",
+        help="enable metrics and write the JSON metrics export to PATH "
+        "after the run")
+    add("--store", None, metavar="DIR",
+        help="persistent artifact store directory: stage outputs "
+        "(tabulations, fits, window results) are content-addressed and "
+        "reused across runs and worker processes; a repeat run against "
+        "a warm store skips recomputation wholesale")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,35 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="wall-clock timeout per pool task; a hung "
                         "task's pool is respawned and the task retried")
-    parser.add_argument("--inject-faults", action="append", default=[],
-                        metavar="SPEC", type=parse_fault,
-                        help="deterministic fault injection, repeatable; "
-                        "SPEC is stage:kind[:index[:count[:seconds]]] with "
-                        "kind one of error/delay/kill/corrupt, e.g. "
-                        "window_result:kill:1 or crossval:delay:0:1:5 — or "
-                        "a source data fault "
-                        "source:NAME:kind[:amount[:start]] with kind one "
-                        "of drop/truncate/duplicate/skew/spoof, e.g. "
-                        "source:SWIN:spoof:200000:2013.5")
-    parser.add_argument("--quarantine-policy", choices=POLICY_PRESETS,
-                        default="default", metavar="PRESET",
-                        help="source-integrity preset judging each "
-                        f"source per window ({', '.join(POLICY_PRESETS)}); "
-                        "quarantined sources are excluded and the window "
-                        "refit on the rest (default: default)")
-    parser.add_argument("--trace", metavar="DIR", default=None,
-                        help="enable tracing and persist the run ledger "
-                        "(spans, metrics, events, provenance) to DIR; "
-                        "render it later with 'repro report DIR'")
-    parser.add_argument("--metrics-out", metavar="PATH", default=None,
-                        help="enable metrics and write the JSON metrics "
-                        "export to PATH after the run")
-    parser.add_argument("--store", metavar="DIR", default=None,
-                        help="persistent artifact store directory: stage "
-                        "outputs (tabulations, fits, window results) are "
-                        "content-addressed and reused across runs and "
-                        "worker processes; a repeat run against a warm "
-                        "store skips recomputation wholesale")
+    _add_pipeline_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Shared parent for every command that fans work out: one canonical
@@ -269,12 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     # The pipeline knobs, shared by every estimating subcommand so the
     # flags parse identically before or after the subcommand name.
-    pipeline_parents = _pipeline_parents()
+    pipeline = argparse.ArgumentParser(add_help=False)
+    _add_pipeline_flags(pipeline, defaults=False)
 
     sub.add_parser("simulate", help="build the synthetic Internet and "
                    "print its vitals")
 
-    estimate = sub.add_parser("estimate", parents=pipeline_parents,
+    estimate = sub.add_parser("estimate", parents=[pipeline],
                               help="run the estimation "
                               "pipeline on one window")
     estimate.add_argument("--window", type=_parse_window,
@@ -282,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     windows = sub.add_parser(
         "windows",
-        parents=[workers_parent, *pipeline_parents],
+        parents=[workers_parent, pipeline],
         help="sweep the 11 standard windows through the staged engine",
     )
     windows.add_argument("--report", action="store_true",
@@ -292,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     health = sub.add_parser(
         "health",
-        parents=pipeline_parents,
+        parents=[pipeline],
         help="per-source integrity verdicts and the pairwise "
         "agreement matrix for one window",
     )
@@ -300,16 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
                         default=TimeWindow(2013.5, 2014.5))
 
     crossval = sub.add_parser("crossval",
-                              parents=[workers_parent, *pipeline_parents],
+                              parents=[workers_parent, pipeline],
                               help="leave-one-source-out cross-validation")
     crossval.add_argument("--window", type=_parse_window,
                           default=TimeWindow(2013.5, 2014.5))
 
-    sub.add_parser("supply", parents=pipeline_parents,
+    sub.add_parser("supply", parents=[pipeline],
                    help="Table 6 supply runout forecast")
 
     sensitivity = sub.add_parser(
-        "sensitivity", parents=[workers_parent, *pipeline_parents],
+        "sensitivity", parents=[workers_parent, pipeline],
         help="leave-one-source-out estimate leverage",
     )
     sensitivity.add_argument("--window", type=_parse_window,
@@ -395,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     submit = campaign_sub.add_parser(
         "submit", parents=[workers_parent, service_parent,
-                           *pipeline_parents],
+                           pipeline],
         help="submit a campaign (windows x sensitivity grid) and run "
         "it to completion through the task runner",
     )
@@ -450,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream_sub = stream.add_subparsers(dest="stream_command", required=True)
 
     stream_ingest = stream_sub.add_parser(
-        "ingest", parents=[journal_parent, *pipeline_parents],
+        "ingest", parents=[journal_parent, pipeline],
         help="apply the journal tail to the stream state (optionally "
         "writing the journal first from the simulated sources)",
     )
@@ -468,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tail for the next ingest/advance)")
 
     stream_advance = stream_sub.add_parser(
-        "advance", parents=[journal_parent, *pipeline_parents],
+        "advance", parents=[journal_parent, pipeline],
         help="ingest the tail, close every coverable standard window "
         "(re-closing ones invalidated by late events) and print the "
         "growth series",
@@ -480,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(repeatable)")
 
     stream_sub.add_parser(
-        "snapshot", parents=[journal_parent, *pipeline_parents],
+        "snapshot", parents=[journal_parent, pipeline],
         help="ingest the tail and persist the stream state into the "
         "artifact store (requires --store); a later command resumes "
         "from the snapshot plus the journal tail",
@@ -1282,8 +1251,17 @@ COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and dispatch to the chosen command."""
     args = build_parser().parse_args(argv)
-    code = COMMANDS[args.command](args)
-    _finalize_observability(args)
+    try:
+        code = COMMANDS[args.command](args)
+        _finalize_observability(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (``repro report RUN | head``).  Point
+        # stdout at devnull so the interpreter's exit flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

@@ -5,9 +5,9 @@ preprocess, spoof-filter, tabulate, fit, estimate — repeated over many
 windows, cross-validation folds and strata.  This package makes that
 dataflow a first-class object:
 
-* :mod:`repro.engine.stages` — the named :class:`Stage` functions and
-  the :class:`RunContext` they see, plus the shared
-  :class:`PipelineOptions` / :class:`WindowResult` types.
+* :mod:`repro.engine.stages` — the named :class:`Stage` functions of
+  the executor, plus the shared :class:`PipelineOptions` /
+  :class:`WindowResult` types.
 * :mod:`repro.engine.artifacts` — keyed artifacts and the in-memory
   LRU :class:`ArtifactCache`.
 * :mod:`repro.engine.store` — the :class:`ArtifactStore` interface,
@@ -55,7 +55,6 @@ from repro.engine.stages import (
     SPOOF_FREE_REFERENCES,
     STAGES,
     PipelineOptions,
-    RunContext,
     Stage,
     WindowResult,
     spoof_filter_seed,
@@ -83,7 +82,6 @@ __all__ = [
     "StageRecord",
     "Stage",
     "STAGES",
-    "RunContext",
     "PipelineOptions",
     "WindowResult",
     "NETFLOW_SOURCES",

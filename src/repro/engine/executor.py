@@ -42,22 +42,21 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core import fitkernel
 from repro.core.fitkernel import FitCounters
-from repro.core.stratified import StratifiedEstimate, stratified_estimate
 from repro.engine.artifacts import MISS, ArtifactCache, ArtifactKey, artifact_nbytes
 from repro.engine.faults import FaultInjector, backoff_seconds
 from repro.engine.report import RunReport, StageRecord
 from repro.engine.store import ArtifactStore, open_store
 from repro.obs.observer import Observer, ObserverDelta
 from repro.engine.stages import (
+    FIT_LEVELS,
     STAGES,
     PipelineOptions,
-    RunContext,
     WindowResult,
-    _fit_distribution,
+    _analysis_view,
 )
 from repro.ipspace.ipset import IPSet
 from repro.simnet.internet import SyntheticInternet
@@ -68,6 +67,7 @@ if TYPE_CHECKING:
     # modules that import the engine, so a module-level import here
     # would be circular.
     from repro.analysis.windows import TimeWindow
+    from repro.core.stratified import StratifiedEstimate
 
 
 def _worker_tag() -> str:
@@ -435,7 +435,6 @@ class Executor:
         # entries to this run's (a bare memory cache has no events).
         if hasattr(self.cache, "observer") and self.cache.observer is None:
             self.cache.observer = self.observer
-        self.context = RunContext(self)
         #: Per-stage resolution counter: the task index stage-level
         #: faults key on (counts cache misses, stable under retries).
         self._stage_sequence: dict[str, int] = {}
@@ -563,7 +562,7 @@ class Executor:
                     try:
                         if self.faults is not None and stage != self._task_stage:
                             self.faults.fire(stage, index, attempt)
-                        value = spec.fn(self.context, window, **params)
+                        value = spec.fn(self, window, **params)
                         break
                     except Exception as exc:
                         attempt += 1
@@ -647,21 +646,12 @@ class Executor:
     def analysis_datasets(self, window: TimeWindow) -> dict[str, IPSet]:
         """The window's datasets as the estimation stages see them.
 
-        :meth:`datasets` minus any quarantined sources — the view a
-        refit (and anything aligned with it, e.g. cross-validation
-        folds) must use so excluded sources stay excluded everywhere.
+        :meth:`datasets` minus any quarantined sources.  The headline
+        estimates, the suspect bracket, the strata, the sensitivity
+        drops and the cross-validation folds are all fitted on this
+        view, so one window gives one answer under quarantine.
         """
-        datasets = self.datasets(window)
-        policy = self.options.quarantine
-        if not policy.enabled or len(datasets) < 2:
-            return datasets
-        quarantined = self.window_health(window).quarantined
-        if not quarantined:
-            return datasets
-        return {
-            name: d for name, d in datasets.items()
-            if name not in quarantined
-        }
+        return _analysis_view(self, window)[0]
 
     # -- parallel fan-out -------------------------------------------------
 
@@ -739,59 +729,13 @@ class Executor:
         level), a dynamic stratum at the whole window's.  The strata
         are batched through one stepwise search.
         """
-        if level not in ("addresses", "subnets"):
+        # Bad input raises here: inside the stage it would be retried
+        # and recorded as a failed stage.
+        if level not in FIT_LEVELS:
             raise ValueError(f"level must be 'addresses' or 'subnets', got {level!r}")
-        subnets = level == "subnets"
-        routing = self.internet.routing
-        if kind == "dynamic":
-            labeler = self.internet.population.dynamic_labeler()
-            # No per-stratum sizes: both strata take the whole total.
-            sizes: dict[Hashable, float] = {}
-            total = (
-                routing.subnet24_count(window.start, window.end)
-                if subnets
-                else routing.size(window.start, window.end)
-            )
-        else:
-            labeler = self.internet.registry.labeler(kind)
-            sizes = routing.stratum_sizes(window.start, window.end, kind, subnets)
-            total = sum(sizes.values())
-        datasets = self.datasets(window)
-        if subnets:
-            datasets = {name: d.subnets24() for name, d in datasets.items()}
-        opts = self.options
-        start = perf_counter()
-        fit_before = fitkernel.snapshot()
-        with self.observer.span(
-            f"stage:stratified[{level}]", level=level
-        ) as span:
-            result = stratified_estimate(
-                datasets,
-                labeler,
-                min_observed=opts.min_stratum_observed,
-                criterion=opts.criterion,
-                divisor=opts.divisor,
-                distribution=_fit_distribution(opts, total),
-                limit_per_stratum=lambda label: sizes.get(label, total),
-                max_order=opts.max_order,
-            )
-            span.set(strata=len(result.strata))
-        fit_delta = fitkernel.snapshot() - fit_before
-        seconds = perf_counter() - start
-        self.report.record(
-            StageRecord(
-                stage=f"stratified[{level}]",
-                key=f"stratified-{window.start}-{window.end}",
-                seconds=seconds,
-                self_seconds=seconds,
-                cache_hit=False,
-                input_bytes=artifact_nbytes(datasets),
-                output_bytes=len(result.strata),
-                worker=_worker_tag(),
-                fit=fit_delta or None,
-            )
-        )
-        return result
+        if kind != "dynamic":
+            self.internet.registry.stratum_values(kind)
+        return self.run("stratified", window, kind=kind, level=level)
 
 
 # -- process-pool plumbing --------------------------------------------------

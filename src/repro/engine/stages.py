@@ -1,30 +1,33 @@
 """The named stages of the estimation dataflow.
 
-Each stage is a pure function of a :class:`RunContext` (the simulated
-Internet, the measurement sources and the frozen
-:class:`PipelineOptions`) plus its parameters — a window, and for the
-estimation stages a granularity level.  Stages fetch their upstream
-dependencies through ``ctx.run``, so every intermediate value flows
-through the executor's artifact cache:
+Each stage is a pure function of the :class:`Executor` (its simulated
+Internet, measurement sources and frozen :class:`PipelineOptions`)
+plus its parameters — a window, and for the estimation stages a
+granularity level.  Stages fetch their upstream dependencies through
+``executor.run``, so every intermediate value flows through the
+executor's artifact cache:
 
 ``collect → preprocess → spoof_filter → tabulate → fit → estimate``
 
 with ``source_health`` branching off the filtered datasets (per-source
-integrity verdicts under the options' quarantine policy) and
-``window_result`` as the composite that assembles the paper's
-per-window report from the stage artifacts — refit without any
-quarantined sources.
+integrity verdicts under the options' quarantine policy),
+``stratified`` fitting the Table 5 strata, and ``window_result`` as the
+composite that assembles the paper's per-window report from the stage
+artifacts.  Every window estimate is fitted on
+:meth:`~repro.engine.executor.Executor.analysis_datasets`: the window's
+datasets without its quarantined sources.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, TYPE_CHECKING
+from typing import Any, Callable, Hashable, TYPE_CHECKING
 
 from repro.core.histories import ContingencyTable, tabulate_histories
 from repro.core.loglinear import PopulationEstimate
 from repro.core.selection import ModelSelection, select_models_batched
+from repro.core.stratified import StratifiedEstimate, stratified_estimate
 from repro.filtering.preprocess import preprocess_dataset
 from repro.filtering.spoof_filter import SpoofFilter, detect_empty_blocks
 from repro.integrity.health import (
@@ -40,9 +43,6 @@ if TYPE_CHECKING:
     # repro.analysis.__init__ imports modules that import the engine.
     from repro.analysis.windows import TimeWindow
     from repro.engine.executor import Executor
-    from repro.obs.observer import Observer
-    from repro.simnet.internet import SyntheticInternet
-    from repro.sources.base import MeasurementSource
 
 #: Sources the paper treats as spoof-free references for the filter.
 SPOOF_FREE_REFERENCES = ("WIKI", "WEB", "MLAB", "GAME")
@@ -128,54 +128,22 @@ def spoof_filter_seed(base_seed: int, source_name: str) -> int:
     return base_seed + zlib.crc32(source_name.encode("utf-8")) % 1000
 
 
-class RunContext:
-    """What stage functions see: shared state plus cached dependencies."""
-
-    def __init__(self, executor: "Executor") -> None:
-        self._executor = executor
-
-    @property
-    def internet(self) -> "SyntheticInternet":
-        return self._executor.internet
-
-    @property
-    def sources(self) -> Mapping[str, "MeasurementSource"]:
-        return self._executor.sources
-
-    @property
-    def options(self) -> PipelineOptions:
-        return self._executor.options
-
-    @property
-    def observer(self) -> "Observer":
-        return self._executor.observer
-
-    def run(self, stage: str, window: TimeWindow, **params: Any) -> Any:
-        """Fetch an upstream artifact through the executor's cache."""
-        return self._executor.run(stage, window, **params)
-
-    def datasets(self, window: TimeWindow) -> dict[str, IPSet]:
-        """The window's analysis datasets under the configured filtering."""
-        stage = "spoof_filter" if self.options.spoof_filtering else "preprocess"
-        return self.run(stage, window)
-
-
 # -- stage functions --------------------------------------------------------
 
 
-def _collect(ctx: RunContext, window: TimeWindow) -> dict[str, IPSet]:
+def _collect(ex: Executor, window: TimeWindow) -> dict[str, IPSet]:
     """Per-source raw collections for the window (available only)."""
     return {
         name: source.collect(window.start, window.end)
-        for name, source in ctx.sources.items()
+        for name, source in ex.sources.items()
         if source.available_in(window.start, window.end)
     }
 
 
-def _preprocess(ctx: RunContext, window: TimeWindow) -> dict[str, IPSet]:
+def _preprocess(ex: Executor, window: TimeWindow) -> dict[str, IPSet]:
     """Restrict raw collections to routed space; drop emptied sources."""
-    raw = ctx.run("collect", window)
-    routed = ctx.internet.routing.window(window.start, window.end)
+    raw = ex.run("collect", window)
+    routed = ex.internet.routing.window(window.start, window.end)
     processed = {
         name: preprocess_dataset(dataset, routed).dataset
         for name, dataset in raw.items()
@@ -186,17 +154,17 @@ def _preprocess(ctx: RunContext, window: TimeWindow) -> dict[str, IPSet]:
     return {name: d for name, d in processed.items() if len(d)}
 
 
-def _spoof_filter(ctx: RunContext, window: TimeWindow) -> dict[str, IPSet]:
+def _spoof_filter(ex: Executor, window: TimeWindow) -> dict[str, IPSet]:
     """Spoof-filter the NetFlow datasets against the spoof-free union."""
-    datasets = ctx.run("preprocess", window)
+    datasets = ex.run("preprocess", window)
     refs = [datasets[name] for name in SPOOF_FREE_REFERENCES if name in datasets]
     suspects = [name for name in NETFLOW_SOURCES if name in datasets]
     if not refs or not suspects:
         return datasets
     reference = refs[0].union(*refs[1:])
-    routed = ctx.internet.routing.window(window.start, window.end)
+    routed = ex.internet.routing.window(window.start, window.end)
     candidates = [
-        a.prefix for a in ctx.internet.registry if a.routed_from < window.end
+        a.prefix for a in ex.internet.registry if a.routed_from < window.end
     ]
     # Detect the calibration blocks from the union of suspects:
     # spoofs from every NetFlow vantage light up the same dark
@@ -213,7 +181,7 @@ def _spoof_filter(ctx: RunContext, window: TimeWindow) -> dict[str, IPSet]:
             reference,
             routed,
             empty,
-            seed=spoof_filter_seed(ctx.options.seed, name),
+            seed=spoof_filter_seed(ex.options.seed, name),
         )
         result[name] = spoof_filter.apply(datasets[name]).filtered
     # A dataset the filter emptied carries no capture information for
@@ -223,10 +191,8 @@ def _spoof_filter(ctx: RunContext, window: TimeWindow) -> dict[str, IPSet]:
     return {name: d for name, d in result.items() if len(d)}
 
 
-def _level_datasets(
-    ctx: RunContext, window: TimeWindow, level: str
-) -> dict[str, IPSet]:
-    datasets = ctx.datasets(window)
+def _at_level(datasets: dict[str, IPSet], level: str) -> dict[str, IPSet]:
+    """``datasets`` at a granularity level: as they are, or as /24s."""
     if level == "addresses":
         return datasets
     if level == "subnets":
@@ -234,8 +200,8 @@ def _level_datasets(
     raise ValueError(f"level must be 'addresses' or 'subnets', got {level!r}")
 
 
-def _level_limit(ctx: RunContext, window: TimeWindow, level: str) -> float:
-    routing = ctx.internet.routing
+def _level_limit(ex: Executor, window: TimeWindow, level: str) -> float:
+    routing = ex.internet.routing
     if level == "addresses":
         return float(routing.size(window.start, window.end))
     return float(routing.subnet24_count(window.start, window.end))
@@ -252,13 +218,13 @@ def _exclude_kw(exclude: tuple[str, ...]) -> dict[str, Any]:
 
 
 def _tabulate(
-    ctx: RunContext,
+    ex: Executor,
     window: TimeWindow,
     level: str = "addresses",
     exclude: tuple[str, ...] = (),
 ) -> ContingencyTable:
     """Capture-history contingency table at the requested granularity."""
-    datasets = _level_datasets(ctx, window, level)
+    datasets = _at_level(ex.datasets(window), level)
     if exclude:
         datasets = {n: d for n, d in datasets.items() if n not in exclude}
     if len(datasets) < 2:
@@ -281,7 +247,7 @@ def _fit_distribution(opts: PipelineOptions, limit: float | None) -> str:
 
 
 def _fit(
-    ctx: RunContext,
+    ex: Executor,
     window: TimeWindow,
     level: str = "addresses",
     exclude: tuple[str, ...] = (),
@@ -292,12 +258,12 @@ def _fit(
     searches run as one batched plan, and the second level's fit is a
     cache hit on the same artifact.
     """
-    batch = ctx.run("fit_batch", window, **_exclude_kw(exclude))
+    batch = ex.run("fit_batch", window, **_exclude_kw(exclude))
     return batch[level]
 
 
 def _fit_batch(
-    ctx: RunContext,
+    ex: Executor,
     window: TimeWindow,
     exclude: tuple[str, ...] = (),
 ) -> dict[str, ModelSelection]:
@@ -309,13 +275,13 @@ def _fit_batch(
     The artifact is a ``level -> selection`` mapping, content-addressed
     like any other stage output.
     """
-    opts = ctx.options
+    opts = ex.options
     tables = []
     distributions = []
     limits: list[float | None] = []
     for level in FIT_LEVELS:
-        table = ctx.run("tabulate", window, level=level, **_exclude_kw(exclude))
-        limit = _level_limit(ctx, window, level)
+        table = ex.run("tabulate", window, level=level, **_exclude_kw(exclude))
+        limit = _level_limit(ex, window, level)
         tables.append(table)
         distributions.append(_fit_distribution(opts, limit))
         limits.append(limit)
@@ -331,29 +297,62 @@ def _fit_batch(
 
 
 def _estimate(
-    ctx: RunContext,
+    ex: Executor,
     window: TimeWindow,
     level: str = "addresses",
     exclude: tuple[str, ...] = (),
 ) -> PopulationEstimate:
     """Point estimate of the population at the requested granularity."""
-    selection = ctx.run("fit", window, level=level, **_exclude_kw(exclude))
+    selection = ex.run("fit", window, level=level, **_exclude_kw(exclude))
     return selection.fit.estimate()
 
 
-def _source_health(ctx: RunContext, window: TimeWindow) -> SourceHealthReport:
+def _stratified(
+    ex: Executor, window: TimeWindow, kind: str, level: str
+) -> StratifiedEstimate:
+    """Per-stratum estimates of the window's analysis datasets, summed.
+
+    Each stratum is truncated at its routed size at ``level``, a
+    dynamic stratum at the whole window's; every stratum's stepwise
+    search runs in one batched plan.
+    """
+    if kind == "dynamic":
+        labeler = ex.internet.population.dynamic_labeler()
+        # No per-stratum sizes: both strata take the whole total.
+        sizes: dict[Hashable, float] = {}
+        total = _level_limit(ex, window, level)
+    else:
+        labeler = ex.internet.registry.labeler(kind)
+        sizes = ex.internet.routing.stratum_sizes(
+            window.start, window.end, kind, level == "subnets"
+        )
+        total = sum(sizes.values())
+    opts = ex.options
+    return stratified_estimate(
+        _at_level(ex.analysis_datasets(window), level),
+        labeler,
+        min_observed=opts.min_stratum_observed,
+        criterion=opts.criterion,
+        divisor=opts.divisor,
+        distribution=_fit_distribution(opts, total),
+        limit_per_stratum=lambda label: sizes.get(label, total),
+        max_order=opts.max_order,
+    )
+
+
+def _source_health(ex: Executor, window: TimeWindow) -> SourceHealthReport:
     """Score every source's health for the window and apply the policy.
 
-    Pure observables only: the checks see the analysis datasets, the
+    Pure observables only: the checks see the filtered datasets, the
     spoof-free references and raw capture counts — never simulation
     ground truth.  The verdicts are emitted as ``source_health``
     metrics and ``integrity.*`` events at compute time (cache hits do
     not re-emit, matching the fit-counter convention).
     """
-    policy = ctx.options.quarantine
-    raw = ctx.run("collect", window)
-    pre = ctx.run("preprocess", window)
-    datasets = ctx.datasets(window)
+    policy = ex.options.quarantine
+    raw = ex.run("collect", window)
+    pre = ex.run("preprocess", window)
+    datasets = ex.datasets(window)
     dropped = tuple(
         (
             name,
@@ -376,7 +375,7 @@ def _source_health(ctx: RunContext, window: TimeWindow) -> SourceHealthReport:
     if refs and others:
         reference = refs[0].union(*refs[1:])
         candidates = [
-            a.prefix for a in ctx.internet.registry
+            a.prefix for a in ex.internet.registry
             if a.routed_from < window.end
         ]
         empty = detect_empty_blocks(
@@ -384,12 +383,12 @@ def _source_health(ctx: RunContext, window: TimeWindow) -> SourceHealthReport:
         )
     quarter_counts = {
         name: quarter_count_history(
-            ctx.sources[name], window.start, window.end
+            ex.sources[name], window.start, window.end
         )
         for name in datasets
-        if name in ctx.sources
+        if name in ex.sources
     }
-    # Temporal-agreement baseline: the same analysis datasets one
+    # Temporal-agreement baseline: the same filtered datasets one
     # window-length back.  Only sources whose availability covers the
     # whole previous window participate (a source still ramping in
     # would look like a fault); with fewer than four such sources the
@@ -400,16 +399,16 @@ def _source_health(ctx: RunContext, window: TimeWindow) -> SourceHealthReport:
     eligible = {
         name
         for name in datasets
-        if name in ctx.sources
-        and ctx.sources[name].available_from <= prev_start + 1e-9
-        and ctx.sources[name].available_to >= prev_end - 1e-9
+        if name in ex.sources
+        and ex.sources[name].available_from <= prev_start + 1e-9
+        and ex.sources[name].available_to >= prev_end - 1e-9
     }
     previous = None
     if len(eligible) >= 4:
         prev_window = type(window)(prev_start, prev_end)
         previous = {
             name: data
-            for name, data in ctx.datasets(prev_window).items()
+            for name, data in ex.datasets(prev_window).items()
             if name in eligible
         }
     report = evaluate_health(
@@ -421,14 +420,14 @@ def _source_health(ctx: RunContext, window: TimeWindow) -> SourceHealthReport:
         previous=previous,
         dropped=dropped,
     )
-    _emit_health(ctx, window, report)
+    _emit_health(ex, window, report)
     return report
 
 
 def _emit_health(
-    ctx: RunContext, window: TimeWindow, report: SourceHealthReport
+    ex: Executor, window: TimeWindow, report: SourceHealthReport
 ) -> None:
-    obs = ctx.observer
+    obs = ex.observer
     label = f"{window.start:.2f}-{window.end:.2f}"
     for health in report.sources:
         obs.inc(
@@ -464,7 +463,25 @@ def _emit_health(
         )
 
 
-def _window_result(ctx: RunContext, window: TimeWindow) -> WindowResult:
+def _analysis_view(
+    ex: Executor, window: TimeWindow
+) -> tuple[dict[str, IPSet], SourceHealthReport | None]:
+    """The one rule that drops a window's quarantined sources.
+
+    Returns :meth:`~repro.engine.executor.Executor.analysis_datasets`
+    plus the health report that judged them (``None`` with the policy
+    off or fewer than two sources), so the window result resolves each
+    once.
+    """
+    datasets = ex.datasets(window)
+    if not ex.options.quarantine.enabled or len(datasets) < 2:
+        return datasets, None
+    health = ex.run("source_health", window)
+    kept = {n: d for n, d in datasets.items() if n not in health.quarantined}
+    return kept, health
+
+
+def _window_result(ex: Executor, window: TimeWindow) -> WindowResult:
     """Full observed/estimated/truth bundle for one window.
 
     With the quarantine policy enabled this is where detection turns
@@ -473,33 +490,29 @@ def _window_result(ctx: RunContext, window: TimeWindow) -> WindowResult:
     result), while suspect sources produce a with/without sensitivity
     bracket alongside the headline estimate.
     """
-    datasets = ctx.datasets(window)
-    policy = ctx.options.quarantine
-    health: SourceHealthReport | None = None
+    kept, health = _analysis_view(ex, window)
     excluded: tuple[str, ...] = ()
     suspects: tuple[str, ...] = ()
-    if policy.enabled and len(datasets) >= 2:
-        health = ctx.run("source_health", window)
+    if health is not None:
         excluded = tuple(sorted(health.quarantined))
         suspects = health.suspect
-    kept = {n: d for n, d in datasets.items() if n not in excluded}
-    estimate_addresses = ctx.run(
+    estimate_addresses = ex.run(
         "estimate", window, level="addresses", **_exclude_kw(excluded)
     )
-    estimate_subnets = ctx.run(
+    estimate_subnets = ex.run(
         "estimate", window, level="subnets", **_exclude_kw(excluded)
     )
     suspect_bracket = None
     if suspects and len(kept) - len(suspects) >= 2:
         without = tuple(sorted(set(excluded) | set(suspects)))
-        alternative = ctx.run(
+        alternative = ex.run(
             "estimate", window, level="addresses", exclude=without
         )
         pair = (estimate_addresses.population, alternative.population)
         suspect_bracket = (min(pair), max(pair))
     union = IPSet.empty().union(*kept.values())
     ping = kept.get("IPING", IPSet.empty())
-    internet = ctx.internet
+    internet = ex.internet
     return WindowResult(
         window=window,
         routed_addresses=internet.routing.size(window.start, window.end),
@@ -520,8 +533,8 @@ def _window_result(ctx: RunContext, window: TimeWindow) -> WindowResult:
 
 @dataclass(frozen=True)
 class Stage:
-    """A named node of the dataflow graph; its edges are the ``ctx.run``
-    calls the stage function makes."""
+    """A named node of the dataflow graph; its edges are the
+    ``executor.run`` calls the stage function makes."""
 
     name: str
     fn: Callable[..., Any]
@@ -547,6 +560,7 @@ STAGES: dict[str, Stage] = {
         Stage("fit_batch", _fit_batch, cacheable=False),
         Stage("fit", _fit),
         Stage("estimate", _estimate),
+        Stage("stratified", _stratified),
         Stage("window_result", _window_result),
     )
 }

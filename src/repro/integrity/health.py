@@ -1,7 +1,7 @@
 """Per-window source-health evaluation and its report objects.
 
 :func:`evaluate_health` is the pure core of the engine's
-``source_health`` stage: given a window's analysis datasets plus the
+``source_health`` stage: given a window's filtered datasets plus the
 check inputs (empty calibration blocks, per-quarter capture-count
 histories), it scores every source, applies a
 :class:`~repro.integrity.policy.QuarantinePolicy` and returns a

@@ -129,6 +129,23 @@ class TestStageInputs:
         engine.window_result(WINDOWS[1])
         assert sorted(looked_up) == sorted(r.key for r in engine.report.records)
 
+    def test_dropped_executor_is_freed_at_once(self, tiny_internet, tiny_sources):
+        """Nothing an executor owns refers back to it, so dropping it
+        frees its memory-tier artifacts without waiting for a cyclic
+        collection."""
+        import gc
+        import weakref
+
+        engine = Executor(tiny_internet, tiny_sources)
+        engine.run("collect", WINDOWS[0])
+        ref = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 class TestSpoofFilterDeterminism:
     def test_seed_is_hash_randomization_free(self):
@@ -388,3 +405,49 @@ class TestStratified:
             tiny_executor.stratified(last_window, "species")
         with pytest.raises(ValueError, match="level must be"):
             tiny_executor.stratified(last_window, "rir", "hosts")
+
+
+class TestStratifiedStage:
+    """Strata resolve as a stage: keyed, memoised and persisted."""
+
+    def test_strata_are_cached_and_stored(
+        self, tiny_internet, tiny_sources, first_window, tmp_path
+    ):
+        from repro.core import fitkernel
+
+        engine = Executor(
+            tiny_internet, tiny_sources, cache=open_store(tmp_path / "store")
+        )
+        first = engine.stratified(first_window, "rir", "subnets")
+        records = [r for r in engine.report.records if r.stage == "stratified"]
+        assert [r.cache_hit for r in records] == [False]
+        assert records[0].fit is not None and records[0].fit.fits > 0
+
+        again = engine.stratified(first_window, "rir", "subnets")
+        hit = engine.report.records[-1]
+        assert (hit.stage, hit.cache_hit, hit.tier) == ("stratified", True, "memory")
+        assert again.population == first.population
+
+        fresh = Executor(
+            tiny_internet, tiny_sources, cache=open_store(tmp_path / "store")
+        )
+        before = fitkernel.snapshot()
+        stored = fresh.stratified(first_window, "rir", "subnets")
+        assert not fitkernel.snapshot() - before
+        (record,) = fresh.report.records
+        assert (record.stage, record.cache_hit, record.tier) == (
+            "stratified", True, "persistent"
+        )
+        assert stored.population == first.population
+        assert stored.observed == first.observed
+
+    def test_bad_input_resolves_no_stage(
+        self, tiny_internet, tiny_sources, last_window
+    ):
+        # Inside the stage a bad kind or level would be retried and
+        # recorded as a failed stage.
+        engine = Executor(tiny_internet, tiny_sources)
+        for kind, level in (("species", "addresses"), ("rir", "hosts")):
+            with pytest.raises(ValueError):
+                engine.stratified(last_window, kind, level)
+        assert engine.report.records == []

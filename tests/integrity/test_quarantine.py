@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.crossval import cross_validate_window
+from repro.analysis.sensitivity import source_leverage_window
 from repro.engine.executor import Executor
 from repro.engine.faults import apply_source_faults
 from repro.engine.stages import PipelineOptions
@@ -97,6 +98,28 @@ class TestQuarantineAndRefit:
         results = cross_validate_window(executor, last_window)
         assert all(r.source != "SWIN" for r in results)
         assert len(results) == 8
+
+    def test_sensitivity_drops_from_the_refit_view(
+        self, tiny_internet, flooded_sources, last_window
+    ):
+        executor = _executor(
+            tiny_internet, flooded_sources, QuarantinePolicy()
+        )
+        headline = executor.window_result(last_window).estimated_addresses
+        report = source_leverage_window(executor, last_window)
+        assert report.baseline == pytest.approx(headline, rel=1e-9)
+        assert all(row.source != "SWIN" for row in report.rows)
+        assert len(report.rows) == 8
+
+    def test_strata_observe_the_refit_view(
+        self, tiny_internet, flooded_sources, last_window
+    ):
+        executor = _executor(
+            tiny_internet, flooded_sources, QuarantinePolicy()
+        )
+        result = executor.window_result(last_window)
+        strata = executor.stratified(last_window, "rir")
+        assert strata.observed == result.observed_addresses
 
     def test_quarantine_emits_observability(
         self, tiny_internet, flooded_sources, last_window

@@ -1,8 +1,15 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -181,6 +188,31 @@ class TestObservability:
         names = {c["name"] for c in payload["counters"]}
         assert "cache_misses_total" in names
         assert any(n.startswith("fit_") for n in names)
+
+    def test_report_into_a_closed_pipe_exits_quietly(self, tmp_path):
+        """``repro report RUN | head``: a reader that leaves before the
+        report is written ends the run with exit 1 and no traceback,
+        whether stdout is buffered or not."""
+        run_dir = tmp_path / "run"
+        assert main(self.ARGS + ["--trace", str(run_dir), "estimate"]) == 0
+        for unbuffered in (True, False):
+            env = dict(os.environ, PYTHONPATH=str(SRC))
+            env.pop("PYTHONUNBUFFERED", None)
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = "1"
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-m", "repro", "report", str(run_dir)],
+                    stdout=write_end, stderr=subprocess.PIPE, env=env,
+                    text=True, timeout=300,
+                )
+            finally:
+                os.close(write_end)
+            assert "Traceback" not in done.stderr, unbuffered
+            assert "BrokenPipeError" not in done.stderr, unbuffered
+            assert done.returncode == 1, unbuffered
 
     def test_report_on_missing_directory_fails_cleanly(self, capsys, tmp_path):
         assert main(["report", str(tmp_path / "nope")]) == 2
