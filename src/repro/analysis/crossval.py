@@ -11,23 +11,18 @@ profile ranges normalised by the truth reproduce Figure 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.histories import tabulate_within_universe
+from repro.core.histories import ContingencyTable, tabulate_within_universe
 from repro.core.profile_ci import profile_likelihood_interval
-from repro.core.selection import select_model
-from repro.engine.executor import fan_out
-from repro.engine.report import RunReport
+from repro.core.selection import select_models_batched
 from repro.ipspace.ipset import IPSet
 
 if TYPE_CHECKING:
     from repro.analysis.windows import TimeWindow
-    from repro.engine.executor import ExecutionPolicy, Executor
-    from repro.engine.faults import FaultInjector
-    from repro.obs.observer import Observer
+    from repro.engine.executor import Executor
 
 
 @dataclass(frozen=True)
@@ -58,6 +53,63 @@ class CrossValidationResult:
         )
 
 
+def _fold(
+    datasets: Mapping[str, IPSet], universe_name: str
+) -> tuple[ContingencyTable, int]:
+    """One fold's table of the other sources within the held-out universe,
+    and the universe members none of them saw."""
+    if universe_name not in datasets:
+        raise KeyError(f"unknown source {universe_name!r}")
+    others = {
+        name: data for name, data in datasets.items() if name != universe_name
+    }
+    if len(others) < 2:
+        raise ValueError("cross-validation needs at least three sources")
+    return tabulate_within_universe(datasets[universe_name], others)
+
+
+def _cross_validate(
+    datasets: Mapping[str, IPSet],
+    names: Sequence[str],
+    criterion: str,
+    divisor: int | str,
+    max_order: int,
+    with_range: bool,
+    alpha: float = 1e-7,
+) -> list[CrossValidationResult]:
+    """Hold out each of ``names`` in turn; one batched stepwise search."""
+    folds = [_fold(datasets, name) for name in names]
+    selections = select_models_batched(
+        [table for table, _ in folds],
+        criterion=criterion,
+        divisor=divisor,
+        max_order=max_order,
+    )
+    ping = datasets.get("IPING", IPSet.empty())
+    results = []
+    for name, (table, true_unseen), selection in zip(names, folds, selections):
+        universe = datasets[name]
+        range_low = range_high = None
+        if with_range:
+            interval = profile_likelihood_interval(
+                table, selection.fit.terms, alpha=alpha
+            )
+            range_low = interval.population_low
+            range_high = interval.population_high
+        results.append(CrossValidationResult(
+            source=name,
+            universe_size=len(universe),
+            observed_by_others=table.num_observed,
+            # Holding IPING out leaves the other sources no ping census.
+            observed_by_ping=0 if name == "IPING" else universe.overlap_count(ping),
+            true_unseen=true_unseen,
+            estimated_unseen=selection.fit.estimate().unseen,
+            range_low=range_low,
+            range_high=range_high,
+        ))
+    return results
+
+
 def cross_validate_source(
     datasets: Mapping[str, IPSet],
     universe_name: str,
@@ -68,37 +120,9 @@ def cross_validate_source(
     alpha: float = 1e-7,
 ) -> CrossValidationResult:
     """Hold out one source as the universe and estimate its unique part."""
-    if universe_name not in datasets:
-        raise KeyError(f"unknown source {universe_name!r}")
-    universe = datasets[universe_name]
-    others = {
-        name: data for name, data in datasets.items() if name != universe_name
-    }
-    if len(others) < 2:
-        raise ValueError("cross-validation needs at least three sources")
-    table, true_unseen = tabulate_within_universe(universe, others)
-    selection = select_model(
-        table, criterion=criterion, divisor=divisor, max_order=max_order
-    )
-    estimate = selection.fit.estimate()
-    ping = others.get("IPING", IPSet.empty())
-    range_low = range_high = None
-    if with_range:
-        interval = profile_likelihood_interval(
-            table, selection.fit.terms, alpha=alpha
-        )
-        range_low = interval.population_low
-        range_high = interval.population_high
-    return CrossValidationResult(
-        source=universe_name,
-        universe_size=len(universe),
-        observed_by_others=table.num_observed,
-        observed_by_ping=universe.overlap_count(ping),
-        true_unseen=true_unseen,
-        estimated_unseen=estimate.unseen,
-        range_low=range_low,
-        range_high=range_high,
-    )
+    return _cross_validate(
+        datasets, [universe_name], criterion, divisor, max_order, with_range, alpha
+    )[0]
 
 
 def cross_validate_all(
@@ -107,66 +131,31 @@ def cross_validate_all(
     divisor: int | str = "adaptive1000",
     max_order: int = 2,
     with_range: bool = False,
-    workers: int = 1,
-    report: RunReport | None = None,
-    policy: "ExecutionPolicy | None" = None,
-    faults: "FaultInjector | None" = None,
-    seed: int = 0,
-    observer: "Observer | None" = None,
 ) -> list[CrossValidationResult]:
-    """Cross-validate every source in turn.
+    """Cross-validate every source in turn, in source order.
 
-    The folds are independent; ``workers > 1`` fans them out across
-    the engine's process pool.  Results always come back in source
-    order, so parallel and serial runs are bit-identical.
-
-    Folds run under ``policy`` (see
-    :class:`~repro.engine.executor.ExecutionPolicy`): a fold that
-    keeps failing is recorded as ``degraded`` in ``report`` and
-    dropped from the returned list, so the validation summary is
-    computed from the surviving folds instead of aborting the sweep.
+    Tabulates every fold and runs all of their stepwise searches in one
+    :func:`~repro.core.selection.select_models_batched` call.
     """
-    func = partial(
-        cross_validate_source,
-        criterion=criterion,
-        divisor=divisor,
-        max_order=max_order,
-        with_range=with_range,
+    return _cross_validate(
+        datasets, list(datasets), criterion, divisor, max_order, with_range
     )
-    results = fan_out(
-        dict(datasets), func, list(datasets),
-        workers=workers, report=report, stage="crossval",
-        policy=policy, faults=faults, seed=seed, observer=observer,
-    )
-    return [r for r in results if r is not None]
 
 
 def cross_validate_window(
-    executor: "Executor",
-    window: "TimeWindow",
-    workers: int = 1,
-    **kwargs,
+    executor: "Executor", window: "TimeWindow"
 ) -> list[CrossValidationResult]:
-    """Cross-validate one window straight off the executor's artifacts.
+    """Cross-validate one window: its ``crossval`` stage.
 
-    Fold records land in the executor's :class:`RunReport`, and its
-    execution policy and fault injector govern fold retries and
-    degradation.
+    The stage folds :meth:`~repro.engine.executor.Executor.analysis_datasets`
+    under the fit stages' criterion, divisor and max order, so a
+    quarantined source is neither held out nor fitted.
     """
-    # Fold on the same view the estimation stages use: when the
-    # integrity layer quarantines (or drops) a source for this window,
-    # the folds realign on the surviving sources instead of holding a
-    # poisoned universe out against poisoned others.
-    return cross_validate_all(
-        executor.analysis_datasets(window),
-        workers=workers,
-        report=executor.report,
-        policy=executor.policy,
-        faults=executor.faults,
-        seed=executor.options.seed,
-        observer=executor.observer,
-        **kwargs,
-    )
+    # Bad input raises here: inside the stage it would be retried and
+    # recorded as a failed stage.
+    if len(executor.analysis_datasets(window)) < 3:
+        raise ValueError("cross-validation needs at least three sources")
+    return executor.run("crossval", window)
 
 
 @dataclass(frozen=True)
@@ -192,67 +181,38 @@ TABLE3_SETTINGS: tuple[tuple[str, str, int | str], ...] = (
 )
 
 
-def _sweep_fold_error(
-    window_datasets: Sequence[Mapping[str, IPSet]],
-    task: tuple[int, str, str, int | str, int],
-) -> float:
-    """One fold of the sweep grid (module-level so it pickles)."""
-    window_index, name, criterion, divisor, max_order = task
-    return cross_validate_source(
-        window_datasets[window_index],
-        name,
-        criterion=criterion,
-        divisor=divisor,
-        max_order=max_order,
-    ).error
-
-
 def sweep_selection_settings(
     window_datasets: Sequence[Mapping[str, IPSet]],
     settings: Sequence[tuple[str, str, int | str]] = TABLE3_SETTINGS,
     max_order: int = 2,
-    workers: int = 1,
-    report: RunReport | None = None,
-    policy: "ExecutionPolicy | None" = None,
-    faults: "FaultInjector | None" = None,
-    seed: int = 0,
-    observer: "Observer | None" = None,
 ) -> list[SettingSweepRow]:
     """Cross-validation error per model-selection setting (Table 3).
 
     ``window_datasets`` holds the per-window dataset mappings (the
     paper uses every window except the first); errors aggregate over
-    all sources and windows.  The full (setting x window x fold) grid
-    is independent, so ``workers > 1`` fans every fold out at once;
-    errors aggregate in grid order either way.  Folds degraded under
-    ``policy`` are excluded from their setting's RMSE/MAE — the row
-    aggregates over the surviving folds.
+    all sources and windows.  Every fold is tabulated once, and each
+    setting fits all of them in one batched stepwise search.
     """
-    tasks = [
-        (wi, name, criterion, divisor, max_order)
-        for label, criterion, divisor in settings
-        for wi, datasets in enumerate(window_datasets)
+    folds = [
+        _fold(datasets, name)
+        for datasets in window_datasets
         for name in datasets
     ]
-    errors = fan_out(
-        tuple(window_datasets), _sweep_fold_error, tasks,
-        workers=workers, report=report, stage="sweep",
-        policy=policy, faults=faults, seed=seed, observer=observer,
-    )
+    tables = [table for table, _ in folds]
+    true_unseen = np.array([unseen for _, unseen in folds], dtype=np.float64)
     rows = []
-    cursor = 0
-    per_setting = sum(len(d) for d in window_datasets)
     for label, criterion, divisor in settings:
-        chunk = [e for e in errors[cursor:cursor + per_setting] if e is not None]
-        cursor += per_setting
-        arr = np.asarray(chunk, dtype=np.float64)
+        selections = select_models_batched(
+            tables, criterion=criterion, divisor=divisor, max_order=max_order
+        )
+        errors = np.array([s.fit.estimate().unseen for s in selections]) - true_unseen
         rows.append(
             SettingSweepRow(
                 setting=label,
                 criterion=criterion,
                 divisor=divisor,
-                rmse=float(np.sqrt(np.mean(arr**2))) if arr.size else float("nan"),
-                mae=float(np.mean(np.abs(arr))) if arr.size else float("nan"),
+                rmse=float(np.sqrt(np.mean(errors**2))),
+                mae=float(np.mean(np.abs(errors))),
             )
         )
     return rows

@@ -14,17 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from repro.core.estimator import CaptureRecapture, EstimatorOptions
-from repro.engine.executor import fan_out
-from repro.engine.report import RunReport
-from repro.engine.stages import _fit_distribution, _level_limit
+from repro.core.estimator import (
+    CaptureRecapture,
+    EstimatorOptions,
+    leave_one_out_estimates,
+)
+from repro.core.loglinear import PopulationEstimate
 from repro.ipspace.ipset import IPSet
 
 if TYPE_CHECKING:
     from repro.analysis.windows import TimeWindow
-    from repro.engine.executor import ExecutionPolicy, Executor
-    from repro.engine.faults import FaultInjector
-    from repro.obs.observer import Observer
+    from repro.engine.executor import Executor
 
 
 @dataclass(frozen=True)
@@ -57,85 +57,55 @@ class SensitivityReport:
         return all(abs(r.shift) <= threshold for r in self.rows)
 
 
-def _estimate_without(
-    payload: tuple[dict[str, IPSet], EstimatorOptions], name: str | None
-) -> float:
-    """Estimate with one source dropped (module-level so it pickles)."""
-    datasets, options = payload
-    if name is not None:
-        datasets = {k: v for k, v in datasets.items() if k != name}
-    return CaptureRecapture(datasets, options).estimate().population
+def _report(
+    baseline: float, drops: Mapping[str, PopulationEstimate]
+) -> SensitivityReport:
+    return SensitivityReport(
+        baseline=baseline,
+        rows=[
+            LeverageRow(source=name, estimate_without=e.population, baseline=baseline)
+            for name, e in drops.items()
+        ],
+    )
 
 
 def leave_one_out_sensitivity(
     datasets: Mapping[str, IPSet],
     options: EstimatorOptions | None = None,
-    workers: int = 1,
-    report: RunReport | None = None,
-    policy: "ExecutionPolicy | None" = None,
-    faults: "FaultInjector | None" = None,
-    seed: int = 0,
-    observer: "Observer | None" = None,
 ) -> SensitivityReport:
     """Re-estimate with each source removed in turn.
 
-    The drops are independent re-estimations; ``workers > 1`` fans
-    them (baseline included) out across the engine's process pool.
-    A drop degraded under ``policy`` loses its row (the report covers
-    the surviving drops); a degraded *baseline* cannot be worked
-    around and raises.
+    The baseline is :class:`CaptureRecapture`'s estimate; the drops are
+    fitted by :func:`~repro.core.estimator.leave_one_out_estimates`, one
+    batched stepwise search under the same options.
     """
-    if len(datasets) < 3:
-        raise ValueError("need at least three sources to drop one")
     options = options or EstimatorOptions()
-    payload = (dict(datasets), options)
-    estimates = fan_out(
-        payload, _estimate_without, [None, *datasets],
-        workers=workers, report=report, stage="sensitivity",
-        policy=policy, faults=faults, seed=seed, observer=observer,
+    drops = leave_one_out_estimates(
+        datasets,
+        criterion=options.criterion,
+        divisor=options.divisor,
+        distribution=options.resolved_distribution(),
+        limit=options.limit,
+        max_order=options.max_order,
     )
-    baseline, rest = estimates[0], estimates[1:]
-    if baseline is None:
-        raise RuntimeError(
-            "baseline estimate degraded; sensitivity needs the baseline"
-        )
-    rows = [
-        LeverageRow(source=name, estimate_without=estimate, baseline=baseline)
-        for name, estimate in zip(datasets, rest)
-        if estimate is not None
-    ]
-    return SensitivityReport(baseline=baseline, rows=rows)
+    return _report(CaptureRecapture(datasets, options).estimate().population, drops)
 
 
 def source_leverage_window(
-    executor: "Executor",
-    window: "TimeWindow",
-    workers: int = 1,
+    executor: "Executor", window: "TimeWindow"
 ) -> SensitivityReport:
     """Leverage analysis for one window straight off the executor.
 
-    Drops each source in turn from the window's analysis datasets (its
-    quarantined sources already out), fits under the fit stages'
-    likelihood and routed limit, and records fold timings in the
-    executor's report.
+    The baseline is the window's headline address estimate; the drops
+    are its ``sensitivity`` stage, which leaves each source of
+    :meth:`~repro.engine.executor.Executor.analysis_datasets` out in
+    turn under the fit stages' likelihood and routed limit.
     """
-    opts = executor.options
-    limit = _level_limit(executor, window, "addresses")
-    options = EstimatorOptions(
-        criterion=opts.criterion,
-        divisor=opts.divisor,
-        max_order=opts.max_order,
-        distribution=_fit_distribution(opts, limit),
-        limit=limit,
-        min_stratum_observed=opts.min_stratum_observed,
-    )
-    return leave_one_out_sensitivity(
-        executor.analysis_datasets(window),
-        options,
-        workers=workers,
-        report=executor.report,
-        policy=executor.policy,
-        faults=executor.faults,
-        seed=opts.seed,
-        observer=executor.observer,
+    # Bad input raises here: inside the stage it would be retried and
+    # recorded as a failed stage.
+    if len(executor.analysis_datasets(window)) < 3:
+        raise ValueError("need at least three sources to drop one")
+    return _report(
+        executor.window_result(window).estimated_addresses,
+        executor.run("sensitivity", window),
     )

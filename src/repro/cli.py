@@ -27,16 +27,16 @@ identical set via one shared parent parser).
 
 All commands share ``--scale-log2`` (size of the simulated Internet as
 a power of two; -12 is 1/4096 of the real one) and ``--seed``.
-Commands that orchestrate repeated estimation accept ``--workers``;
-results are bit-identical whatever the worker count.
+``windows`` and ``campaign submit`` accept ``--workers``; results are
+bit-identical whatever the worker count.
 
 Fault tolerance is configured globally: ``--retries`` bounds the extra
-attempts per stage or task (window, fold or campaign task),
+attempts per stage or task (window or campaign task),
 ``--task-timeout`` puts a wall-clock limit on pool tasks (hung workers
 are terminated and the task retried), and ``--inject-faults SPEC`` arms the deterministic fault
 injector (``stage:kind[:index[:count[:seconds]]]``) to rehearse those
 paths.  Tasks that exhaust their retries are reported as degraded and
-dropped; surviving windows/folds still produce their estimates.
+dropped; surviving windows still produce their estimates.
 
 Source integrity: ``--inject-faults`` also accepts *data* faults of
 the form ``source:NAME:kind[:amount[:start]]`` (kind one of
@@ -268,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     health.add_argument("--window", type=_parse_window,
                         default=TimeWindow(2013.5, 2014.5))
 
-    crossval = sub.add_parser("crossval",
-                              parents=[workers_parent, pipeline],
+    crossval = sub.add_parser("crossval", parents=[pipeline],
                               help="leave-one-source-out cross-validation")
     crossval.add_argument("--window", type=_parse_window,
                           default=TimeWindow(2013.5, 2014.5))
@@ -278,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Table 6 supply runout forecast")
 
     sensitivity = sub.add_parser(
-        "sensitivity", parents=[workers_parent, pipeline],
+        "sensitivity", parents=[pipeline],
         help="leave-one-source-out estimate leverage",
     )
     sensitivity.add_argument("--window", type=_parse_window,
@@ -750,8 +749,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     """Leave-one-source-out cross-validation for one window."""
     executor = _executor(args)
     rows = []
-    for r in cross_validate_window(executor, args.window,
-                                   workers=args.workers):
+    for r in cross_validate_window(executor, args.window):
         rows.append([
             r.source,
             r.universe_size,
@@ -800,8 +798,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     from repro.analysis.sensitivity import source_leverage_window
 
     executor = _executor(args)
-    report = source_leverage_window(executor, args.window,
-                                    workers=args.workers)
+    report = source_leverage_window(executor, args.window)
     rows = [
         [row.source, f"{row.estimate_without:.0f}", f"{row.shift:+.1%}"]
         for row in report.rows

@@ -21,7 +21,7 @@ from repro.core.profile_ci import (
     ProfileInterval,
     profile_likelihood_interval,
 )
-from repro.core.selection import ModelSelection, select_model
+from repro.core.selection import ModelSelection, select_model, select_models_batched
 from repro.core.stratified import Labeler, StratifiedEstimate, stratified_estimate
 from repro.ipspace.ipset import IPSet
 
@@ -47,6 +47,42 @@ class EstimatorOptions:
         if self.distribution != "auto":
             return self.distribution
         return "truncated" if self.limit is not None else "poisson"
+
+
+def leave_one_out_estimates(
+    sources: Mapping[str, IPSet],
+    criterion: str = "bic",
+    divisor: int | str = "adaptive1000",
+    distribution: str = "poisson",
+    limit: float | None = None,
+    max_order: int = 2,
+) -> dict[str, PopulationEstimate]:
+    """Estimate the population with each source left out in turn.
+
+    Returns ``{source: estimate without it}`` in source order.  The
+    sources are tabulated once, and each leave-one-out table is that
+    table collapsed onto the other sources.  All of them go through one
+    :func:`~repro.core.selection.select_models_batched` call: the
+    stepwise searches advance in lockstep and same-shape candidate fits
+    share batched solves.  Each final fit uses ``distribution`` and
+    ``limit``.
+    """
+    if len(sources) < 3:
+        raise ValueError("need at least three sources to drop one")
+    full = tabulate_histories(dict(sources))
+    indices = range(full.num_sources)
+    tables = [full.collapse([j for j in indices if j != i]) for i in indices]
+    selections = select_models_batched(
+        tables,
+        criterion=criterion,
+        divisor=divisor,
+        max_order=max_order,
+        distributions=distribution,
+        limits=[limit] * len(tables),
+    )
+    return {
+        name: s.fit.estimate() for name, s in zip(full.source_names, selections)
+    }
 
 
 class CaptureRecapture:

@@ -2,12 +2,13 @@
 
 The paper's flow is an explicit multi-stage dataflow — collect,
 preprocess, spoof-filter, tabulate, fit, estimate — repeated over many
-windows, cross-validation folds and strata.  This package makes that
-dataflow a first-class object:
+windows, strata, sensitivity drops and cross-validation folds.  This
+package makes that dataflow a first-class object:
 
 * :mod:`repro.engine.stages` — the named :class:`Stage` functions of
-  the executor, plus the shared :class:`PipelineOptions` /
-  :class:`WindowResult` types.
+  the executor (the strata, the sensitivity drops and the
+  cross-validation folds each one batched stage), plus the shared
+  :class:`PipelineOptions` / :class:`WindowResult` types.
 * :mod:`repro.engine.artifacts` — keyed artifacts and the in-memory
   LRU :class:`ArtifactCache`.
 * :mod:`repro.engine.store` — the :class:`ArtifactStore` interface,
@@ -25,15 +26,15 @@ dataflow a first-class object:
   drop, truncate, duplicate, clock-skew, spoof-inject) that drive the
   integrity layer's detect→quarantine→refit path end to end.
 * :mod:`repro.engine.executor` — the :class:`Executor` that resolves
-  stage graphs, fans independent work out across processes and
-  records instrumentation.
+  stage graphs, fans a sweep's windows or a campaign's tasks out
+  across processes and records instrumentation.
 
 See ``docs/ENGINE.md`` for the artifact-key, cache-policy and
 parallel-determinism contracts.
 """
 
 from repro.engine.artifacts import Artifact, ArtifactCache, ArtifactKey
-from repro.engine.executor import ExecutionPolicy, Executor, fan_out
+from repro.engine.executor import ExecutionPolicy, Executor
 from repro.engine.faults import (
     FaultInjected,
     FaultInjector,
@@ -77,7 +78,6 @@ __all__ = [
     "SourceFaultSpec",
     "apply_source_faults",
     "parse_fault",
-    "fan_out",
     "RunReport",
     "StageRecord",
     "Stage",

@@ -4,14 +4,15 @@
 options), resolves stage requests through the unified
 :class:`~repro.engine.artifacts.ArtifactCache`, and records one
 :class:`~repro.engine.report.StageRecord` per resolution.  Independent
-work — the windows of a sweep, cross-validation folds and drop-one
-re-fits (:func:`fan_out`), campaign tasks — runs through one task
-runner, :func:`_resilient_pool_map`: in this process for ``workers ==
-1``, otherwise on a ``ProcessPoolExecutor`` whose workers build their
-state once from the pool initializer's arguments.  Under the fork start
-method (Linux up to Python 3.13) a worker inherits those arguments
-without a copy; under spawn or forkserver they are pickled once per
-worker.
+work — the windows of a sweep and the tasks of a campaign — runs
+through one task runner, :func:`_resilient_pool_map`: in this process
+for ``workers == 1``, otherwise on a ``ProcessPoolExecutor`` whose
+workers rebuild the executor once from the pool initializer's
+arguments.  Under the fork start method (Linux up to Python 3.13) a
+worker inherits those arguments without a copy; under spawn or
+forkserver they are pickled once per worker.  Strata, sensitivity
+drops and cross-validation folds do not fan out: each is one stage
+whose stepwise searches run as one batched plan.
 
 Fault tolerance: every stage resolution and every runner task runs
 under an :class:`ExecutionPolicy` — bounded retries with exponential
@@ -42,10 +43,9 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.core import fitkernel
-from repro.core.fitkernel import FitCounters
 from repro.engine.artifacts import MISS, ArtifactCache, ArtifactKey, artifact_nbytes
 from repro.engine.faults import FaultInjector, backoff_seconds
 from repro.engine.report import RunReport, StageRecord
@@ -129,8 +129,6 @@ class _TaskOutcome:
     attempts: int = 0
     error: str | None = None
     seconds: float = 0.0
-    #: Fit-kernel delta of the accepted attempt.
-    fit: FitCounters | None = None
     #: Stage records and telemetry a pool worker shipped home (an
     #: in-process attempt wrote both straight into the parent's).
     records: list[StageRecord] = field(default_factory=list)
@@ -157,22 +155,21 @@ def _shutdown_pool(pool: ProcessPoolExecutor, nuke: bool) -> None:
 
 
 def _attempt(
-    func: Callable[[Any, Any, Observer], Any],
-    context: Any,
+    func: Callable[[Executor, Any, Observer], Any],
+    executor: Executor,
     task: Any,
     observer: Observer,
-) -> tuple[Any, float, FitCounters | None]:
-    """One task attempt: its value, wall seconds and fit-kernel delta."""
+) -> tuple[Any, float]:
+    """One task attempt: its value and wall seconds."""
     start = perf_counter()
-    fit_before = fitkernel.snapshot()
-    value = func(context, task, observer)
-    return value, perf_counter() - start, (fitkernel.snapshot() - fit_before) or None
+    value = func(executor, task, observer)
+    return value, perf_counter() - start
 
 
 def _resilient_pool_map(
     tasks: Sequence[Any],
-    func: Callable[[Any, Any, Observer], Any],
-    context: Any,
+    func: Callable[[Executor, Any, Observer], Any],
+    executor: Executor,
     *,
     stage: str,
     workers: int,
@@ -182,14 +179,13 @@ def _resilient_pool_map(
     observer: Observer,
     on_settle: Callable[[int, _TaskOutcome], None] | None = None,
 ) -> list[_TaskOutcome]:
-    """Run ``func(context, task, observer)`` per task, surviving crashes,
+    """Run ``func(executor, task, observer)`` per task, surviving crashes,
     hangs and worker kills.  The only code that decides retries.
 
     With ``workers == 1`` (or a single task) every attempt runs in this
-    process against ``context`` and ``observer``, and no pool starts.
+    process against ``executor`` and ``observer``, and no pool starts.
     Otherwise tasks run on a process pool whose initializer hands each
-    worker ``context`` once (an :class:`Executor` ships as its
-    :class:`_ExecutorPayload`; anything else as is).
+    worker the executor's :class:`_ExecutorPayload` once.
 
     Every attempt first fires ``faults`` keyed by ``(stage, task index,
     attempt)``.  A task that raises is retried (with backoff) up to
@@ -221,13 +217,12 @@ def _resilient_pool_map(
             pool = None
 
     def make_pool(size: int) -> ProcessPoolExecutor:
-        shipped = (
-            _ExecutorPayload.of(context) if isinstance(context, Executor) else context
-        )
         return ProcessPoolExecutor(
             max_workers=size,
             initializer=_worker_init,
-            initargs=(func, shipped, faults, stage, observer.enabled),
+            initargs=(
+                func, _ExecutorPayload.of(executor), faults, stage, observer.enabled,
+            ),
         )
 
     def settle(i: int, outcome: _TaskOutcome) -> None:
@@ -253,14 +248,13 @@ def _resilient_pool_map(
         return False
 
     def succeed(i: int, result: tuple) -> None:
-        value, seconds, fit, records, delta = result
+        value, seconds, records, delta = result
         settle(i, _TaskOutcome(
             value=value,
             status="retried" if attempts[i] else "ok",
             attempts=attempts[i] + 1,
             error=errors[i],
             seconds=seconds,
-            fit=fit,
             records=records,
             delta=delta,
             local=local[i],
@@ -275,7 +269,7 @@ def _resilient_pool_map(
                 try:
                     if faults is not None:
                         faults.fire(stage, i, attempts[i])
-                    result = _attempt(func, context, tasks[i], observer)
+                    result = _attempt(func, executor, tasks[i], observer)
                 except Exception as exc:
                     if fail(i, exc, started):
                         next_pending.append(i)
@@ -366,32 +360,28 @@ def _absorb_outcomes(
     stage: str,
     report: RunReport,
     observer: Observer,
-    each: bool = False,
 ) -> list[Any]:
     """Turn runner outcomes into values (``None`` for a degraded task).
 
     Merges the stage records and telemetry pool workers shipped home —
     only accepted attempts ship any, so nothing is counted twice — and
     records one :class:`StageRecord` per task that was retried or
-    degraded, or per task when ``each`` is set (fold tasks, which
-    resolve no stages of their own and so carry their fit delta and
-    their exclusive seconds here).  A stage task's record claims no
-    exclusive seconds: the resolutions of its attempts carry them.
+    degraded.  That record claims no exclusive seconds: the stage
+    resolutions of the task's attempts carry them.
     """
     values = []
     for key, outcome in zip(keys, outcomes):
         report.records.extend(outcome.records)
         observer.absorb(outcome.delta)
-        if each or outcome.status != "ok":
+        if outcome.status != "ok":
             report.record(
                 StageRecord(
                     stage=stage,
                     key=key,
                     seconds=outcome.seconds,
-                    self_seconds=outcome.seconds if each else 0.0,
+                    self_seconds=0.0,
                     cache_hit=False,
                     worker=_worker_tag() if outcome.local else "pool",
-                    fit=outcome.fit if each else None,
                     status=outcome.status,
                     attempts=outcome.attempts,
                     error=outcome.error,
@@ -779,58 +769,53 @@ class _ExecutorPayload:
         )
 
 
-#: This worker process's task function, context, injector and stage
+#: This worker process's task function, executor, injector and stage
 #: label, set once by the pool initializer.
-_WORKER: tuple[Callable, Any, FaultInjector | None, str] | None = None
+_WORKER: tuple[Callable, Executor, FaultInjector | None, str] | None = None
 #: This worker's observer (enabled iff the parent's is); its spans and
 #: counters ship home with each accepted task.
 _WORKER_OBSERVER: Observer | None = None
 
 
 def _worker_init(
-    func: Callable, context: Any, faults: FaultInjector | None, stage: str,
-    observe: bool,
+    func: Callable, payload: _ExecutorPayload, faults: FaultInjector | None,
+    stage: str, observe: bool,
 ) -> None:
     global _WORKER, _WORKER_OBSERVER
     _WORKER_OBSERVER = Observer() if observe else Observer.disabled()
-    if isinstance(context, _ExecutorPayload):
-        context = context.build(_WORKER_OBSERVER)
-    _WORKER = (func, context, faults, stage)
+    _WORKER = (func, payload.build(_WORKER_OBSERVER), faults, stage)
 
 
-def _store_counts(context: Any) -> dict[str, int]:
-    """The persistent-tier counters of an executor's store (else none)."""
-    if not isinstance(context, Executor):
-        return {}
+def _store_counts(executor: Executor) -> dict[str, int]:
+    """The persistent-tier counters of an executor's store (none for memory)."""
     return {
-        name: count for name, count in context.cache.stats().items()
+        name: count for name, count in executor.cache.stats().items()
         if name.startswith("persistent_")
     }
 
 
 def _worker_run(
     job: tuple[int, int, Any]
-) -> tuple[Any, float, FitCounters | None, list[StageRecord], ObserverDelta | None]:
+) -> tuple[Any, float, list[StageRecord], ObserverDelta | None]:
     index, attempt, task = job
     assert _WORKER is not None and _WORKER_OBSERVER is not None, (
         "worker initializer did not run"
     )
-    func, context, faults, stage = _WORKER
+    func, executor, faults, stage = _WORKER
     if faults is not None:
         faults.fire(stage, index, attempt)
-    records = context.report.records if isinstance(context, Executor) else []
+    records = executor.report.records
     before = len(records)
-    store_before = _store_counts(context)
+    store_before = _store_counts(executor)
     mark = _WORKER_OBSERVER.delta_mark()
-    value, seconds, fit = _attempt(func, context, task, _WORKER_OBSERVER)
+    value, seconds = _attempt(func, executor, task, _WORKER_OBSERVER)
     # The parent's ledger reads only its own store's counters, so this
     # attempt's puts and reads travel home as counter increments.
-    for name, count in _store_counts(context).items():
+    for name, count in _store_counts(executor).items():
         if count != store_before[name]:
             _WORKER_OBSERVER.inc(f"cache_{name}_total", count - store_before[name])
     return (
-        value, seconds, fit, records[before:],
-        _WORKER_OBSERVER.collect_delta(mark),
+        value, seconds, records[before:], _WORKER_OBSERVER.collect_delta(mark),
     )
 
 
@@ -842,68 +827,3 @@ def _window_task(
         return executor._compute(
             executor.key_for("window_result", window), window, {}
         )
-
-
-def _fold_task(
-    fold: tuple[Callable[[Any, Any], Any], Any, str],
-    job: tuple[int, Any],
-    observer: Observer,
-) -> Any:
-    func, payload, stage = fold
-    index, item = job
-    with observer.span(f"task:{stage}", stage=stage, index=index):
-        return func(payload, item)
-
-
-def fan_out(
-    payload: Any,
-    func: Callable[[Any, Any], Any],
-    items: Iterable[Any],
-    workers: int = 1,
-    report: RunReport | None = None,
-    stage: str = "task",
-    policy: ExecutionPolicy | None = None,
-    faults: FaultInjector | None = None,
-    seed: int = 0,
-    observer: Observer | None = None,
-) -> list[Any]:
-    """Run ``func(payload, item)`` per item, optionally across processes.
-
-    The generic fold fan-out used by cross-validation, the selection
-    sweep and the sensitivity analysis: ``payload`` (e.g. the window's
-    dataset mapping) ships to each worker once via the pool
-    initializer; ``func`` must be a picklable module-level callable (or
-    :func:`functools.partial` of one).  Results return in ``items``
-    order regardless of completion order, and each task contributes one
-    record to ``report``.
-
-    Failures follow ``policy`` through the task runner: tasks retry
-    with backoff, hung tasks time out (the pool is respawned),
-    worker-killing tasks requeue and eventually run in this process,
-    and a task that exhausts its retries yields ``None`` in the result
-    list with a ``degraded`` record — callers recompute their aggregate
-    from the surviving tasks.
-    """
-    if workers < 1:
-        raise ValueError(
-            f"workers must be >= 1, got {workers} "
-            "(an empty pool would make no progress)"
-        )
-    obs = observer if observer is not None else Observer.disabled()
-    items = list(items)
-    outcomes = _resilient_pool_map(
-        list(enumerate(items)), _fold_task, (func, payload, stage),
-        stage=stage,
-        workers=workers,
-        policy=policy or ExecutionPolicy(),
-        seed=seed,
-        faults=faults,
-        observer=obs,
-    )
-    return _absorb_outcomes(
-        outcomes, [repr(item) for item in items],
-        stage=stage,
-        report=report if report is not None else RunReport(),
-        observer=obs,
-        each=True,
-    )

@@ -60,12 +60,13 @@ class FaultSpec:
     """One injectable fault.
 
     ``stage`` names the task family the fault targets — a stage name
-    for engine resolutions, the task runner's label (``"crossval"``,
-    ``"sweep"``, ``"sensitivity"``, ``"window_result"``,
-    ``"campaign"``) for its tasks, or ``"*"`` for any.  ``index`` selects the task within the
-    family (submission order, 0-based) and ``count`` bounds how many
-    attempts of that task the fault fires on, so ``count=1`` exercises
-    retry-then-succeed and a large ``count`` forces degradation.
+    for engine resolutions (``"crossval"`` and ``"sensitivity"``
+    included), the task runner's label (``"window_result"``,
+    ``"campaign"``) for its tasks, or ``"*"`` for any.  ``index``
+    selects the task within the family (resolution or submission order,
+    0-based) and ``count`` bounds how many attempts of that task the
+    fault fires on, so ``count=1`` exercises retry-then-succeed and a
+    large ``count`` forces degradation.
     """
 
     stage: str

@@ -11,9 +11,11 @@ executor's artifact cache:
 
 with ``source_health`` branching off the filtered datasets (per-source
 integrity verdicts under the options' quarantine policy),
-``stratified`` fitting the Table 5 strata, and ``window_result`` as the
-composite that assembles the paper's per-window report from the stage
-artifacts.  Every window estimate is fitted on
+``stratified`` fitting the Table 5 strata, ``sensitivity`` and
+``crossval`` fitting the leave-one-source-out drops (Figure 2) and
+folds (Table 3, Figure 3), and ``window_result`` as the composite that
+assembles the paper's per-window report from the stage artifacts.
+Every window estimate is fitted on
 :meth:`~repro.engine.executor.Executor.analysis_datasets`: the window's
 datasets without its quarantined sources.
 """
@@ -24,6 +26,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, TYPE_CHECKING
 
+from repro.core.estimator import leave_one_out_estimates
 from repro.core.histories import ContingencyTable, tabulate_histories
 from repro.core.loglinear import PopulationEstimate
 from repro.core.selection import ModelSelection, select_models_batched
@@ -41,6 +44,7 @@ from repro.ipspace.ipset import IPSet
 if TYPE_CHECKING:
     # Engine modules must not import the analysis package at runtime:
     # repro.analysis.__init__ imports modules that import the engine.
+    from repro.analysis.crossval import CrossValidationResult
     from repro.analysis.windows import TimeWindow
     from repro.engine.executor import Executor
 
@@ -340,6 +344,40 @@ def _stratified(
     )
 
 
+def _sensitivity(ex: Executor, window: TimeWindow) -> dict[str, PopulationEstimate]:
+    """The window's address estimate with each analysis source left out.
+
+    Every drop is truncated at the window's routed size, and all their
+    stepwise searches run in one batched plan.
+    """
+    opts = ex.options
+    limit = _level_limit(ex, window, "addresses")
+    return leave_one_out_estimates(
+        ex.analysis_datasets(window),
+        criterion=opts.criterion,
+        divisor=opts.divisor,
+        distribution=_fit_distribution(opts, limit),
+        limit=limit,
+        max_order=opts.max_order,
+    )
+
+
+def _crossval(ex: Executor, window: TimeWindow) -> list[CrossValidationResult]:
+    """Every leave-one-source-out fold of the window's analysis datasets.
+
+    All the folds' stepwise searches run in one batched plan.
+    """
+    from repro.analysis.crossval import cross_validate_all
+
+    opts = ex.options
+    return cross_validate_all(
+        ex.analysis_datasets(window),
+        criterion=opts.criterion,
+        divisor=opts.divisor,
+        max_order=opts.max_order,
+    )
+
+
 def _source_health(ex: Executor, window: TimeWindow) -> SourceHealthReport:
     """Score every source's health for the window and apply the policy.
 
@@ -561,6 +599,8 @@ STAGES: dict[str, Stage] = {
         Stage("fit", _fit),
         Stage("estimate", _estimate),
         Stage("stratified", _stratified),
+        Stage("sensitivity", _sensitivity),
+        Stage("crossval", _crossval),
         Stage("window_result", _window_result),
     )
 }

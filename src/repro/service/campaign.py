@@ -11,7 +11,7 @@ resubmitted campaign is a lookup, not a recomputation.
 :func:`decompose` turns a spec into the flat list of
 :class:`CampaignTask` units the scheduler feeds to its backend.  Each
 task resolves through the existing stage graph (``window_result`` for
-the headline estimates, ``estimate`` with an exclusion for the
+the headline estimates, the window's ``sensitivity`` drops for the
 sensitivity axis), so overlapping campaigns share fits through the
 artifact store.
 """
@@ -129,8 +129,10 @@ class CampaignTask:
     ``kind`` selects the stage request the task resolves to:
 
     * ``window`` — the full ``window_result`` bundle for ``bounds``;
-    * ``sensitivity`` — the address-level ``estimate`` for ``bounds``
-      with ``exclude`` removed from the tabulation.
+    * ``sensitivity`` — the address-level estimate for ``bounds`` with
+      the one source in ``exclude`` left out: its row of the window's
+      ``sensitivity`` stage, or the headline estimate when the window's
+      analysis datasets lack that source.
 
     ``index`` is the task's position in decomposition order — the
     identity fault injectors key on (stage name ``"campaign"``).

@@ -128,15 +128,19 @@ def execute_task(executor: Executor, task: CampaignTask) -> dict[str, Any]:
             "degraded": bool(result.is_degraded),
         }
     if task.kind == "sensitivity":
-        estimate = executor.run(
-            "estimate", window, level="addresses", exclude=task.exclude
-        )
+        (source,) = task.exclude
+        # Leaving out a source the analysis view already lacks
+        # (quarantined or absent) leaves the headline estimate.
+        if source in executor.analysis_datasets(window):
+            without = executor.run("sensitivity", window)[source].population
+        else:
+            without = executor.run("window_result", window).estimated_addresses
         return {
             "start": task.bounds[0],
             "end": task.bounds[1],
             "label": window.label(),
-            "source": task.exclude[0],
-            "estimate_without": float(estimate.population),
+            "source": source,
+            "estimate_without": float(without),
         }
     raise ValueError(f"unknown campaign task kind {task.kind!r}")
 

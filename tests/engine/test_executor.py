@@ -8,18 +8,22 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.analysis.crossval import cross_validate_window
+from repro.analysis.sensitivity import source_leverage_window
 from repro.analysis.windows import TimeWindow
 from repro.engine import (
     ArtifactCache,
     Executor,
     PipelineOptions,
-    fan_out,
     spoof_filter_seed,
 )
 from repro.engine import artifacts as artifacts_module
 from repro.engine import store as store_module
-from repro.engine.executor import _ExecutorPayload
-from repro.engine.report import RunReport
+from repro.engine.executor import (
+    ExecutionPolicy,
+    _ExecutorPayload,
+    _resilient_pool_map,
+)
 from repro.engine.store import LocalStore, open_store
 from repro.ipspace.ipset import IPSet
 from repro.obs.observer import Observer
@@ -312,22 +316,23 @@ class TestSelfSeconds:
         assert total == pytest.approx(column, abs=5e-4 * (end - 2))
 
 
-def _double(payload, item):
-    return payload * item
+def _triple(executor, item, observer):
+    return 3 * item
 
 
 class TestFanOut:
-    def test_parallel_matches_serial_in_order(self):
+    def test_parallel_matches_serial_in_order(self, tiny_executor):
         items = list(range(8))
-        serial = fan_out(3, _double, items, workers=1)
-        parallel = fan_out(3, _double, items, workers=2)
-        assert serial == parallel == [3 * i for i in items]
 
-    def test_report_records_one_per_task(self):
-        report = RunReport()
-        fan_out(1, _double, [1, 2, 3], workers=1, report=report, stage="demo")
-        assert len(report.records) == 3
-        assert all(r.stage == "demo" for r in report.records)
+        def run(workers):
+            outcomes = _resilient_pool_map(
+                items, _triple, tiny_executor,
+                stage="demo", workers=workers, policy=ExecutionPolicy(),
+                seed=0, faults=None, observer=Observer.disabled(),
+            )
+            return [o.value for o in outcomes]
+
+        assert run(1) == run(2) == [3 * i for i in items]
 
 
 def _reference_stratification(internet, window, kind, subnets):
@@ -451,3 +456,119 @@ class TestStratifiedStage:
             with pytest.raises(ValueError):
                 engine.stratified(last_window, kind, level)
         assert engine.report.records == []
+
+
+#: The leave-one-out analyses and the stage each resolves.
+LEAVE_ONE_OUT = (
+    ("crossval", cross_validate_window),
+    ("sensitivity", source_leverage_window),
+)
+STAGE_IDS = [stage for stage, _ in LEAVE_ONE_OUT]
+
+
+class TestLeaveOneOutStages:
+    """Folds and drops resolve as stages, like the strata."""
+
+    @pytest.mark.parametrize("stage, analyse", LEAVE_ONE_OUT, ids=STAGE_IDS)
+    def test_cached_and_stored(
+        self, tiny_internet, tiny_sources, first_window, tmp_path, stage, analyse
+    ):
+        from repro.core import fitkernel
+
+        engine = Executor(
+            tiny_internet, tiny_sources, cache=open_store(tmp_path / "store")
+        )
+        first = analyse(engine, first_window)
+        records = [r for r in engine.report.records if r.stage == stage]
+        assert [r.cache_hit for r in records] == [False]
+        assert records[0].fit is not None and records[0].fit.fits > 0
+
+        again = analyse(engine, first_window)
+        hit = engine.report.records[-1]
+        assert (hit.stage, hit.cache_hit, hit.tier) == (stage, True, "memory")
+        assert again == first
+
+        fresh = Executor(
+            tiny_internet, tiny_sources, cache=open_store(tmp_path / "store")
+        )
+        before = fitkernel.snapshot()
+        stored = analyse(fresh, first_window)
+        assert not fitkernel.snapshot() - before
+        (record,) = [r for r in fresh.report.records if r.stage == stage]
+        assert (record.cache_hit, record.tier) == (True, "persistent")
+        assert stored == first
+
+    @pytest.mark.parametrize("stage, analyse", LEAVE_ONE_OUT, ids=STAGE_IDS)
+    def test_too_few_sources_resolve_no_stage(
+        self, tiny_internet, tiny_sources, last_window, stage, analyse
+    ):
+        # Inside the stage the error would be retried and recorded as a
+        # failed stage.
+        two = {name: tiny_sources[name] for name in ("WIKI", "WEB")}
+        engine = Executor(tiny_internet, two)
+        with pytest.raises(ValueError, match="three sources"):
+            analyse(engine, last_window)
+        assert not [
+            r for r in engine.report.records
+            if r.stage in ("crossval", "sensitivity")
+        ]
+
+
+class TestBatchedMatchesSolo:
+    """Each batched fold and drop picks the terms, and reaches the
+    estimate, of a stepwise search on its table alone."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return Executor(
+            SyntheticInternet(SimulationConfig(scale=2.0**-14, seed=20140630))
+        )
+
+    @pytest.mark.parametrize(
+        "window", [TimeWindow(2011.0, 2012.0), TimeWindow(2013.5, 2014.5)],
+        ids=["Dec2011", "Jun2014"],
+    )
+    def test_folds_and_drops(self, reference, window):
+        from repro.core.histories import (
+            tabulate_histories,
+            tabulate_within_universe,
+        )
+        from repro.core.selection import select_model, select_models_batched
+
+        opts = reference.options
+        search = dict(
+            criterion=opts.criterion, divisor=opts.divisor, max_order=opts.max_order
+        )
+        datasets = reference.analysis_datasets(window)
+
+        def without(name):
+            return {n: d for n, d in datasets.items() if n != name}
+
+        folds = reference.run("crossval", window)
+        tables = [
+            tabulate_within_universe(datasets[fold.source], without(fold.source))[0]
+            for fold in folds
+        ]
+        batched = select_models_batched(tables, **search)
+        assert [fold.source for fold in folds] == list(datasets)
+        for fold, table, selection in zip(folds, tables, batched):
+            solo = select_model(table, **search)
+            assert selection.fit.terms == solo.fit.terms, fold.source
+            assert selection.fit.estimate().unseen == fold.estimated_unseen
+            assert fold.estimated_unseen == pytest.approx(
+                solo.fit.estimate().unseen, rel=1e-12
+            ), fold.source
+
+        limit = float(reference.internet.routing.size(window.start, window.end))
+        drops = reference.run("sensitivity", window)
+        assert list(drops) == list(datasets)
+        for name, estimate in drops.items():
+            solo = select_model(
+                tabulate_histories(without(name)), **search,
+                distribution="truncated", limit=limit,
+            ).fit.estimate()
+            assert estimate.terms == solo.terms, name
+            assert estimate.population == pytest.approx(
+                solo.population, rel=1e-12
+            ), name
+

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.crossval import cross_validate_all
-from repro.analysis.sensitivity import leave_one_out_sensitivity
+from repro.analysis.crossval import cross_validate_window
+from repro.analysis.sensitivity import source_leverage_window
 from repro.analysis.windows import TimeWindow, missing_windows
 from repro.engine import (
     ExecutionPolicy,
@@ -22,10 +22,11 @@ from repro.engine import (
     FaultInjected,
     FaultInjector,
     FaultSpec,
-    fan_out,
 )
+from repro.engine.executor import _absorb_outcomes, _resilient_pool_map
 from repro.engine.faults import backoff_seconds
 from repro.engine.report import RunReport
+from repro.obs.observer import Observer
 from repro.engine.store import LocalStore, open_store
 from repro.simnet.internet import SimulationConfig, SyntheticInternet
 from repro.sources.catalog import build_standard_sources
@@ -43,16 +44,44 @@ def small_internet():
     return SyntheticInternet(SimulationConfig(scale=2.0**-14, seed=99))
 
 
-def _double(payload, item):
+def _double(executor, task, observer):
+    payload, item = task
     return payload * item
 
 
-def _slow_first(payload, item):
+def _slow_first(executor, task, observer):
     """Task 0 outlasts a sibling's worker death, so the parent is still
     waiting on it when the pool breaks."""
+    _, item = task
     if item == 0:
         time.sleep(0.3)
     return item
+
+
+def run_tasks(executor, payload, func, items, *, workers=1, report=None,
+              policy=FAST, faults=None):
+    """Drive the task runner over ``(payload, item)`` toy tasks.
+
+    Returns the values (``None`` for a degraded task) and the outcomes;
+    retried and degraded tasks are recorded in ``report`` keyed by
+    ``repr(item)``.
+    """
+    outcomes = _resilient_pool_map(
+        [(payload, item) for item in items], func, executor,
+        stage="demo", workers=workers, policy=policy, seed=0,
+        faults=faults, observer=Observer.disabled(),
+    )
+    values = _absorb_outcomes(
+        outcomes, [repr(item) for item in items], stage="demo",
+        report=report if report is not None else RunReport(),
+        observer=Observer.disabled(),
+    )
+    return values, outcomes
+
+
+def outcome_statuses(outcomes):
+    """``(task index, status, attempts)`` per outcome."""
+    return [(i, o.status, o.attempts) for i, o in enumerate(outcomes)]
 
 
 class TestFaultSpec:
@@ -118,24 +147,25 @@ class TestBackoff:
 
 
 class TestFanOutSerial:
-    def test_retry_then_succeed(self):
+    """The task runner in this process, over toy tasks."""
+
+    def test_retry_then_succeed(self, tiny_executor):
         report = RunReport()
         faults = FaultInjector([FaultSpec("demo", "error", index=1, count=1)])
-        out = fan_out(
-            2, _double, [1, 2, 3],
-            report=report, stage="demo", policy=FAST, faults=faults,
+        out, outcomes = run_tasks(
+            tiny_executor, 2, _double, [1, 2, 3], report=report, faults=faults,
         )
         assert out == [2, 4, 6]
-        statuses = [(r.status, r.attempts) for r in report.records]
-        assert statuses == [("ok", 1), ("retried", 2), ("ok", 1)]
+        assert outcome_statuses(outcomes) == [
+            (0, "ok", 1), (1, "retried", 2), (2, "ok", 1)
+        ]
         assert report.retry_count == 1
 
-    def test_exhausted_task_degrades_to_none(self):
+    def test_exhausted_task_degrades_to_none(self, tiny_executor):
         report = RunReport()
         faults = FaultInjector([FaultSpec("demo", "error", index=1, count=5)])
-        out = fan_out(
-            2, _double, [1, 2, 3],
-            report=report, stage="demo", policy=FAST, faults=faults,
+        out, _ = run_tasks(
+            tiny_executor, 2, _double, [1, 2, 3], report=report, faults=faults,
         )
         assert out == [2, None, 6]
         degraded = report.degraded_records()
@@ -143,16 +173,13 @@ class TestFanOutSerial:
         assert degraded[0].stage == "demo"
         assert "injected error" in degraded[0].error
 
-    def test_report_dict_and_summary_expose_fault_tolerance(self):
+    def test_report_dict_and_summary_expose_fault_tolerance(self, tiny_executor):
         report = RunReport()
         faults = FaultInjector([
             FaultSpec("demo", "error", index=0, count=1),
             FaultSpec("demo", "error", index=1, count=5),
         ])
-        fan_out(
-            2, _double, [1, 2],
-            report=report, stage="demo", policy=FAST, faults=faults,
-        )
+        run_tasks(tiny_executor, 2, _double, [1, 2], report=report, faults=faults)
         blob = report.to_dict()["fault_tolerance"]
         assert blob["retries"] == 1
         assert blob["degraded"][0]["stage"] == "demo"
@@ -160,30 +187,32 @@ class TestFanOutSerial:
 
 
 class TestFanOutPool:
-    def test_worker_kill_recovers(self):
+    """The task runner on a process pool, over toy tasks."""
+
+    def test_worker_kill_recovers(self, tiny_executor):
         report = RunReport()
         faults = FaultInjector([FaultSpec("demo", "kill", index=1, count=1)])
-        out = fan_out(
-            3, _double, [1, 2, 3, 4],
-            workers=2, report=report, stage="demo", policy=FAST, faults=faults,
+        out, _ = run_tasks(
+            tiny_executor, 3, _double, [1, 2, 3, 4],
+            workers=2, report=report, faults=faults,
         )
         assert out == [3, 6, 9, 12]
         retried = report.retried_records()
         assert retried and all(r.stage == "demo" for r in retried)
 
-    def test_repeat_killer_falls_back_to_serial(self):
+    def test_repeat_killer_falls_back_to_serial(self, tiny_executor):
         report = RunReport()
         faults = FaultInjector([FaultSpec("demo", "kill", index=0, count=2)])
-        out = fan_out(
-            3, _double, [1, 2],
-            workers=2, report=report, stage="demo", policy=FAST, faults=faults,
+        out, _ = run_tasks(
+            tiny_executor, 3, _double, [1, 2],
+            workers=2, report=report, faults=faults,
         )
         assert out == [3, 6]
         record = next(r for r in report.records if r.key == repr(1))
         assert record.status == "retried"
         assert record.attempts == 3  # two kills + the in-parent success
 
-    def test_hung_task_times_out_and_retries(self):
+    def test_hung_task_times_out_and_retries(self, tiny_executor):
         report = RunReport()
         faults = FaultInjector(
             [FaultSpec("demo", "delay", index=0, count=1, seconds=30.0)]
@@ -191,52 +220,50 @@ class TestFanOutPool:
         policy = ExecutionPolicy(
             retries=1, backoff_base=0.001, task_timeout=0.5
         )
-        out = fan_out(
-            3, _double, [1, 2],
-            workers=2, report=report, stage="demo", policy=policy, faults=faults,
+        out, _ = run_tasks(
+            tiny_executor, 3, _double, [1, 2],
+            workers=2, report=report, policy=policy, faults=faults,
         )
         assert out == [3, 6]
         record = next(r for r in report.records if r.key == repr(1))
         assert record.status == "retried"
         assert "exceeded" in (record.error or "")
 
-    def test_pool_death_charges_only_the_killed_task(self):
+    def test_pool_death_charges_only_the_killed_task(self, tiny_executor):
         def run(workers):
-            report = RunReport()
-            out = fan_out(
-                None, _slow_first, [0, 1],
-                workers=workers, report=report, stage="demo",
+            out, outcomes = run_tasks(
+                tiny_executor, None, _slow_first, [0, 1],
+                workers=workers,
                 policy=ExecutionPolicy(retries=0, backoff_base=0.001),
                 faults=FaultInjector([FaultSpec("demo", "kill", index=1, count=1)]),
             )
-            return out, [(r.key, r.status, r.attempts) for r in report.records]
+            return out, outcome_statuses(outcomes)
 
         serial = run(1)
-        assert serial == ([0, None], [("0", "ok", 1), ("1", "degraded", 1)])
+        assert serial == ([0, None], [(0, "ok", 1), (1, "degraded", 1)])
         assert run(2) == serial
 
-    def test_innocent_task_is_not_charged_for_a_sibling_death(self):
+    def test_innocent_task_is_not_charged_for_a_sibling_death(self, tiny_executor):
         report = RunReport()
-        out = fan_out(
-            None, _slow_first, [0, 1, 2, 3],
-            workers=2, report=report, stage="demo",
+        out, outcomes = run_tasks(
+            tiny_executor, None, _slow_first, [0, 1, 2, 3],
+            workers=2, report=report,
             policy=ExecutionPolicy(retries=1, backoff_base=0.001),
             faults=FaultInjector([FaultSpec("demo", "kill", index=1, count=1)]),
         )
         assert out == [0, 1, 2, 3]
-        statuses = [(r.key, r.status, r.attempts) for r in report.records]
-        assert statuses == [
-            ("0", "ok", 1), ("1", "retried", 2), ("2", "ok", 1), ("3", "ok", 1)
+        assert outcome_statuses(outcomes) == [
+            (0, "ok", 1), (1, "retried", 2), (2, "ok", 1), (3, "ok", 1)
         ]
         assert report.retry_count == 1
 
-    def test_pool_matches_serial_under_faults(self):
+    def test_pool_matches_serial_under_faults(self, tiny_executor):
         def run(workers):
             faults = FaultInjector([FaultSpec("demo", "kill", index=2, count=1)])
-            return fan_out(
-                5, _double, [1, 2, 3, 4],
-                workers=workers, stage="demo", policy=FAST, faults=faults,
-            )
+            return run_tasks(
+                tiny_executor, 5, _double, [1, 2, 3, 4],
+                workers=workers, faults=faults,
+            )[0]
 
         assert run(1) == run(2) == [5, 10, 15, 20]
 
@@ -353,32 +380,44 @@ class TestWorkersKeepThePolicy:
 
 
 class TestAnalysisDegradation:
-    def test_crossval_drops_degraded_fold(self, tiny_executor):
-        datasets = tiny_executor.datasets(WINDOWS[0])
-        report = RunReport()
-        faults = FaultInjector([FaultSpec("crossval", "error", index=2, count=9)])
-        results = cross_validate_all(
-            datasets, report=report, policy=FAST, faults=faults,
+    """The folds and the drops are stages: a fault retries or fails the
+    whole stage, like any other."""
+
+    ANALYSES = (
+        ("crossval", lambda ex, w: cross_validate_window(ex, w)),
+        ("sensitivity", lambda ex, w: source_leverage_window(ex, w).rows),
+    )
+
+    @pytest.mark.parametrize(
+        "stage, analyse", ANALYSES, ids=[stage for stage, _ in ANALYSES]
+    )
+    def test_stage_fault_is_retried_to_the_same_rows(
+        self, tiny_internet, tiny_sources, tiny_executor, stage, analyse
+    ):
+        faults = FaultInjector([FaultSpec(stage, "error", index=0, count=1)])
+        engine = Executor(
+            tiny_internet, tiny_sources, tiny_executor.options,
+            policy=FAST, faults=faults,
         )
-        clean = cross_validate_all(datasets)
-        assert len(results) == len(clean) - 1
-        lost = sorted({r.source for r in clean} - {r.source for r in results})
-        assert lost == [list(datasets)[2]]
-        assert report.degraded_count == 1
+        assert analyse(engine, WINDOWS[0]) == analyse(tiny_executor, WINDOWS[0])
+        (record,) = [r for r in engine.report.records if r.stage == stage]
+        assert (record.status, record.attempts) == ("retried", 2)
 
-    def test_sensitivity_needs_baseline(self, tiny_executor):
-        datasets = tiny_executor.datasets(WINDOWS[0])
-        faults = FaultInjector([FaultSpec("sensitivity", "error", index=0, count=9)])
-        with pytest.raises(RuntimeError, match="baseline"):
-            leave_one_out_sensitivity(
-                datasets, policy=FAST, faults=faults,
-            )
-
-    def test_sensitivity_survives_degraded_drop(self, tiny_executor):
-        datasets = tiny_executor.datasets(WINDOWS[0])
-        faults = FaultInjector([FaultSpec("sensitivity", "error", index=1, count=9)])
-        sens = leave_one_out_sensitivity(datasets, policy=FAST, faults=faults)
-        assert len(sens.rows) == len(datasets) - 1
+    @pytest.mark.parametrize(
+        "stage, analyse", ANALYSES, ids=[stage for stage, _ in ANALYSES]
+    )
+    def test_exhausted_stage_fault_raises(
+        self, tiny_internet, tiny_sources, tiny_executor, stage, analyse
+    ):
+        faults = FaultInjector([FaultSpec(stage, "error", index=0, count=9)])
+        engine = Executor(
+            tiny_internet, tiny_sources, tiny_executor.options,
+            policy=FAST, faults=faults,
+        )
+        with pytest.raises(FaultInjected):
+            analyse(engine, WINDOWS[0])
+        (record,) = [r for r in engine.report.records if r.stage == stage]
+        assert (record.status, record.attempts) == ("failed", 2)
 
 
 class TestSpillFaults:

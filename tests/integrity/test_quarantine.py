@@ -111,6 +111,35 @@ class TestQuarantineAndRefit:
         assert all(row.source != "SWIN" for row in report.rows)
         assert len(report.rows) == 8
 
+    def test_campaign_drops_equal_the_leverage_rows(
+        self, tiny_internet, flooded_sources, last_window, tmp_path
+    ):
+        from repro.service.campaign import CampaignSpec
+        from repro.service.scheduler import CampaignScheduler
+
+        executor = _executor(
+            tiny_internet, flooded_sources, QuarantinePolicy()
+        )
+        report = source_leverage_window(executor, last_window)
+        scheduler = CampaignScheduler(tmp_path)
+        campaign_id = scheduler.submit(CampaignSpec(
+            windows=((last_window.start, last_window.end),),
+            scale_log2=-13, seed=123, options=executor.options,
+            drop_sources=("CALT", "SWIN"),
+        ))
+        # A fresh executor: the campaign computes its grid itself.
+        scheduler.run(campaign_id, executor=_executor(
+            tiny_internet, flooded_sources, QuarantinePolicy()
+        ))
+        served = {
+            row["source"]: row["estimate_without"]
+            for row in scheduler.ledger(campaign_id).sensitivity()
+        }
+        calt = next(row for row in report.rows if row.source == "CALT")
+        assert served["CALT"] == calt.estimate_without
+        # Dropping the quarantined SWIN leaves the headline estimate.
+        assert served["SWIN"] == report.baseline
+
     def test_strata_observe_the_refit_view(
         self, tiny_internet, flooded_sources, last_window
     ):

@@ -14,8 +14,9 @@ from repro.engine import (
     Executor,
     FaultInjector,
     FaultSpec,
-    fan_out,
 )
+from repro.engine.executor import _absorb_outcomes, _resilient_pool_map
+from repro.engine.report import RunReport
 from repro.engine.store import LocalStore, open_store
 from repro.obs.ledger import absorb_engine_accounting
 from repro.obs.observer import Observer
@@ -24,14 +25,26 @@ from repro.simnet.internet import SimulationConfig, SyntheticInternet
 FAST = ExecutionPolicy(retries=2, backoff_base=0.001, backoff_max=0.002)
 
 
-def _observed_double(payload, item):
-    """Increment the worker observer's counter, then do the work."""
-    from repro.engine import executor
+def _observed_double(executor, task, observer):
+    """Open the task's span and count the work, then do it."""
+    index, payload, item = task
+    with observer.span("task:demo", stage="demo", index=index):
+        observer.inc("work_done_total")
+        return payload * item
 
-    obs = executor._WORKER_OBSERVER
-    if obs is not None:
-        obs.inc("work_done_total")
-    return payload * item
+
+def run_tasks(executor, payload, items, *, workers, obs, faults=None):
+    """Drive the task runner over toy tasks; values in item order."""
+    outcomes = _resilient_pool_map(
+        [(i, payload, item) for i, item in enumerate(items)],
+        _observed_double, executor,
+        stage="demo", workers=workers, policy=FAST, seed=0,
+        faults=faults, observer=obs,
+    )
+    return _absorb_outcomes(
+        outcomes, [repr(item) for item in items],
+        stage="demo", report=RunReport(), observer=obs,
+    )
 
 
 def task_spans(obs, stage="demo"):
@@ -39,24 +52,22 @@ def task_spans(obs, stage="demo"):
 
 
 class TestFanOutDeltas:
-    def test_clean_pool_run_ships_every_span_once(self):
+    """Telemetry of toy tasks on the task runner's process pool."""
+
+    def test_clean_pool_run_ships_every_span_once(self, tiny_executor):
         obs = Observer()
-        out = fan_out(
-            2, _observed_double, [1, 2, 3, 4],
-            workers=2, stage="demo", policy=FAST, observer=obs,
-        )
+        out = run_tasks(tiny_executor, 2, [1, 2, 3, 4], workers=2, obs=obs)
         assert out == [2, 4, 6, 8]
         spans = task_spans(obs)
         assert len(spans) == 4
         assert sorted(s.attributes["index"] for s in spans) == [0, 1, 2, 3]
         assert obs.metrics.value("work_done_total") == 4.0
 
-    def test_worker_kill_requeue_counts_exactly_once(self):
+    def test_worker_kill_requeue_counts_exactly_once(self, tiny_executor):
         obs = Observer()
         faults = FaultInjector([FaultSpec("demo", "kill", index=1, count=1)])
-        out = fan_out(
-            3, _observed_double, [1, 2, 3, 4],
-            workers=2, stage="demo", policy=FAST, faults=faults, observer=obs,
+        out = run_tasks(
+            tiny_executor, 3, [1, 2, 3, 4], workers=2, obs=obs, faults=faults,
         )
         assert out == [3, 6, 9, 12]
         spans = task_spans(obs)
@@ -67,37 +78,34 @@ class TestFanOutDeltas:
         assert sorted(s.attributes["index"] for s in spans) == [0, 1, 2, 3]
         assert obs.metrics.value("work_done_total") == 4.0
 
-    def test_repeat_killer_serial_fallback_still_exactly_once(self):
+    def test_repeat_killer_serial_fallback_still_exactly_once(self, tiny_executor):
         obs = Observer()
         faults = FaultInjector([FaultSpec("demo", "kill", index=0, count=2)])
-        out = fan_out(
-            3, _observed_double, [1, 2],
-            workers=2, stage="demo", policy=FAST, faults=faults, observer=obs,
+        out = run_tasks(
+            tiny_executor, 3, [1, 2], workers=2, obs=obs, faults=faults,
         )
         assert out == [3, 6]
         spans = task_spans(obs)
         assert len(spans) == 2
         assert sorted(s.attributes["index"] for s in spans) == [0, 1]
 
-    def test_degraded_task_ships_no_span(self):
+    def test_degraded_task_ships_no_span(self, tiny_executor):
         obs = Observer()
         faults = FaultInjector([FaultSpec("demo", "error", index=1, count=9)])
-        out = fan_out(
-            2, _observed_double, [1, 2, 3],
-            workers=2, stage="demo", policy=FAST, faults=faults, observer=obs,
+        out = run_tasks(
+            tiny_executor, 2, [1, 2, 3], workers=2, obs=obs, faults=faults,
         )
         assert out == [2, None, 6]
         spans = task_spans(obs)
         assert sorted(s.attributes["index"] for s in spans) == [0, 2]
 
-    def test_pool_and_serial_ship_same_span_set(self):
+    def test_pool_and_serial_ship_same_span_set(self, tiny_executor):
         def indices(workers):
             obs = Observer()
             faults = FaultInjector([FaultSpec("demo", "kill", index=2, count=1)])
-            fan_out(
-                5, _observed_double, [1, 2, 3, 4],
-                workers=workers, stage="demo", policy=FAST,
-                faults=faults, observer=obs,
+            run_tasks(
+                tiny_executor, 5, [1, 2, 3, 4],
+                workers=workers, obs=obs, faults=faults,
             )
             return sorted(s.attributes["index"] for s in task_spans(obs))
 

@@ -54,8 +54,6 @@ class TestParser:
 
     def test_workers_zero_is_a_parse_error(self, capsys):
         for argv in (["windows", "--workers", "0"],
-                     ["crossval", "--workers", "0"],
-                     ["sensitivity", "--workers", "-2"],
                      ["campaign", "submit", "--workers", "0"]):
             with pytest.raises(SystemExit) as excinfo:
                 build_parser().parse_args(argv)
@@ -78,13 +76,20 @@ class TestParser:
         # One canonical --workers definition via the shared parent
         # parser: each command's help shows the flag exactly once in
         # the usage line and once in the options list, never more.
-        for command in ("windows", "crossval", "sensitivity",
-                        ("campaign", "submit")):
+        for command in ("windows", ("campaign", "submit")):
             argv = [command] if isinstance(command, str) else list(command)
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv + ["--help"])
             help_text = capsys.readouterr().out
             assert help_text.count("--workers") == 2, command
+
+    def test_leave_one_out_commands_take_no_workers(self, capsys):
+        # Their folds and drops are one batched stage, not a fan-out.
+        for command in ("crossval", "sensitivity"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args([command, "--workers", "2"])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_campaign_requires_subcommand(self):
         with pytest.raises(SystemExit):
