@@ -61,7 +61,7 @@ from repro.analysis.crossval import cross_validate_window
 from repro.analysis.report import format_table, to_real
 from repro.analysis.supply import supply_by_rir, world_supply
 from repro.analysis.windows import TimeWindow
-from repro.engine.executor import ExecutionPolicy, Executor
+from repro.engine.executor import ExecutionPolicy, Executor, exhausted_stage
 from repro.engine.faults import (
     FaultInjector,
     SourceFaultSpec,
@@ -1249,8 +1249,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and dispatch to the chosen command."""
     args = build_parser().parse_args(argv)
     try:
-        code = COMMANDS[args.command](args)
-        _finalize_observability(args)
+        try:
+            code = COMMANDS[args.command](args)
+        except Exception as exc:
+            # A stage that failed after its retries ends the run with
+            # one line; any other error keeps its traceback.
+            stage = exhausted_stage(exc)
+            if stage is None:
+                raise
+            print(f"stage {stage} failed: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            code = 1
+        finally:
+            # A failed run keeps its ledger: it is the one to explain.
+            _finalize_observability(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left early (``repro report RUN | head``).  Point

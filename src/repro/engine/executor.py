@@ -5,7 +5,7 @@ options), resolves stage requests through the unified
 :class:`~repro.engine.artifacts.ArtifactCache`, and records one
 :class:`~repro.engine.report.StageRecord` per resolution.  Independent
 work — the windows of a sweep and the tasks of a campaign — runs
-through one task runner, :func:`_resilient_pool_map`: in this process
+through one task runner, :meth:`Executor.run_tasks`: in this process
 for ``workers == 1``, otherwise on a ``ProcessPoolExecutor`` whose
 workers rebuild the executor once from the pool initializer's
 arguments.  Under the fork start method (Linux up to Python 3.13) a
@@ -15,15 +15,17 @@ drops and cross-validation folds do not fan out: each is one stage
 whose stepwise searches run as one batched plan.
 
 Fault tolerance: every stage resolution and every runner task runs
-under an :class:`ExecutionPolicy` — bounded retries with exponential
-backoff and deterministic jitter, per-task wall-clock timeouts, and
+under the executor's :class:`ExecutionPolicy` — bounded retries with
+exponential backoff and deterministic jitter
+(:meth:`ExecutionPolicy.backoff`), per-task wall-clock timeouts, and
 ``BrokenProcessPool`` recovery (the pool is respawned, unfinished
 tasks are requeued, a worker death is charged only to the task whose
 worker died, and a task that kills :data:`POOL_KILL_LIMIT` workers is
-pulled back into the parent process).  A task that exhausts
-its retries is *degraded*: it is recorded in the
-:class:`~repro.engine.report.RunReport` and dropped from the results
-instead of aborting the run.
+pulled back into the parent process).  A failure that exhausted a
+stage's retries (:func:`exhausted_stage`) is not retried again above
+it.  A task that exhausts its retries is *degraded*: it is recorded in
+the :class:`~repro.engine.report.RunReport` and dropped from the
+results instead of aborting the run.
 
 Determinism contract: every stage draws randomness only from seeds
 derived with stable digests of (options.seed, task identity), so a
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import os
 import time
+import zlib
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -47,7 +50,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.core import fitkernel
 from repro.engine.artifacts import MISS, ArtifactCache, ArtifactKey, artifact_nbytes
-from repro.engine.faults import FaultInjector, backoff_seconds
+from repro.engine.faults import FaultInjector
 from repro.engine.report import RunReport, StageRecord
 from repro.engine.store import ArtifactStore, open_store
 from repro.obs.observer import Observer, ObserverDelta
@@ -113,16 +116,34 @@ class ExecutionPolicy:
             )
 
     def backoff(self, seed: int, stage: str, index: int, attempt: int) -> float:
-        """Seconds to sleep before retrying ``attempt`` of one task."""
-        return backoff_seconds(
-            self.backoff_base, self.backoff_max, BACKOFF_JITTER,
-            seed, stage, index, attempt,
+        """Seconds to sleep before retrying ``attempt`` of one task.
+
+        Exponential backoff capped at ``backoff_max``, plus a jitter of
+        up to :data:`BACKOFF_JITTER` drawn from a crc32 hash of the
+        (seed, stage, index, attempt) identity, so a rerun with the
+        same seed sleeps the same amount — parallel-vs-serial
+        determinism extends to the retry schedule.
+        """
+        delay = min(
+            self.backoff_max, self.backoff_base * (2.0 ** max(0, attempt - 1))
         )
+        token = f"{seed}:{stage}:{index}:{attempt}".encode()
+        fraction = (zlib.crc32(token) % 1000) / 999.0
+        return delay * (1.0 + BACKOFF_JITTER * fraction)
+
+
+def exhausted_stage(exc: BaseException) -> str | None:
+    """The stage whose retries ``exc`` exhausted, or ``None``.
+
+    :meth:`Executor.run` sets it as an attribute of the exception, so
+    it survives the pickle home from a pool worker.
+    """
+    return getattr(exc, "exhausted_stage", None)
 
 
 @dataclass
-class _TaskOutcome:
-    """Terminal state of one runner task."""
+class TaskOutcome:
+    """Terminal state of one task of :meth:`Executor.run_tasks`."""
 
     value: Any = None
     status: str = "degraded"
@@ -166,231 +187,6 @@ def _attempt(
     return value, perf_counter() - start
 
 
-def _resilient_pool_map(
-    tasks: Sequence[Any],
-    func: Callable[[Executor, Any, Observer], Any],
-    executor: Executor,
-    *,
-    stage: str,
-    workers: int,
-    policy: ExecutionPolicy,
-    seed: int,
-    faults: FaultInjector | None,
-    observer: Observer,
-    on_settle: Callable[[int, _TaskOutcome], None] | None = None,
-) -> list[_TaskOutcome]:
-    """Run ``func(executor, task, observer)`` per task, surviving crashes,
-    hangs and worker kills.  The only code that decides retries.
-
-    With ``workers == 1`` (or a single task) every attempt runs in this
-    process against ``executor`` and ``observer``, and no pool starts.
-    Otherwise tasks run on a process pool whose initializer hands each
-    worker the executor's :class:`_ExecutorPayload` once.
-
-    Every attempt first fires ``faults`` keyed by ``(stage, task index,
-    attempt)``.  A task that raises is retried (with backoff) up to
-    ``policy.retries`` times.  A task whose worker dies breaks the pool:
-    completed futures are harvested, the pool is rebuilt and every
-    unfinished task requeued.  A pool of several workers cannot say
-    whose worker died, so its breakage charges no task; the runner then
-    finishes on a one-worker pool, which runs its tasks in submission
-    order — there the death is the awaited task's, and only that task
-    is charged.  A task charged :data:`POOL_KILL_LIMIT` worker deaths
-    runs in this process, with one final attempt.  Exhausted tasks
-    degrade.  ``on_settle(i, outcome)`` is called as each task reaches
-    its terminal state.  Outcomes come back in task order.
-    """
-    n = len(tasks)
-    outcomes: list[_TaskOutcome | None] = [None] * n
-    attempts = [0] * n
-    kills = [0] * n
-    local = [workers <= 1 or n <= 1] * n
-    errors: list[str | None] = [None] * n
-    pending = list(range(n))
-    pool: ProcessPoolExecutor | None = None
-    width = workers  # pool size; 1 once a breakage named no task
-
-    def close_pool(nuke: bool = False) -> None:
-        nonlocal pool
-        if pool is not None:
-            _shutdown_pool(pool, nuke=nuke)
-            pool = None
-
-    def make_pool(size: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=size,
-            initializer=_worker_init,
-            initargs=(
-                func, _ExecutorPayload.of(executor), faults, stage, observer.enabled,
-            ),
-        )
-
-    def settle(i: int, outcome: _TaskOutcome) -> None:
-        outcomes[i] = outcome
-        if on_settle is not None:
-            on_settle(i, outcome)
-
-    def fail(i: int, exc: BaseException, started: float) -> bool:
-        """Charge one failed attempt; True if the task should retry."""
-        attempts[i] += 1
-        errors[i] = _describe(exc)
-        # A task pulled out of the pool for killing workers gets one
-        # attempt in this process on top of its budget.
-        if attempts[i] <= policy.retries + (kills[i] >= POOL_KILL_LIMIT):
-            return True
-        settle(i, _TaskOutcome(
-            status="degraded",
-            attempts=attempts[i],
-            error=errors[i],
-            seconds=perf_counter() - started,
-            local=local[i],
-        ))
-        return False
-
-    def succeed(i: int, result: tuple) -> None:
-        value, seconds, records, delta = result
-        settle(i, _TaskOutcome(
-            value=value,
-            status="retried" if attempts[i] else "ok",
-            attempts=attempts[i] + 1,
-            error=errors[i],
-            seconds=seconds,
-            records=records,
-            delta=delta,
-            local=local[i],
-        ))
-
-    try:
-        while pending:
-            sleep_for = 0.0
-            next_pending: list[int] = []
-            for i in (i for i in pending if local[i]):
-                started = perf_counter()
-                try:
-                    if faults is not None:
-                        faults.fire(stage, i, attempts[i])
-                    result = _attempt(func, executor, tasks[i], observer)
-                except Exception as exc:
-                    if fail(i, exc, started):
-                        next_pending.append(i)
-                        sleep_for = max(
-                            sleep_for, policy.backoff(seed, stage, i, attempts[i])
-                        )
-                else:
-                    succeed(i, (*result, [], None))
-            remote = [i for i in pending if not local[i]]
-            if remote:
-                if pool is None:
-                    size = min(width, len(remote))
-                    pool = make_pool(size)
-                    # One worker runs its tasks in submission order, so
-                    # a death there is the awaited task's.
-                    blame = size == 1
-                futures = {
-                    i: pool.submit(_worker_run, (i, attempts[i], tasks[i]))
-                    for i in remote
-                }
-                broken = False
-                for i in remote:
-                    future = futures[i]
-                    if broken:
-                        # The pool just died under us: keep results that
-                        # finished before the breakage, requeue the rest
-                        # without charging them an attempt.
-                        if future.done():
-                            try:
-                                result = future.result()
-                            except (BrokenProcessPool, CancelledError):
-                                next_pending.append(i)
-                            except Exception as exc:
-                                if fail(i, exc, perf_counter()):
-                                    next_pending.append(i)
-                            else:
-                                succeed(i, result)
-                        else:
-                            future.cancel()
-                            next_pending.append(i)
-                        continue
-                    started = perf_counter()
-                    try:
-                        result = future.result(timeout=policy.task_timeout)
-                    except (FutureTimeoutError, TimeoutError) as exc:
-                        hung = TimeoutError(
-                            f"task exceeded {policy.task_timeout}s wall clock"
-                        )
-                        hung.__cause__ = exc
-                        broken = True
-                        close_pool(nuke=True)
-                        if fail(i, hung, started):
-                            next_pending.append(i)
-                    except BrokenProcessPool as exc:
-                        broken = True
-                        close_pool(nuke=True)
-                        if not blame:
-                            # Any worker may have died: charge nobody
-                            # and go on one worker at a time.
-                            width = 1
-                            next_pending.append(i)
-                            continue
-                        kills[i] += 1
-                        local[i] = kills[i] >= POOL_KILL_LIMIT
-                        if fail(i, exc, started):
-                            next_pending.append(i)
-                    except Exception as exc:
-                        if fail(i, exc, started):
-                            next_pending.append(i)
-                            sleep_for = max(
-                                sleep_for,
-                                policy.backoff(seed, stage, i, attempts[i]),
-                            )
-                    else:
-                        succeed(i, result)
-            pending = next_pending
-            if pending and sleep_for > 0.0:
-                time.sleep(sleep_for)
-    finally:
-        close_pool()
-    return [o if o is not None else _TaskOutcome() for o in outcomes]
-
-
-def _absorb_outcomes(
-    outcomes: Sequence[_TaskOutcome],
-    keys: Sequence[str],
-    *,
-    stage: str,
-    report: RunReport,
-    observer: Observer,
-) -> list[Any]:
-    """Turn runner outcomes into values (``None`` for a degraded task).
-
-    Merges the stage records and telemetry pool workers shipped home —
-    only accepted attempts ship any, so nothing is counted twice — and
-    records one :class:`StageRecord` per task that was retried or
-    degraded.  That record claims no exclusive seconds: the stage
-    resolutions of the task's attempts carry them.
-    """
-    values = []
-    for key, outcome in zip(keys, outcomes):
-        report.records.extend(outcome.records)
-        observer.absorb(outcome.delta)
-        if outcome.status != "ok":
-            report.record(
-                StageRecord(
-                    stage=stage,
-                    key=key,
-                    seconds=outcome.seconds,
-                    self_seconds=0.0,
-                    cache_hit=False,
-                    worker=_worker_tag() if outcome.local else "pool",
-                    status=outcome.status,
-                    attempts=outcome.attempts,
-                    error=outcome.error,
-                )
-            )
-        values.append(outcome.value)
-    return values
-
-
 class Executor:
     """Resolves stage graphs over one simulated Internet."""
 
@@ -428,27 +224,10 @@ class Executor:
         #: Per-stage resolution counter: the task index stage-level
         #: faults key on (counts cache misses, stable under retries).
         self._stage_sequence: dict[str, int] = {}
-        #: The stage a runner task is resolving, whose faults the runner
-        #: fires per task instead (see :meth:`_task_faults`).
-        self._task_stage: str | None = None
         #: Accumulator of the stage resolution in progress: the output
         #: bytes and seconds of the resolutions it makes (see
         #: :meth:`_collect_inputs`).
         self._inputs: list | None = None
-
-    @contextmanager
-    def _task_faults(self, stage: str):
-        """Resolve ``stage`` as a runner task.
-
-        The runner already fired the task's faults, keyed by task index,
-        so :meth:`run` must not fire that stage's faults a second time
-        under its own resolution index.
-        """
-        previous, self._task_stage = self._task_stage, stage
-        try:
-            yield
-        finally:
-            self._task_stage = previous
 
     # -- stage resolution -------------------------------------------------
 
@@ -490,9 +269,11 @@ class Executor:
         """Resolve one stage through the cache, recording instrumentation.
 
         A stage function that raises is retried ``policy.retries``
-        times with backoff (stages are pure, so a retry is safe); the
-        exhausted failure is recorded as ``failed`` and re-raised for
-        the surrounding sweep to degrade or propagate.
+        times with backoff (stages are pure, so a retry is safe), unless
+        it raised a dependency's exhausted failure; the exhausted
+        failure is recorded as ``failed``, marked with its stage
+        (:func:`exhausted_stage`) and re-raised for the surrounding
+        sweep to degrade or propagate.
         """
         key = self.key_for(stage, window, **params)
         value = self._lookup(key)
@@ -533,9 +314,13 @@ class Executor:
         return value
 
     def _compute(
-        self, key: ArtifactKey, window: TimeWindow | None, params: dict
+        self, key: ArtifactKey, window: TimeWindow | None, params: dict,
+        fire: bool = True,
     ) -> Any:
-        """Run ``key``'s stage function, cache its artifact and record it."""
+        """Run ``key``'s stage function, cache its artifact and record it.
+
+        With ``fire=False`` the stage's faults do not fire: the runner did.
+        """
         stage = key.stage
         spec = STAGES[stage]
         index = self._stage_sequence.get(stage, 0)
@@ -550,13 +335,13 @@ class Executor:
                     fit_before = fitkernel.snapshot()
                     inputs[0] = 0  # input bytes: the accepted attempt's only
                     try:
-                        if self.faults is not None and stage != self._task_stage:
+                        if fire and self.faults is not None:
                             self.faults.fire(stage, index, attempt)
                         value = spec.fn(self, window, **params)
                         break
                     except Exception as exc:
                         attempt += 1
-                        if attempt > self.policy.retries:
+                        if attempt > self.policy.retries or exhausted_stage(exc):
                             error = exc
                             break
                         time.sleep(
@@ -578,6 +363,8 @@ class Executor:
                     )
                 )
                 self._resolved(0, seconds)
+                if exhausted_stage(error) is None:
+                    error.exhausted_stage = stage  # type: ignore[attr-defined]
                 raise error
             fit_delta = fitkernel.snapshot() - fit_before
             # Keep the delta exclusive: nested stage resolutions already
@@ -643,7 +430,221 @@ class Executor:
         """
         return _analysis_view(self, window)[0]
 
-    # -- parallel fan-out -------------------------------------------------
+    # -- the task runner --------------------------------------------------
+
+    def run_tasks(
+        self,
+        tasks: Sequence[Any],
+        func: Callable[[Executor, Any, Observer], Any],
+        *,
+        stage: str,
+        keys: Sequence[str],
+        workers: int,
+        on_settle: Callable[[int, TaskOutcome], None] | None = None,
+    ) -> list[TaskOutcome]:
+        """Run ``func(executor, task, observer)`` per task under this
+        executor's policy, faults and observer, surviving crashes, hangs
+        and worker kills.
+
+        With ``workers == 1`` (or a single task) every attempt runs in
+        this process, and no pool starts.  Otherwise tasks run on a
+        process pool whose initializer hands each worker this
+        executor's :class:`_ExecutorPayload` once.
+
+        Every attempt first fires the faults keyed by ``(stage, task
+        index, attempt)``.  A task that raises is retried (with backoff)
+        up to ``policy.retries`` times, unless a stage already exhausted
+        its retries on that error (:func:`exhausted_stage`).  A task
+        whose worker dies breaks the pool: completed futures are
+        harvested, the pool is rebuilt and every unfinished task
+        requeued.  A pool of several workers cannot say whose worker
+        died, so its breakage charges no task; the runner then finishes
+        on a one-worker pool, which runs its tasks in submission order
+        — there the death is the awaited task's, and only that task is
+        charged.  A task charged :data:`POOL_KILL_LIMIT` worker deaths
+        runs in this process, with one final attempt.  Exhausted tasks
+        degrade.  ``on_settle(i, outcome)`` is called as each task
+        reaches its terminal state.
+
+        Outcomes come back in task order, merged into :attr:`report` and
+        :attr:`observer`: the records and telemetry workers shipped home
+        (accepted attempts only, so nothing counts twice), and one
+        record per retried or degraded task under ``stage`` and
+        ``keys[i]``, claiming no exclusive seconds (its attempts' stage
+        resolutions carry them).
+        """
+        policy, faults, observer = self.policy, self.faults, self.observer
+        n = len(tasks)
+        outcomes: list[TaskOutcome | None] = [None] * n
+        attempts = [0] * n
+        kills = [0] * n
+        local = [workers <= 1 or n <= 1] * n
+        errors: list[str | None] = [None] * n
+        pending = list(range(n))
+        pool: ProcessPoolExecutor | None = None
+        width = workers  # pool size; 1 once a breakage named no task
+
+        def close_pool(nuke: bool = False) -> None:
+            nonlocal pool
+            if pool is not None:
+                _shutdown_pool(pool, nuke=nuke)
+                pool = None
+
+        def make_pool(size: int) -> ProcessPoolExecutor:
+            return ProcessPoolExecutor(
+                max_workers=size,
+                initializer=_worker_init,
+                initargs=(
+                    func, _ExecutorPayload.of(self), faults, stage,
+                    observer.enabled,
+                ),
+            )
+
+        def backoff(i: int) -> float:
+            return policy.backoff(self.options.seed, stage, i, attempts[i])
+
+        def settle(i: int, outcome: TaskOutcome) -> None:
+            outcomes[i] = outcome
+            if on_settle is not None:
+                on_settle(i, outcome)
+
+        def fail(i: int, exc: BaseException, started: float) -> bool:
+            """Charge one failed attempt; True if the task should retry."""
+            attempts[i] += 1
+            errors[i] = _describe(exc)
+            # A task pulled out of the pool for killing workers gets one
+            # attempt in this process on top of its budget.
+            budget = policy.retries + (kills[i] >= POOL_KILL_LIMIT)
+            if exhausted_stage(exc) is None and attempts[i] <= budget:
+                return True
+            settle(i, TaskOutcome(
+                status="degraded",
+                attempts=attempts[i],
+                error=errors[i],
+                seconds=perf_counter() - started,
+                local=local[i],
+            ))
+            return False
+
+        def succeed(i: int, result: tuple) -> None:
+            value, seconds, records, delta = result
+            settle(i, TaskOutcome(
+                value=value,
+                status="retried" if attempts[i] else "ok",
+                attempts=attempts[i] + 1,
+                error=errors[i],
+                seconds=seconds,
+                records=records,
+                delta=delta,
+                local=local[i],
+            ))
+
+        try:
+            while pending:
+                sleep_for = 0.0
+                next_pending: list[int] = []
+                for i in (i for i in pending if local[i]):
+                    started = perf_counter()
+                    try:
+                        if faults is not None:
+                            faults.fire(stage, i, attempts[i])
+                        result = _attempt(func, self, tasks[i], observer)
+                    except Exception as exc:
+                        if fail(i, exc, started):
+                            next_pending.append(i)
+                            sleep_for = max(sleep_for, backoff(i))
+                    else:
+                        succeed(i, (*result, [], None))
+                remote = [i for i in pending if not local[i]]
+                if remote:
+                    if pool is None:
+                        size = min(width, len(remote))
+                        pool = make_pool(size)
+                        # One worker runs its tasks in submission order,
+                        # so a death there is the awaited task's.
+                        blame = size == 1
+                    futures = {
+                        i: pool.submit(_worker_run, (i, attempts[i], tasks[i]))
+                        for i in remote
+                    }
+                    broken = False
+                    for i in remote:
+                        future = futures[i]
+                        if broken:
+                            # The pool just died under us: keep results
+                            # that finished before the breakage, requeue
+                            # the rest without charging them an attempt.
+                            if future.done():
+                                try:
+                                    result = future.result()
+                                except (BrokenProcessPool, CancelledError):
+                                    next_pending.append(i)
+                                except Exception as exc:
+                                    if fail(i, exc, perf_counter()):
+                                        next_pending.append(i)
+                                else:
+                                    succeed(i, result)
+                            else:
+                                future.cancel()
+                                next_pending.append(i)
+                            continue
+                        started = perf_counter()
+                        try:
+                            result = future.result(timeout=policy.task_timeout)
+                        except (FutureTimeoutError, TimeoutError) as exc:
+                            hung = TimeoutError(
+                                f"task exceeded {policy.task_timeout}s wall clock"
+                            )
+                            hung.__cause__ = exc
+                            broken = True
+                            close_pool(nuke=True)
+                            if fail(i, hung, started):
+                                next_pending.append(i)
+                        except BrokenProcessPool as exc:
+                            broken = True
+                            close_pool(nuke=True)
+                            if not blame:
+                                # Any worker may have died: charge
+                                # nobody and go on one worker at a time.
+                                width = 1
+                                next_pending.append(i)
+                                continue
+                            kills[i] += 1
+                            local[i] = kills[i] >= POOL_KILL_LIMIT
+                            if fail(i, exc, started):
+                                next_pending.append(i)
+                        except Exception as exc:
+                            if fail(i, exc, started):
+                                next_pending.append(i)
+                                sleep_for = max(sleep_for, backoff(i))
+                        else:
+                            succeed(i, result)
+                pending = next_pending
+                if pending and sleep_for > 0.0:
+                    time.sleep(sleep_for)
+        finally:
+            close_pool()
+        settled = [o if o is not None else TaskOutcome() for o in outcomes]
+        for key, outcome in zip(keys, settled):
+            self.report.records.extend(outcome.records)
+            observer.absorb(outcome.delta)
+            if outcome.status != "ok":
+                self.report.record(
+                    StageRecord(
+                        stage=stage,
+                        key=key,
+                        seconds=outcome.seconds,
+                        self_seconds=0.0,
+                        cache_hit=False,
+                        worker=_worker_tag() if outcome.local else "pool",
+                        status=outcome.status,
+                        attempts=outcome.attempts,
+                        error=outcome.error,
+                    )
+                )
+        return settled
+
+    # -- window sweeps ----------------------------------------------------
 
     def run_windows(
         self,
@@ -662,9 +663,10 @@ class Executor:
 
         Under the executor's :class:`ExecutionPolicy` a window whose
         task crashes, hangs past ``task_timeout`` or kills its worker
-        is retried; a window that exhausts its retries is recorded as
-        ``degraded`` in the report and omitted from the returned list,
-        so every surviving window still gets its estimate.
+        is retried.  A window that exhausts its retries, or whose stage
+        failed after its own, is recorded as ``degraded`` in the report
+        and omitted from the returned list, so every surviving window
+        still gets its estimate.
         """
         from repro.analysis.windows import standard_windows
 
@@ -682,19 +684,11 @@ class Executor:
             # and only the misses become runner tasks.
             found = {w: self._lookup(key) for w, key in keys.items()}
             pending = [w for w, value in found.items() if value is MISS]
-            outcomes = _resilient_pool_map(
-                pending, _window_task, self,
+            outcomes = self.run_tasks(
+                pending, _window_task,
                 stage="window_result",
+                keys=[keys[w].token() for w in pending],
                 workers=workers,
-                policy=self.policy,
-                seed=self.options.seed,
-                faults=self.faults,
-                observer=self.observer,
-            )
-            _absorb_outcomes(
-                outcomes, [keys[w].token() for w in pending],
-                stage="window_result", report=self.report,
-                observer=self.observer,
             )
             for window, outcome in zip(pending, outcomes):
                 if outcome.status == "degraded":
@@ -822,8 +816,8 @@ def _worker_run(
 def _window_task(
     executor: Executor, window: "TimeWindow", observer: Observer
 ) -> WindowResult:
-    # The sweep has looked the window up already and missed.
-    with executor._task_faults("window_result"):
-        return executor._compute(
-            executor.key_for("window_result", window), window, {}
-        )
+    # The sweep has looked the window up already and missed, and the
+    # runner fired this task's faults.
+    return executor._compute(
+        executor.key_for("window_result", window), window, {}, fire=False
+    )

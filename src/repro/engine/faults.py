@@ -9,8 +9,8 @@ keyed by ``(stage, task index, attempt)``, so every recovery path of the
 executor's :class:`~repro.engine.executor.ExecutionPolicy` — retry,
 timeout, pool respawn, serial fallback, degradation — can be driven
 deterministically from a test or from the CLI's ``--inject-faults``
-flag.  :func:`backoff_seconds` (the executor's retry schedule) lives
-here too so the jitter stays a pure function of the run seed.
+flag.  The retry schedule those paths sleep on is
+:meth:`~repro.engine.executor.ExecutionPolicy.backoff`.
 
 A fault spec fires on the first ``count`` attempts of its task and
 then stays quiet, which is what makes retry-then-succeed scenarios
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -183,28 +182,6 @@ class FaultInjector:
             data[i] ^= 0xFF
         path.write_bytes(bytes(data))
         return True
-
-
-def backoff_seconds(
-    base: float,
-    cap: float,
-    jitter: float,
-    seed: int,
-    stage: str,
-    index: int,
-    attempt: int,
-) -> float:
-    """Exponential backoff with deterministic jitter.
-
-    The jitter fraction is drawn from a crc32 hash of the (seed,
-    stage, index, attempt) identity, so a rerun with the same seed
-    sleeps the same amount — parallel-vs-serial determinism extends to
-    the retry schedule.
-    """
-    delay = min(cap, base * (2.0 ** max(0, attempt - 1)))
-    token = f"{seed}:{stage}:{index}:{attempt}".encode()
-    fraction = (zlib.crc32(token) % 1000) / 999.0
-    return delay * (1.0 + jitter * fraction)
 
 
 # -- source-level fault injection -------------------------------------------

@@ -21,7 +21,8 @@ from repro.core.fitkernel import FitCounters
 #: execution; ``retried`` succeeded after at least one failed attempt;
 #: ``degraded`` exhausted its retries and was dropped from the run's
 #: results (survivors carry the estimate); ``failed`` is a stage
-#: resolution that exhausted its retries and raised to its caller.
+#: resolution that raised to its caller after exhausting its retries,
+#: or that passed up a dependency's exhausted failure.
 TASK_STATUSES = ("ok", "retried", "degraded", "failed")
 
 
@@ -80,10 +81,6 @@ class RunReport:
         """Append one stage execution record."""
         self.records.append(rec)
 
-    def merge(self, other: "RunReport") -> None:
-        """Fold a worker's (or sub-run's) records into this report."""
-        self.records.extend(other.records)
-
     # -- aggregate views --------------------------------------------------
 
     @property
@@ -111,6 +108,10 @@ class RunReport:
     def retried_records(self) -> list[StageRecord]:
         """Tasks that succeeded only after at least one failed attempt."""
         return [r for r in self.records if r.status == "retried"]
+
+    def failed_records(self) -> list[StageRecord]:
+        """Stage resolutions that raised to their caller after their retries."""
+        return [r for r in self.records if r.status == "failed"]
 
     @property
     def degraded_count(self) -> int:
@@ -187,12 +188,17 @@ class RunReport:
         if totals:
             out["fit_kernel"] = totals.as_dict()
         degraded = self.degraded_records()
-        if degraded or self.retry_count:
+        failed = self.failed_records()
+        if degraded or failed or self.retry_count:
             out["fault_tolerance"] = {
                 "retries": self.retry_count,
                 "degraded": [
                     {"stage": r.stage, "key": r.key, "error": r.error}
                     for r in degraded
+                ],
+                "failed": [
+                    {"stage": r.stage, "key": r.key, "error": r.error}
+                    for r in failed
                 ],
             }
         return out

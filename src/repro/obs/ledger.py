@@ -76,10 +76,11 @@ def absorb_engine_accounting(
 
     ``ArtifactCache.stats()`` becomes ``cache_*`` counters (entries and
     bytes as gauges), and the ``RunReport`` contributes
-    retry/degradation blame, per-stage wall time / call counts, and the
-    run's fit-kernel totals.  Fit totals come from the report's
-    exclusive per-stage deltas — not the fit kernel's process totals —
-    so the result is run-scoped and matches ``RunReport`` exactly.
+    retry/degradation blame, failed stage resolutions per stage,
+    per-stage wall time / call counts, and the run's fit-kernel totals.
+    Fit totals come from the report's exclusive per-stage deltas — not
+    the fit kernel's process totals — so the result is run-scoped and
+    matches ``RunReport`` exactly.
     """
     metrics = observer.metrics
     if cache is not None:
@@ -102,6 +103,8 @@ def absorb_engine_accounting(
                 metrics.inc("cache_tier_hits_total", float(count), tier=tier)
         metrics.inc("tasks_retried_total", float(report.retry_count))
         metrics.inc("tasks_degraded_total", float(report.degraded_count))
+        for record in report.failed_records():
+            metrics.inc("stage_failures_total", stage=record.stage)
         metrics.inc("stage_records_total", float(len(report.records)))
         for stage, stats in report.by_stage().items():
             metrics.inc("stage_seconds_total", stats.seconds, stage=stage)

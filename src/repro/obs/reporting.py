@@ -206,11 +206,16 @@ def render_run_report(run_dir: str | Path, top: int = 10) -> str:
     # retry / degradation table
     retried = counters.get("tasks_retried_total", 0.0)
     degraded = counters.get("tasks_degraded_total", 0.0)
-    if retried or degraded:
+    failed = _labelled(metrics, "stage_failures_total", "stage")
+    if retried or degraded or failed:
         lines += [
             "",
             f"fault tolerance: {int(retried)} retried attempt(s), "
             f"{int(degraded)} degraded task(s)",
+        ]
+        lines += [
+            f"  failed stage {stage}: {int(count)} resolution(s)"
+            for stage, count in sorted(failed.items())
         ]
     warn_events = [e for e in events if e.get("level") in ("warning", "error")]
     for event in warn_events:

@@ -39,12 +39,7 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.engine.executor import (
-    Executor,
-    _absorb_outcomes,
-    _resilient_pool_map,
-    _TaskOutcome,
-)
+from repro.engine.executor import Executor, TaskOutcome
 from repro.engine.faults import FaultInjector
 from repro.obs.observer import Observer
 from repro.service.campaign import (
@@ -272,7 +267,7 @@ class CampaignScheduler:
         observer = executor.observer
         settled = {"done": 0, "degraded": 0}
 
-        def on_settle(i: int, outcome: _TaskOutcome) -> None:
+        def on_settle(i: int, outcome: TaskOutcome) -> None:
             state = "degraded" if outcome.status == "degraded" else "done"
             settled[state] += 1
             if outcome.attempts > 1:
@@ -300,19 +295,12 @@ class CampaignScheduler:
         with observer.span(
             f"campaign:{campaign_id}", tasks=len(tasks), workers=workers
         ):
-            outcomes = _resilient_pool_map(
-                tasks, _campaign_task, executor,
+            outcomes = executor.run_tasks(
+                tasks, _campaign_task,
                 stage="campaign",
+                keys=[task.task_id for task in tasks],
                 workers=workers,
-                policy=executor.policy,
-                seed=executor.options.seed,
-                faults=executor.faults,
-                observer=observer,
                 on_settle=on_settle,
-            )
-            _absorb_outcomes(
-                outcomes, [task.task_id for task in tasks],
-                stage="campaign", report=executor.report, observer=observer,
             )
         return self._finalize(
             campaign_id, spec, tasks, outcomes,
@@ -340,7 +328,7 @@ class CampaignScheduler:
         campaign_id: str,
         spec: CampaignSpec,
         tasks: list[CampaignTask],
-        outcomes: list[_TaskOutcome],
+        outcomes: list[TaskOutcome],
         *,
         wall_seconds: float,
     ) -> CampaignStatus:

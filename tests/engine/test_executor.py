@@ -19,11 +19,7 @@ from repro.engine import (
 )
 from repro.engine import artifacts as artifacts_module
 from repro.engine import store as store_module
-from repro.engine.executor import (
-    ExecutionPolicy,
-    _ExecutorPayload,
-    _resilient_pool_map,
-)
+from repro.engine.executor import ExecutionPolicy, _ExecutorPayload
 from repro.engine.store import LocalStore, open_store
 from repro.ipspace.ipset import IPSet
 from repro.obs.observer import Observer
@@ -325,10 +321,13 @@ class TestFanOut:
         items = list(range(8))
 
         def run(workers):
-            outcomes = _resilient_pool_map(
-                items, _triple, tiny_executor,
-                stage="demo", workers=workers, policy=ExecutionPolicy(),
-                seed=0, faults=None, observer=Observer.disabled(),
+            engine = Executor(
+                tiny_executor.internet, tiny_executor.sources,
+                policy=ExecutionPolicy(), observer=Observer.disabled(),
+            )
+            outcomes = engine.run_tasks(
+                items, _triple,
+                stage="demo", keys=[repr(i) for i in items], workers=workers,
             )
             return [o.value for o in outcomes]
 

@@ -23,10 +23,8 @@ from repro.engine import (
     FaultInjector,
     FaultSpec,
 )
-from repro.engine.executor import _absorb_outcomes, _resilient_pool_map
-from repro.engine.faults import backoff_seconds
+from repro.engine.executor import BACKOFF_JITTER
 from repro.engine.report import RunReport
-from repro.obs.observer import Observer
 from repro.engine.store import LocalStore, open_store
 from repro.simnet.internet import SimulationConfig, SyntheticInternet
 from repro.sources.catalog import build_standard_sources
@@ -62,21 +60,20 @@ def run_tasks(executor, payload, func, items, *, workers=1, report=None,
               policy=FAST, faults=None):
     """Drive the task runner over ``(payload, item)`` toy tasks.
 
-    Returns the values (``None`` for a degraded task) and the outcomes;
-    retried and degraded tasks are recorded in ``report`` keyed by
-    ``repr(item)``.
+    The tasks run on an executor over ``executor``'s world that carries
+    ``policy``, ``faults`` and ``report``.  Returns the values (``None``
+    for a degraded task) and the outcomes; retried and degraded tasks
+    are recorded in ``report`` keyed by ``repr(item)``.
     """
-    outcomes = _resilient_pool_map(
-        [(payload, item) for item in items], func, executor,
-        stage="demo", workers=workers, policy=policy, seed=0,
-        faults=faults, observer=Observer.disabled(),
+    engine = Executor(
+        executor.internet, executor.sources, executor.options,
+        policy=policy, faults=faults, report=report,
     )
-    values = _absorb_outcomes(
-        outcomes, [repr(item) for item in items], stage="demo",
-        report=report if report is not None else RunReport(),
-        observer=Observer.disabled(),
+    outcomes = engine.run_tasks(
+        [(payload, item) for item in items], func,
+        stage="demo", keys=[repr(item) for item in items], workers=workers,
     )
-    return values, outcomes
+    return [o.value for o in outcomes], outcomes
 
 
 def outcome_statuses(outcomes):
@@ -126,24 +123,24 @@ class TestFaultSpec:
 
 class TestBackoff:
     def test_deterministic(self):
-        a = backoff_seconds(0.05, 2.0, 0.25, 7, "fit", 3, 2)
-        b = backoff_seconds(0.05, 2.0, 0.25, 7, "fit", 3, 2)
-        assert a == b
+        policy = ExecutionPolicy()
+        assert policy.backoff(7, "fit", 3, 2) == policy.backoff(7, "fit", 3, 2)
 
     def test_grows_and_caps(self):
-        delays = [
-            backoff_seconds(0.05, 0.4, 0.0, 0, "fit", 0, attempt)
-            for attempt in range(1, 7)
-        ]
-        assert delays == sorted(delays)
-        assert delays[0] == pytest.approx(0.05)
-        assert max(delays) <= 0.4
+        policy = ExecutionPolicy(backoff_base=0.05, backoff_max=0.4)
+        delays = [policy.backoff(0, "fit", 0, attempt) for attempt in range(1, 7)]
+        # Doubling outgrows the jitter until the cap; capped attempts
+        # differ by their jitter alone.
+        floors = [0.05, 0.1, 0.2, 0.4, 0.4, 0.4]
+        for delay, floor in zip(delays, floors):
+            assert floor <= delay <= floor * (1 + BACKOFF_JITTER)
+        assert delays[:4] == sorted(delays[:4])
 
     def test_jitter_bounded(self):
-        base = backoff_seconds(0.1, 2.0, 0.0, 0, "fit", 0, 1)
+        policy = ExecutionPolicy(backoff_base=0.1)
         for index in range(20):
-            jittered = backoff_seconds(0.1, 2.0, 0.5, 0, "fit", index, 1)
-            assert base <= jittered <= base * 1.5
+            jittered = policy.backoff(0, "fit", index, 1)
+            assert 0.1 <= jittered <= 0.1 * (1 + BACKOFF_JITTER)
 
 
 class TestFanOutSerial:
@@ -297,19 +294,24 @@ class TestExecutorStageFaults:
         failed = [r for r in engine.report.records if r.status == "failed"]
         assert failed and failed[0].stage == "tabulate"
 
-    def test_dependency_failure_heals_upstream(self, small_internet):
-        # The first tabulate resolution exhausts its own retries, but
-        # the dependent stage's retry re-resolves it (a fresh miss, so
-        # a fresh fault index) and the window still completes.
+    def test_dependency_failure_degrades_its_window(self, small_internet):
+        # The first tabulate resolution exhausts its own retries, and
+        # neither a dependent stage nor the runner retries it again:
+        # window 0 degrades after retries + 1 tabulate attempts, and
+        # window 1 (a fresh miss, so a fresh fault index) is delivered.
         faults = FaultInjector([FaultSpec("tabulate", "error", index=0, count=9)])
         engine = Executor(small_internet, policy=FAST, faults=faults)
         results = engine.run_windows(WINDOWS, workers=1)
-        assert [r.window for r in results] == WINDOWS
-        statuses = {r.stage: r.status for r in engine.report.records}
-        failed = [r for r in engine.report.records if r.status == "failed"]
-        assert failed and failed[0].stage == "tabulate"
-        assert engine.report.retried_records()
-        assert statuses["window_result"] == "ok"
+        assert [r.window for r in results] == [WINDOWS[1]]
+        tabulate_failures = [
+            r.attempts for r in engine.report.failed_records()
+            if r.stage == "tabulate"
+        ]
+        assert tabulate_failures == [FAST.retries + 1]
+        assert not engine.report.retried_records()
+        (degraded,) = engine.report.degraded_records()
+        assert (degraded.stage, degraded.attempts) == ("window_result", 1)
+        assert "injected error at tabulate[0]" in degraded.error
 
     def test_serial_sweep_degrades_failed_window(self, small_internet):
         # window_result itself fails on every attempt for window 0;
@@ -377,6 +379,54 @@ class TestWorkersKeepThePolicy:
         # A stage retry absorbs the one failed read; without retries
         # both windows degrade, in a pool worker as in the parent.
         assert serial == ((WINDOWS, 0) if retries else ([], len(WINDOWS)))
+
+
+class FailingRead:
+    """A source whose every read raises, counted in a file.
+
+    The count holds across processes: each read appends one byte to
+    ``counter``, whether the parent or a pool worker makes it.
+    """
+
+    def __init__(self, base, counter):
+        self.base = base
+        self.name = base.name
+        self.available_from = base.available_from
+        self.available_to = base.available_to
+        self.counter = str(counter)
+
+    def available_in(self, start, end):
+        return self.base.available_in(start, end)
+
+    def collect(self, start, end):
+        with open(self.counter, "ab") as f:
+            f.write(b".")
+        raise OSError(f"read failure, {self.name} {start}-{end}")
+
+
+class TestRetriesDoNotMultiply:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("retries", [0, 1, 2])
+    def test_failing_stage_is_attempted_retries_plus_one_times(
+        self, small_internet, tmp_path, retries, workers
+    ):
+        # Only `collect` retries the failed read.  The stages that
+        # resolve it (preprocess, spoof_filter, window_result) and the
+        # runner pass its exhausted failure up instead of retrying it,
+        # so the reads do not multiply per level of the stage graph.
+        counter = tmp_path / "reads"
+        counter.touch()
+        sources = build_standard_sources(small_internet)
+        sources["MLAB"] = FailingRead(sources["MLAB"], counter)
+        engine = Executor(
+            small_internet, sources,
+            policy=ExecutionPolicy(
+                retries=retries, backoff_base=0.001, backoff_max=0.002
+            ),
+        )
+        assert engine.run_windows(WINDOWS, workers=workers) == []
+        assert counter.stat().st_size == len(WINDOWS) * (retries + 1)
+        assert engine.report.degraded_count == len(WINDOWS)
 
 
 class TestAnalysisDegradation:

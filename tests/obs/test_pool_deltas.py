@@ -15,8 +15,6 @@ from repro.engine import (
     FaultInjector,
     FaultSpec,
 )
-from repro.engine.executor import _absorb_outcomes, _resilient_pool_map
-from repro.engine.report import RunReport
 from repro.engine.store import LocalStore, open_store
 from repro.obs.ledger import absorb_engine_accounting
 from repro.obs.observer import Observer
@@ -34,17 +32,21 @@ def _observed_double(executor, task, observer):
 
 
 def run_tasks(executor, payload, items, *, workers, obs, faults=None):
-    """Drive the task runner over toy tasks; values in item order."""
-    outcomes = _resilient_pool_map(
+    """Drive the task runner over toy tasks; values in item order.
+
+    The tasks run on an executor over ``executor``'s world that carries
+    the ``FAST`` policy, ``faults`` and the observer ``obs``.
+    """
+    engine = Executor(
+        executor.internet, executor.sources, executor.options,
+        policy=FAST, faults=faults, observer=obs,
+    )
+    outcomes = engine.run_tasks(
         [(i, payload, item) for i, item in enumerate(items)],
-        _observed_double, executor,
-        stage="demo", workers=workers, policy=FAST, seed=0,
-        faults=faults, observer=obs,
+        _observed_double,
+        stage="demo", keys=[repr(item) for item in items], workers=workers,
     )
-    return _absorb_outcomes(
-        outcomes, [repr(item) for item in items],
-        stage="demo", report=RunReport(), observer=obs,
-    )
+    return [o.value for o in outcomes]
 
 
 def task_spans(obs, stage="demo"):

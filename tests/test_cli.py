@@ -183,6 +183,29 @@ class TestObservability:
         assert "fit kernel:" in report
         assert "slowest spans" in report
 
+    @pytest.mark.parametrize(
+        "command, stage", [("crossval", "crossval"), ("supply", "stratified")]
+    )
+    def test_failed_stage_exits_1_and_keeps_its_ledger(
+        self, capsys, tmp_path, command, stage
+    ):
+        run_dir = tmp_path / "run"
+        code = main(self.ARGS + [
+            "--trace", str(run_dir), "--inject-faults", f"{stage}:error:0:9",
+            command,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"stage {stage} failed: FaultInjected: "
+            f"injected error at {stage}[0] attempt 1"
+        ]
+        for name in ("run.json", "report.json", "trace.jsonl"):
+            assert (run_dir / name).exists(), name
+        assert main(["report", str(run_dir)]) == 0
+        report = capsys.readouterr().out
+        assert f"failed stage {stage}: 1 resolution(s)" in report
+
     def test_metrics_out_alone(self, capsys, tmp_path):
         import json
 
